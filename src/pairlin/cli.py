@@ -17,6 +17,7 @@ from .matrices import (
     CapExceeded,
     Matrix,
     det_doubled,
+    det_method,
     is_singular,
     matrix,
 )
@@ -127,6 +128,7 @@ def cmd_det(args, rep):
         rep.emit("det_minus", alg.format_literal(d.det_minus))
         rep.emit("permanent", alg.format_literal(d.total()))
         rep.emit("singular", str(d.balanced()).lower())
+        rep.emit("det_method", det_method(alg))
         return 0
     import itertools as it
 
@@ -295,10 +297,20 @@ COMMANDS = {
 }
 
 
+def _glue_rhs(argv):
+    """`--rhs -1,1` -> `--rhs=-1,1`: argparse reads a separate value that
+    starts with `-` as an option, and the sign pair's tangible -1 does."""
+    argv = list(argv)
+    if "--rhs" in argv:
+        i = argv.index("--rhs")
+        argv[i : i + 2] = ["=".join(argv[i : i + 2])]
+    return argv
+
+
 def run_command(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_rhs(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     rep = Reporter(args.format)

@@ -109,6 +109,7 @@ class PairAlgebra:
         dagger: Optional[Callable[[El], El]] = None,
         negation: Optional[Callable[[El], El]] = None,
         negation_unique: bool = False,
+        distributive: bool = False,
         tangibles: Optional[tuple] = None,
         carrier: Optional[tuple] = None,
         modulus: Optional[Callable[[El], ModulusValue]] = None,
@@ -131,6 +132,9 @@ class PairAlgebra:
         self.dagger = dagger
         self.negation = negation
         self.negation_unique = negation_unique
+        # multiplication distributes over addition on both sides; declared by
+        # the constructor, never scanned (a carrier scan is cubic)
+        self.distributive = distributive
         self.tangibles = tangibles
         self.carrier = carrier
         self.modulus = modulus

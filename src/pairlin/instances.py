@@ -46,6 +46,7 @@ def _table_pair(
     dagger_table=None,
     negation_table=None,
     negation_unique=False,
+    distributive=False,
     modulus_table=None,
     declared_kind="unknown",
     spec_string="",
@@ -103,6 +104,7 @@ def _table_pair(
         dagger=dagger,
         negation=negation,
         negation_unique=negation_unique,
+        distributive=distributive,
         tangibles=tuple(El(id, a) for a in atoms if a in tangible),
         carrier=tuple(El(id, a) for a in atoms),
         modulus=modulus,
@@ -150,6 +152,7 @@ def make_sign_pair() -> PairAlgebra:
         dagger_table={"1": "-1", "-1": "1"},
         negation_table={"0": "0", "1": "-1", "-1": "1", "inf": "inf"},
         negation_unique=True,
+        distributive=True,
         modulus_table={"0": None, "1": Fraction(0), "-1": Fraction(0), "inf": Fraction(0)},
         declared_kind=SECOND,
         desc="sign semiring pair, A0-bipotent of the strict second kind",
@@ -241,6 +244,7 @@ def make_supertropical() -> PairAlgebra:
         dagger=lambda a: a,  # first kind
         negation=lambda a: a,
         negation_unique=True,
+        distributive=True,
         tangibles=None,
         carrier=None,
         modulus=lambda a: ModulusValue(st_value(a)),
@@ -371,6 +375,7 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
         dagger=switch,
         negation=switch,
         negation_unique=True,
+        distributive=base.distributive,
         tangibles=tangibles,
         carrier=carrier,
         modulus=modulus,
@@ -416,6 +421,7 @@ def make_boolean() -> PairAlgebra:
     return _table_pair(
         "boolean", atoms, add, mul,
         tangible={"1"}, null={"0"}, zero="0", one="1",
+        distributive=True,
         desc="Boolean semifield pair ({0,1}, A0 = {0})",
     )
 
@@ -447,6 +453,7 @@ def make_super_boolean() -> PairAlgebra:
         dagger_table={"1": "1"},
         negation_table={"0": "0", "1": "1", "e": "e"},
         negation_unique=True,
+        distributive=True,
         modulus_table={"0": None, "1": Fraction(0), "e": Fraction(0)},
         declared_kind=FIRST,
         desc="super-Boolean pair {0,1,e}, first kind, characteristic (1,2)",
@@ -463,6 +470,7 @@ def make_counting(q: int) -> PairAlgebra:
     return _table_pair(
         f"counting:{q}", atoms, add, mul,
         tangible={"1"}, null={"0", str(q)}, zero="0", one="1",
+        distributive=True,
         desc=f"truncated counting pair, {q} = {q}+1, T = {{1}}",
     )
 
@@ -482,6 +490,7 @@ def make_npq(p: int, q: int) -> PairAlgebra:
     return _table_pair(
         f"npq:{p}:{q}", atoms, add, mul,
         tangible={"1"}, null={"0"}, zero="0", one="1",
+        distributive=True,
         desc=f"N_{{{p},{q}}} characteristic pair",
     )
 
@@ -534,6 +543,7 @@ def make_minimal(kind: str, n: int) -> PairAlgebra:
         dagger_table=dag,
         negation_table=neg,
         negation_unique=unique,
+        distributive=True,
         modulus_table={a: (None if a == "0" else Fraction(0)) for a in atoms},
         declared_kind=kind,
         desc=f"minimal A0-bipotent pair of the {kind} kind, |T| = {n}",
@@ -556,32 +566,39 @@ def _closure_pair(
     """Build a pair whose elements are subsets of atoms, closed under + and *."""
     k = len(atom_names)
 
-    add_atoms = {}
-    for i in range(k):
-        for j in range(k):
-            add_atoms[(i, j)] = sum(1 << x for x in hyperadd(i, j))
+    # atom-by-atom tables, k^2 entries each: sets combine atomwise through
+    # them, and a product or sum of two atoms is one lookup
+    add_atoms = [[sum(1 << x for x in hyperadd(i, j)) for j in range(k)] for i in range(k)]
+    mul_atoms = [[1 << atom_mul(i, j) for j in range(k)] for i in range(k)]
+    atom_of = {1 << i: i for i in range(k)}
 
     def bits(mask):
-        i = 0
+        out = []
         while mask:
-            if mask & 1:
-                yield i
-            mask >>= 1
-            i += 1
-
-    def addm(m1, m2):
-        out = 0
-        for i in bits(m1):
-            for j in bits(m2):
-                out |= add_atoms[(i, j)]
+            low = mask & -mask
+            out.append(atom_of[low])
+            mask ^= low
         return out
 
-    def mulm(m1, m2):
+    def combine(table, m1, m2):
+        js = bits(m2)
         out = 0
         for i in bits(m1):
-            for j in bits(m2):
-                out |= 1 << atom_mul(i, j)
+            row = table[i]
+            for j in js:
+                out |= row[j]
         return out
+
+    def element_op(table):
+        atom_els = [[El(id, m) for m in row] for row in table]
+
+        def op(a, b):
+            i, j = atom_of.get(a.payload), atom_of.get(b.payload)
+            if i is not None and j is not None:
+                return atom_els[i][j]
+            return El(id, combine(table, a.payload, b.payload))
+
+        return op
 
     zero_mask = 1 << zero_atom
     singles = [1 << i for i in range(k)]
@@ -594,9 +611,9 @@ def _closure_pair(
         nxt = []
         for m1 in frontier:
             for m2 in sorted(seen):
-                cand = [addm(m1, m2)]
+                cand = [combine(add_atoms, m1, m2)]
                 if m2 in singles:
-                    cand.append(mulm(m2, m1))
+                    cand.append(combine(mul_atoms, m2, m1))
                 for m in cand:
                     if m not in seen:
                         seen.add(m)
@@ -642,10 +659,14 @@ def _closure_pair(
         id=id,
         zero=El(id, zero_mask),
         one=El(id, 1 << atom_names.index("g0") if "g0" in atom_names else singles[1]),
-        add=lambda a, b: El(id, addm(a.payload, b.payload)),
-        mul=lambda a, b: El(id, mulm(a.payload, b.payload)),
+        add=element_op(add_atoms),
+        mul=element_op(mul_atoms),
         is_tangible=lambda a: a.payload in singles and a.payload != zero_mask,
         is_null=lambda a: bool(a.payload & zero_mask),
+        # a set times a sum is not the union of the products in general
+        # (hyper:hex1-c3: {g0,g1}*(g1+g2)), so determinants take the track
+        # walk; conservative for the few that do distribute, e.g. krasner:3:1
+        distributive=False,
         tangibles=tuple(El(id, m) for m in singles if m != zero_mask),
         carrier=tuple(El(id, m) for m in carrier_masks),
         parse_literal=parse_literal,
@@ -910,6 +931,7 @@ def make_powerset_symdiff(n: int) -> PairAlgebra:
         dagger=lambda a: a,
         negation=lambda a: a,
         negation_unique=True,
+        distributive=True,
         tangibles=tuple(El(id, m) for m in singles),
         carrier=tuple(El(id, m) for m in range(1 << n)),
         declared_kind=FIRST,

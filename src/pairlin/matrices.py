@@ -1,9 +1,11 @@
 """Matrices over a pair: doubled determinants, adjoints, Laplace expansion,
 Cayley-Hamilton, quasi-identities and quasi-inverses.
 
-Determinants are direct n!-track expansions split by permutation parity;
-semiring pairs lack subtraction, so there is no elimination shortcut, and the
-desk-scale caps keep the factorial growth in check.
+Determinants are parity-split track sums.  Semiring pairs lack subtraction,
+so there is no elimination; where multiplication distributes over addition the
+sum is regrouped by row subsets (about n * 2^n products), and elsewhere every
+track is expanded, sharing the products of common prefixes (factorial).  The
+desk-scale caps bound n either way.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .core import El, PairAlgebra, PairError, balances
-from .instances import embed_doubled, make_doubled, project_doubled
+from .instances import BadSpecifier, embed_doubled, make_doubled, project_doubled
 
 
 class DimensionMismatch(PairError):
@@ -38,7 +40,12 @@ KRASNER_CAP = 4
 
 
 def det_cap():
-    return int(os.environ.get("PAIRLIN_CAP_N", DEFAULT_DET_CAP))
+    raw = os.environ.get("PAIRLIN_CAP_N")
+    if raw is None:
+        return DEFAULT_DET_CAP
+    if not raw.strip().isdecimal():
+        raise BadSpecifier(f"PAIRLIN_CAP_N must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -207,17 +214,23 @@ def _perms(n):
     return _PERM_CACHE[n]
 
 
-def det_doubled(a: Matrix, cap=None) -> DoubledDet:
-    """Exact parity-split track expansion.
-
-    Permutations are folded in lexicographic order so the result is
-    bit-identical however the work is partitioned.
-    """
+def _det_size(a: Matrix, cap) -> int:
     if not a.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = a.rows
     if n > (cap if cap is not None else det_cap()):
         raise CapExceeded(f"determinant cap exceeded at n = {n}")
+    return n
+
+
+def det_tracks(a: Matrix, cap=None) -> DoubledDet:
+    """Reference parity-split expansion: each track's n-fold product, folded
+    in lexicographic order of the permutations.
+
+    Assumes no algebraic law; the fast paths behind det_doubled are tested
+    against it.
+    """
+    n = _det_size(a, cap)
     alg = a.alg
     plus = alg.zero
     minus = alg.zero
@@ -228,6 +241,106 @@ def det_doubled(a: Matrix, cap=None) -> DoubledDet:
         else:
             plus = alg.add(plus, track)
     return DoubledDet(alg, plus, minus)
+
+
+def det_method(alg: PairAlgebra) -> str:
+    """The path det_doubled takes over alg: "dp" where multiplication
+    distributes over addition, "tracks" elsewhere."""
+    return "dp" if alg.distributive else "tracks"
+
+
+def det_doubled(a: Matrix, cap=None) -> DoubledDet:
+    """Exact parity-split determinant (det_plus, det_minus).
+
+    Equal to det_tracks: by the subset DP over pairs that declare
+    multiplication distributive, and by the prefix-sharing track walk, which
+    folds the same products in the same order, over every other pair.
+    """
+    _det_size(a, cap)
+    if det_method(a.alg) == "dp":
+        return _det_subset_dp(a)
+    return _det_track_walk(a)
+
+
+def _plus(alg, x, y):
+    # None marks an empty sum, which the DP never multiplies
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return alg.add(x, y)
+
+
+def _det_subset_dp(a: Matrix) -> DoubledDet:
+    """Column by column over the set S of rows the earlier columns took.
+
+    Each S keeps its (even, odd) sums of partial track products.  Giving
+    column |S| the row i outside S adds one inversion per row of S with a
+    larger index than i, so an odd number of those swaps the pair.
+    Regrouping the track sum by S needs multiplication to distribute over
+    addition.
+    """
+    alg = a.alg
+    n = a.rows
+    layer = {0: (alg.one, None)}
+    for c in range(n):
+        nxt = {}
+        for s, (even, odd) in layer.items():
+            for i in range(n):
+                if s >> i & 1:
+                    continue
+                e = a.entries[i][c]
+                x = None if even is None else alg.mul(even, e)
+                y = None if odd is None else alg.mul(odd, e)
+                if (s >> i).bit_count() & 1:
+                    x, y = y, x
+                t = s | 1 << i
+                if t in nxt:
+                    px, py = nxt[t]
+                    x, y = _plus(alg, px, x), _plus(alg, py, y)
+                nxt[t] = (x, y)
+        layer = nxt
+    even, odd = layer[(1 << n) - 1]
+    return DoubledDet(
+        alg,
+        alg.zero if even is None else even,
+        alg.zero if odd is None else odd,
+    )
+
+
+def _det_track_walk(a: Matrix) -> DoubledDet:
+    """Depth-first walk over the permutations in lexicographic order.
+
+    Depth k holds the product of the first k factors, so a track costs one
+    multiplication beyond its parent prefix; every track product and every
+    fold into the sums is the one det_tracks makes, in the same order.
+    """
+    alg = a.alg
+    n = a.rows
+    rows = a.entries
+    sums = [alg.zero, alg.zero]  # even, odd
+    prefix = [alg.one] + [None] * n
+    parity = [0] * (n + 1)
+    free = [tuple(range(n))] + [None] * n  # rows left for column k, ascending
+    nxt = [0] * n  # index into free[k] of the next row to try
+    k = 0
+    while k >= 0:
+        i = nxt[k]
+        if i == n - k:
+            k -= 1
+            continue
+        nxt[k] = i + 1
+        r = free[k][i]
+        prefix[k + 1] = alg.mul(prefix[k], rows[r][k])
+        # rows with an index past r that columns 0..k-1 took: (n-1-r) - (n-k-1-i)
+        parity[k + 1] = parity[k] ^ ((k + r + i) & 1)
+        if k + 1 < n:
+            free[k + 1] = free[k][:i] + free[k][i + 1 :]
+            nxt[k + 1] = 0
+            k += 1
+        else:
+            sums[parity[n]] = alg.add(sums[parity[n]], prefix[n])
+    return DoubledDet(alg, sums[0], sums[1])
 
 
 def permanent(a: Matrix, cap=None) -> El:

@@ -378,17 +378,28 @@ def check_condition(a: Matrix, which: str, domain=None) -> ConditionVerdict:
         domain = default_domain(alg, rows)
     which = which.lower()
     if which in ("a2p", "a2'", "a2prime"):
-        if a.rows <= a.cols:
-            return ConditionVerdict(HOLDS, "m <= n: nothing to check")
-        w = find_dependence(rows, domain, alg)
-        if w is not None:
-            return ConditionVerdict(HOLDS, "rows dependent", w)
-        if domain.exact:
-            return ConditionVerdict(FAILS, f"{a.rows} rows of length {a.cols} independent")
-        return ConditionVerdict(UNKNOWN, "no witness in heuristic domain")
-    sr = submatrix_rank(a)
-    rr = row_rank(a, domain)
-    cr = col_rank(a, domain)
+        w = find_dependence(rows, domain, alg) if a.rows > a.cols else None
+        return _a2prime_verdict(a, w, domain)
+    if which not in ("a1", "a2"):
+        raise PairError(f"unknown condition {which!r}")
+    return _rank_verdict(
+        which, submatrix_rank(a), row_rank(a, domain), col_rank(a, domain), domain
+    )
+
+
+def _a2prime_verdict(a: Matrix, w, domain) -> ConditionVerdict:
+    """A2' from w, the dependence search over all the rows."""
+    if a.rows <= a.cols:
+        return ConditionVerdict(HOLDS, "m <= n: nothing to check")
+    if w is not None:
+        return ConditionVerdict(HOLDS, "rows dependent", w)
+    if domain.exact:
+        return ConditionVerdict(FAILS, f"{a.rows} rows of length {a.cols} independent")
+    return ConditionVerdict(UNKNOWN, "no witness in heuristic domain")
+
+
+def _rank_verdict(which, sr, rr, cr, domain) -> ConditionVerdict:
+    """A1 or A2 from the submatrix, row and column ranks."""
     if which == "a1":
         ok = sr <= rr and sr <= cr
         if ok:
@@ -396,14 +407,12 @@ def check_condition(a: Matrix, which: str, domain=None) -> ConditionVerdict:
                 return ConditionVerdict(HOLDS, f"submatrix {sr} <= min({rr},{cr})")
             return ConditionVerdict(UNKNOWN, "ranks rest on heuristic independence")
         return ConditionVerdict(FAILS, f"submatrix {sr} > min({rr},{cr})")
-    if which == "a2":
-        ok = sr >= rr and sr >= cr
-        if ok:
-            return ConditionVerdict(HOLDS, f"submatrix {sr} >= max({rr},{cr})")
-        if domain.exact:
-            return ConditionVerdict(FAILS, f"submatrix {sr} < max({rr},{cr})")
-        return ConditionVerdict(UNKNOWN, "rank gap rests on heuristic independence")
-    raise PairError(f"unknown condition {which!r}")
+    ok = sr >= rr and sr >= cr
+    if ok:
+        return ConditionVerdict(HOLDS, f"submatrix {sr} >= max({rr},{cr})")
+    if domain.exact:
+        return ConditionVerdict(FAILS, f"submatrix {sr} < max({rr},{cr})")
+    return ConditionVerdict(UNKNOWN, "rank gap rests on heuristic independence")
 
 
 @dataclass
@@ -439,19 +448,20 @@ def rank_report(a: Matrix, domain=None) -> RankReport:
     rows = list(a.entries)
     if domain is None:
         domain = default_domain(a.alg, rows)
+    rr, cr, sr = row_rank(a, domain), col_rank(a, domain), submatrix_rank(a)
     rep = RankReport(
-        row_rank=row_rank(a, domain),
-        col_rank=col_rank(a, domain),
-        submatrix_rank=submatrix_rank(a),
+        row_rank=rr,
+        col_rank=cr,
+        submatrix_rank=sr,
         domain_completeness=domain.completeness,
         formatter=a.alg.format_literal,
     )
     w = find_dependence(rows, domain, a.alg)
     if w is not None:
         rep.row_witnesses.append(w)
-    rep.a1 = check_condition(a, "a1", domain)
-    rep.a2 = check_condition(a, "a2", domain)
-    rep.a2prime = check_condition(a, "a2p", domain)
+    rep.a1 = _rank_verdict("a1", sr, rr, cr, domain)
+    rep.a2 = _rank_verdict("a2", sr, rr, cr, domain)
+    rep.a2prime = _a2prime_verdict(a, w, domain)
     return rep
 
 

@@ -108,6 +108,14 @@ class TestCommands:
         assert d["x"] == "2,1"
         assert d["balance_verified"] == "true"
 
+    def test_solve_cramer_negative_rhs(self, tmp_path, capsys):
+        f = tmp_path / "sign3.txt"
+        f.write_text("pair sign\nrows 3\ncols 3\n1 0 0\n0 -1 0\n0 0 1\n")
+        assert run_command(["solve", "cramer", str(f), "--rhs", "-1,1,1"]) == 0
+        d = kv(capsys.readouterr().out)
+        assert d["balance_verified"] == "true"
+        assert d["x"] == "-1,-1,1"
+
     def test_solve_jacobi(self, st_file, capsys):
         assert run_command(["solve", "jacobi", st_file, "--rhs", "4,4"]) == 0
         d = kv(capsys.readouterr().out)
@@ -142,6 +150,21 @@ class TestCommands:
         f = tmp_path / "two.txt"
         f.write_text("pair supertropical\nrows 2\ncols 2\n0 0\n0 0\n")
         assert run_command(["det", str(f)]) == 3
+
+    @pytest.mark.parametrize("value", ["x", "-1", "2.5"])
+    def test_bad_cap_env_exit_2(self, st_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("PAIRLIN_CAP_N", value)
+        assert run_command(["det", st_file]) == 2
+        assert "PAIRLIN_CAP_N" in kv(capsys.readouterr().out)["error"]
+
+    def test_det_method_reported(self, st_file, tmp_path, capsys):
+        assert run_command(["det", st_file]) == 0
+        assert kv(capsys.readouterr().out)["det_method"] == "dp"
+        f = tmp_path / "hex.txt"
+        f.write_text("pair hyper:hex1-c3\nrows 2\ncols 2\ng0 g1\ng2 g0\n")
+        assert run_command(["--format", "json-lines", "det", str(f)]) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert {"key": "det_method", "value": "tracks"} in recs
 
     def test_json_lines_format(self, st_file, capsys):
         assert run_command(["--format", "json-lines", "det", st_file]) == 0

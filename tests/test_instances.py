@@ -220,3 +220,71 @@ class TestAuditsAcrossRegistry:
             for y in sign.carrier:
                 assert f(sign.add(x, y)) == db.add(f(x), f(y))
                 assert f(sign.mul(x, y)) == db.mul(f(x), f(y))
+
+
+def distributes(alg):
+    """Exhaustive two-sided scan of a(b+c) = ab+ac and (b+c)a = ba+ca."""
+    add, mul = alg.add, alg.mul
+    for a, b, c in itertools.product(alg.carrier, repeat=3):
+        s = add(b, c)
+        if mul(a, s) != add(mul(a, b), mul(a, c)):
+            return False
+        if mul(s, a) != add(mul(b, a), mul(c, a)):
+            return False
+    return True
+
+
+class TestDistributiveDeclarations:
+    def test_declared_flag_matches_exhaustive_scan(self):
+        from pairlin import registered_instances
+
+        extra = ("counting:3", "npq:3:1", "powerset-symdiff:4", "doubled:sign",
+                 "hyper:hex1-c4", "doubled:hyper:hex1-c2")
+        for alg in registered_instances() + [make_algebra(s) for s in extra]:
+            assert alg.distributive == distributes(alg), alg.id
+
+    def test_hyperpair_counterexample(self):
+        alg = make_algebra("hyper:hex1-c3")
+        l = alg.parse_literal
+        a, b, c = l("{g0,g1}"), l("g1"), l("g2")
+        assert alg.mul(a, alg.add(b, c)) != alg.add(alg.mul(a, b), alg.mul(a, c))
+
+    def test_doubling_keeps_the_flag(self):
+        for spec in ("sign", "supertropical", "hyper:hex1-c2", "krasner:5:4"):
+            base = make_algebra(spec)
+            assert make_doubled(base).distributive is base.distributive
+
+
+def atoms(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestClosurePairOperations:
+    specs = ("krasner:5:4", "krasner:7:2", "krasner:13:3", "hyper:hex1-c2",
+             "hyper:hex1-c3", "hyper:hex2-c4", "hyper:weaksign-c2")
+
+    def test_sets_combine_atomwise(self):
+        # the bitwise definition: S op T is the union of s op t over atoms
+        for spec in self.specs:
+            alg = make_algebra(spec)
+            for op in (alg.add, alg.mul):
+                for x in alg.carrier:
+                    for y in alg.carrier:
+                        want = 0
+                        for i in atoms(x.payload):
+                            for j in atoms(y.payload):
+                                want |= op(alg.el(1 << i), alg.el(1 << j)).payload
+                        assert op(x, y).payload == want, (spec, x, y)
+
+    def test_krasner_atoms_follow_field_arithmetic(self):
+        for spec in ("krasner:5:4", "krasner:7:2", "krasner:13:3"):
+            alg = make_algebra(spec)
+            p, cosets = alg.krasner_field, alg.krasner_cosets
+            coset_of = {r: i for i, c in enumerate(cosets) for r in c}
+            for i, ci in enumerate(cosets):
+                for j, cj in enumerate(cosets):
+                    x, y = alg.el(1 << i), alg.el(1 << j)
+                    sums = {coset_of[(a + b) % p] for a in ci for b in cj}
+                    assert alg.add(x, y).payload == sum(1 << s for s in sums)
+                    prod = coset_of[min(ci) * min(cj) % p]
+                    assert alg.mul(x, y).payload == 1 << prod

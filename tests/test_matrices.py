@@ -22,7 +22,15 @@ from pairlin import (
     quasi_inverse,
     st_tan,
 )
-from pairlin.matrices import det_signed, project_matrix
+from pairlin.core import El
+from pairlin.instances import make_doubled, registered_instances
+from pairlin.matrices import (
+    Matrix,
+    det_method,
+    det_signed,
+    det_tracks,
+    project_matrix,
+)
 from pairlin.suites import clipped_counting_matrix, rand_supertropical_matrix
 
 sign = make_algebra("sign")
@@ -166,6 +174,91 @@ class TestDetDoubled:
             d = det_doubled(a)
             emb = det_signed(embed_matrix(dst, a))
             assert emb.payload == (d.det_plus, d.det_minus)
+
+
+def same_det(a):
+    d, ref = det_doubled(a), det_tracks(a)
+    return (d.det_plus, d.det_minus) == (ref.det_plus, ref.det_minus)
+
+
+def rand_carrier_matrix(rng, alg, n):
+    return matrix(alg, [[rng.choice(alg.carrier) for _ in range(n)] for _ in range(n)])
+
+
+def count_muls(monkeypatch, alg):
+    calls = []
+    inner = alg._mul
+
+    def counted(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    monkeypatch.setattr(alg, "_mul", counted)
+    return calls
+
+
+class TestDetPaths:
+    """det_doubled's subset DP and track walk against the flat det_tracks."""
+
+    def test_dp_matches_tracks_on_distributive_pairs(self):
+        rng = random.Random(11)
+        algs = [alg for alg in registered_instances() if alg.distributive]
+        assert len(algs) == 10
+        for alg in algs:
+            assert det_method(alg) == "dp"
+            for n in range(1, 7):
+                for _ in range(2):
+                    assert same_det(rand_carrier_matrix(rng, alg, n)), (alg.id, n)
+
+    def test_dp_matches_tracks_on_supertropical(self):
+        rng = random.Random(12)
+        dst = make_doubled(st)
+        for n in range(1, 7):
+            for _ in range(4):
+                assert same_det(rand_supertropical_matrix(rng, n, tangible=False))
+            for _ in range(2):
+                p = rand_supertropical_matrix(rng, n, tangible=False)
+                q = rand_supertropical_matrix(rng, n, tangible=False)
+                a = matrix(dst, [
+                    [El(dst.id, (p[i, j], q[i, j])) for j in range(n)] for i in range(n)
+                ])
+                assert same_det(a), n
+
+    def test_dp_matches_tracks_on_every_sign_3x3(self):
+        for e in itertools.product(sign.carrier, repeat=9):
+            assert same_det(Matrix(sign, (e[0:3], e[3:6], e[6:9]))), e
+
+    def test_walk_matches_tracks_on_hyperpairs(self):
+        rng = random.Random(13)
+        algs = [
+            alg for alg in registered_instances()
+            if alg.id.startswith(("hyper:", "krasner:"))
+        ]
+        assert len(algs) == 6
+        for alg in algs:
+            assert det_method(alg) == "tracks"
+            for n in range(1, 6):
+                for _ in range(3):
+                    assert same_det(rand_carrier_matrix(rng, alg, n)), (alg.id, n)
+
+    def test_walk_shares_prefix_products(self, monkeypatch):
+        alg = make_algebra("hyper:hex1-c3")
+        a = rand_carrier_matrix(random.Random(14), alg, 5)
+        calls = count_muls(monkeypatch, alg)
+        det_doubled(a)
+        assert len(calls) == 5 + 20 + 60 + 120 + 120  # sum of 5!/(5-k)!
+
+    def test_dp_multiplication_count(self, monkeypatch):
+        n = 6
+        a = rand_supertropical_matrix(random.Random(15), n, tangible=False)
+        calls = count_muls(monkeypatch, st)
+        det_doubled(a)
+        assert 0 < len(calls) <= 2 * n * 2 ** (n - 1)
+
+    def test_reference_keeps_the_cap(self):
+        a = matrix(st, [[st_tan(0)] * 3 for _ in range(3)])
+        with pytest.raises(CapExceeded):
+            det_tracks(a, cap=2)
 
 
 class TestAdjointAndLaplace:

@@ -151,6 +151,35 @@ class TestConditions:
         v = check_condition(matrix(st, rows), "a2p", dom)
         assert v.verdict == "UNKNOWN"
 
+    def test_rank_report_computes_ranks_once(self, monkeypatch):
+        import pairlin.rank as rank_mod
+
+        calls = []
+        inner = rank_mod.submatrix_rank
+
+        def counted(a):
+            calls.append(a)
+            return inner(a)
+
+        monkeypatch.setattr(rank_mod, "submatrix_rank", counted)
+        rank_report(sign_rank_gap_matrix(), exact_domain(sign))
+        assert len(calls) == 1
+
+    def test_rank_report_verdicts_match_check_condition(self):
+        fixtures = [
+            (sign_rank_gap_matrix(), exact_domain(sign)),
+            (matrix(sign, [r[:3] for r in sign_rank_gap_matrix().entries]), None),
+            (identity(sign, 3), None),
+            (clipped_counting_matrix(), None),
+            (two_track_doubled_matrix(), None),
+            (matrix(sign, [[sign.one] * 2] * 3), None),
+            (matrix(st, [[st_tan(0), st_tan(1)], [st_tan(2), st_tan(3)]]), None),
+        ]
+        for a, dom in fixtures:
+            rep = rank_report(a, dom)
+            for name, which in (("a1", "a1"), ("a2", "a2"), ("a2prime", "a2p")):
+                assert getattr(rep, name) == check_condition(a, which, dom), (a, name)
+
     def test_rank_report_lines(self):
         rep = rank_report(sign_rank_gap_matrix(), exact_domain(sign))
         d = dict(rep.lines())
