@@ -101,10 +101,13 @@ def _domain_from_flag(alg, vectors, flag):
         return None
     if flag == "exact":
         return exact_domain(alg)
-    if flag.startswith("heuristic"):
+    name, colon, arg = flag.partition(":")
+    if name == "heuristic":
         depth = 2
-        if ":" in flag:
-            depth = int(flag.split(":", 1)[1])
+        if colon:
+            if not arg.isdecimal():
+                raise ParseFailure(f"heuristic depth {arg!r} is not a nonnegative integer")
+            depth = int(arg)
         if alg.id == "supertropical":
             return entry_ratio_domain(alg, vectors, depth)
         return CoefficientDomain((alg.one,), "heuristic", depth)

@@ -208,9 +208,12 @@ def _st_mul(a, b):
 def _st_parse(s):
     if s == "-inf":
         return ST_ZERO
-    if s.endswith("g"):
-        return st_ghost(Fraction(s[:-1]))
-    return st_tan(Fraction(s))
+    ghost = s.endswith("g")
+    try:
+        v = Fraction(s[:-1] if ghost else s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadSpecifier(f"{_ST}: bad element literal {s!r}") from exc
+    return st_ghost(v) if ghost else st_tan(v)
 
 
 def _st_format(a):

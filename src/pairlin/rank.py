@@ -5,12 +5,21 @@ a coefficient domain.  For finite pairs the domain is the full tangible set
 and verdicts are definitive; for the supertropical pair the default domain is
 the entry-ratio heuristic, and a missing witness yields Unknown rather than
 an independence claim.
+
+The supertropical search runs on integers: entry values and domain members
+are multiplied by a common denominator, the entry-ratio domain is held as a
+set of such integers, and `Fraction` coefficients are built only for the
+witness returned.  A domain's `candidates` tuple of tangible elements, which
+the other searches iterate, is built from the integers on first access.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .core import PairAlgebra, PairError, surpasses0
@@ -43,6 +52,11 @@ class DependenceWitness:
         return f"support={sup} coeffs=[{','.join(formatter(c) for c in self.coeffs)}]"
 
 
+def _times(v, scale):
+    """The integer v * scale, for a Fraction v whose denominator divides it."""
+    return v.numerator * (scale // v.denominator)
+
+
 @dataclass(frozen=True)
 class CoefficientDomain:
     candidates: tuple
@@ -53,6 +67,62 @@ class CoefficientDomain:
     def exact(self):
         return self.completeness == "exact"
 
+    def __len__(self):
+        return len(self.candidates)
+
+
+@dataclass(frozen=True)
+class EntryRatioDomain:
+    """The supertropical entry-ratio domain as a set of integers.
+
+    The integer x in `scaled` stands for the tangible coefficient of value
+    x / scale.  The search reads only `scale`, `scaled`, `ordered` and `key`;
+    `candidates`, the tuple of tangible elements, is built on first access.
+    """
+
+    scale: int
+    scaled: frozenset
+    depth: Optional[int] = None
+    completeness = "heuristic"
+    exact = False
+
+    def __len__(self):
+        return len(self.scaled)
+
+    def __contains__(self, v):
+        """Whether the rational v is the value of a candidate."""
+        v = Fraction(v)
+        return self.scale % v.denominator == 0 and _times(v, self.scale) in self.scaled
+
+    @staticmethod
+    def key(x):
+        """Position of a member in domain order, which is ascending value."""
+        return x
+
+    @cached_property
+    def ordered(self):
+        return sorted(self.scaled)
+
+    @cached_property
+    def candidates(self):
+        return tuple(st_tan(Fraction(x, self.scale)) for x in self.ordered)
+
+
+class _ListedView:
+    """Integer view of a supertropical domain given as a candidate tuple:
+    the same members as an `EntryRatioDomain`, in tuple order."""
+
+    def __init__(self, candidates):
+        vals = [st_value(c) for c in candidates]
+        self.scale = math.lcm(*(v.denominator for v in vals))
+        self.scaled = {}
+        for v in vals:
+            self.scaled.setdefault(_times(v, self.scale), len(self.scaled))
+        self.ordered = list(self.scaled)
+
+    def key(self, x):
+        return self.scaled[x]
+
 
 def exact_domain(alg: PairAlgebra) -> CoefficientDomain:
     if alg.tangibles is None:
@@ -60,37 +130,32 @@ def exact_domain(alg: PairAlgebra) -> CoefficientDomain:
     return CoefficientDomain(tuple(alg.tangibles), "exact")
 
 
-def entry_ratio_domain(alg, vectors, depth: int = 2) -> CoefficientDomain:
+def entry_ratio_domain(alg, vectors, depth: int = 2) -> EntryRatioDomain:
     """Supertropical heuristic domain: entries, pairwise entry ratios, and
     their products up to the given depth, plus 1.
 
     Dependence witnesses for singular tangible matrices come from entry
     ratios (proportional rows) and cofactor ratios (ratios of two-entry
     products), all of which live at depth 2.
+
+    In the max-plus values a product is a sum and a ratio a difference.
+    Every entry value is multiplied by S, the lcm of the entry denominators,
+    so the sum set is built over integers; it is in bijection with the set
+    of rational sums, and `candidates` lists the latter in ascending order.
     """
-    vals = sorted(
-        {
-            st_value(e)
-            for vec in vectors
-            for e in vec
-            if e.payload is not None
-        }
-    )
-    level = {0} | set(vals)
-    for a in vals:
-        for b in vals:
-            level.add(a - b)
-    gen = sorted(level)
+    vals = {st_value(e) for vec in vectors for e in vec if e.payload is not None}
+    scale = math.lcm(*(v.denominator for v in vals))
+    ints = {_times(v, scale) for v in vals}
+    gen = {0} | ints | {a - b for a in ints for b in ints}
     out = set(gen)
-    current = set(gen)
+    current = gen
     for _ in range(depth - 1):
         current = {a + b for a in current for b in gen}
         out |= current
-    cands = tuple(st_tan(v) for v in sorted(out))
-    return CoefficientDomain(cands, "heuristic", depth)
+    return EntryRatioDomain(scale, frozenset(out), depth)
 
 
-def default_domain(alg: PairAlgebra, vectors) -> CoefficientDomain:
+def default_domain(alg: PairAlgebra, vectors):
     if alg.tangibles is not None:
         return exact_domain(alg)
     if alg.id == "supertropical":
@@ -109,16 +174,20 @@ def _combo_null(alg, vectors, support, coeffs) -> bool:
     return True
 
 
-def _super_raw(vectors):
-    """(layer, value) grids for the supertropical fast path."""
-    return [
-        [(None, None) if e.payload is None else e.payload for e in vec]
-        for vec in vectors
-    ]
+def _super_raw(vectors, scale):
+    """(L, grid): L is the lcm of `scale` and the entry denominators, and the
+    grid holds (layer, value * L) for each entry, (None, None) for zero."""
+    live = [e.payload for vec in vectors for e in vec if e.payload is not None]
+    big = math.lcm(scale, *(v.denominator for _, v in live))
+
+    def cell(p):
+        return (None, None) if p is None else (p[0], _times(p[1], big))
+
+    return big, [[cell(e.payload) for e in vec] for vec in vectors]
 
 
 def _super_combo_null(raw, support, values):
-    # values: coefficient rationals aligned with support; rows tangible or not
+    # values: coefficient values aligned with support; rows tangible or not
     n = len(raw[0])
     for j in range(n):
         best = None
@@ -141,31 +210,46 @@ def _super_combo_null(raw, support, values):
     return True
 
 
-def _super_search(alg, vectors, domain, support):
+def _super_search(raw, scale, view, support):
     """Deterministic first-witness search over one support, supertropical.
+
+    `raw` holds the entries as integers, value * scale (see `_super_raw`),
+    and `view` is the domain as integers, member x standing for value
+    x / view.scale; `scale` is a multiple of `view.scale`.  The search works
+    on these integers throughout and builds the tangible coefficients only
+    for the witness it returns.
 
     The leading coefficient is normalized to 1.  A null combination of
     tangible rows must, in every column, have its maximum attained at least
     twice, so the feasible coefficient vectors are cut out by per-column tie
     equations.  Supports of size <= 3 are solved by enumerating tie patterns
-    and filtering the solutions back through the domain; over tangible rows
+    and keeping the solutions that are domain members; over tangible rows
     this visits exactly the feasible set of the lexicographic domain scan, in
     the same order, without the scan.  Rows with ghost entries can also be
     killed by a ghost dominating a column outright, which tie equations do
     not see; supertropical domains are heuristic, so a miss there still
-    reports as no-witness, never as independence.  Larger supports fall back
-    to the scan.
+    reports as no-witness, never as independence.  Larger supports scan the
+    middle coefficients over the domain in domain order and solve for the
+    last one.
     """
-    raw = _super_raw(vectors)
-    dom_vals = [st_value(c) for c in domain.candidates]
-    dom_index = {}
-    for i, v in enumerate(dom_vals):
-        dom_index.setdefault(v, i)
+    step = scale // view.scale
+
+    def in_domain(y):
+        return y % step == 0 and y // step in view.scaled
+
+    def key(y):
+        return view.key(y // step)
+
+    def witness(vals):
+        return DependenceWitness(
+            support, tuple(st_tan(Fraction(v, scale)) for v in vals)
+        )
+
     k = len(support)
     n = len(raw[0])
     if k == 1:
         if _super_combo_null(raw, support, [0]):
-            return DependenceWitness(support, (alg.one,))
+            return witness([0])
         return None
 
     if k == 2:
@@ -176,9 +260,9 @@ def _super_search(alg, vectors, domain, support):
             l2, v2 = raw[i2][j]
             if l1 is not None and l2 is not None:
                 cands.add(v1 - v2)
-        for a2 in sorted(cands & dom_index.keys(), key=dom_index.get):
+        for a2 in sorted(filter(in_domain, cands), key=key):
             if _super_combo_null(raw, support, [0, a2]):
-                return DependenceWitness(support, (alg.one, st_tan(a2)))
+                return witness([0, a2])
         return None
 
     if k == 3:
@@ -237,17 +321,11 @@ def _super_search(alg, vectors, domain, support):
                 # support, which was searched first
                 continue
             found.add((u2, u3))
-        feas = [
-            (u2, u3)
-            for (u2, u3) in found
-            if u2 in dom_index and u3 in dom_index
-        ]
-        feas.sort(key=lambda t: (dom_index[t[0]], dom_index[t[1]]))
+        feas = [(u2, u3) for (u2, u3) in found if in_domain(u2) and in_domain(u3)]
+        feas.sort(key=lambda t: (key(t[0]), key(t[1])))
         for u2, u3 in feas:
             if _super_combo_null(raw, support, [0, u2, u3]):
-                return DependenceWitness(
-                    support, (alg.one, st_tan(u2), st_tan(u3))
-                )
+                return witness([0, u2, u3])
         return None
 
     # general fallback: scan middles over the domain, complete the last
@@ -269,20 +347,19 @@ def _super_search(alg, vectors, domain, support):
             if best is not None:
                 cands.add(best - v)
         cands.add(0)
-        return sorted(cands & dom_index.keys(), key=dom_index.get)
+        return sorted(filter(in_domain, cands), key=key)
 
-    for mid in itertools.product(dom_vals, repeat=k - 2):
+    members = [x * step for x in view.ordered]
+    for mid in itertools.product(members, repeat=k - 2):
         prefix = [0, *mid]
         for last in candidates_for_last(prefix):
             vals = prefix + [last]
             if _super_combo_null(raw, support, vals):
-                return DependenceWitness(
-                    support, tuple(st_tan(v) for v in vals)
-                )
+                return witness(vals)
     return None
 
 
-def find_dependence(vectors, domain: CoefficientDomain, alg=None):
+def find_dependence(vectors, domain, alg=None):
     """First dependence witness, or None (definitive only for exact domains).
 
     Supports are enumerated by size then lexicographically; coefficient
@@ -293,7 +370,7 @@ def find_dependence(vectors, domain: CoefficientDomain, alg=None):
         return None
     if alg is None:
         alg = _owner(vectors)
-    if not domain.candidates:
+    if len(domain) == 0:
         raise DomainEmpty("empty coefficient domain")
     m = len(vectors)
     n = len(vectors[0])
@@ -303,11 +380,16 @@ def find_dependence(vectors, domain: CoefficientDomain, alg=None):
         for e in vec:
             alg.check(e)
     supertrop = alg.id == "supertropical"
+    if supertrop:
+        view = domain
+        if not isinstance(domain, EntryRatioDomain):
+            view = _ListedView(domain.candidates)
+        scale, raw = _super_raw(vectors, view.scale)
     normalizable = alg.tangible_inverse is not None or supertrop
     for size in range(1, m + 1):
         for support in itertools.combinations(range(m), size):
             if supertrop:
-                w = _super_search(alg, vectors, domain, support)
+                w = _super_search(raw, scale, view, support)
                 if w is not None:
                     return w
                 continue

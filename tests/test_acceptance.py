@@ -13,9 +13,9 @@ from pairlin.suites import DEFAULT_SEED
 
 
 def _run(suite_fn, budget, **kw):
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = suite_fn(seed=DEFAULT_SEED, **kw)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     status = "PASS" if res.passed else "FAIL"
     print(f"[acceptance] {res.name}: {status} ({dt:.1f}s / {budget}s)")
     for line in res.detail:

@@ -177,6 +177,24 @@ class TestCommands:
         d = kv(capsys.readouterr().out)
         assert d["domain"] == "heuristic"
 
+    @pytest.mark.parametrize(
+        "flag", ["heuristic:x", "heuristic:-1", "heuristic:", "heuristics"]
+    )
+    def test_bad_domain_flag_exit_2(self, st_file, capsys, flag):
+        assert run_command(["rank", st_file, "--domain", flag]) == 2
+        assert "error" in kv(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("entry", ["abc", "1/0", "g", "1/0g"])
+    def test_bad_supertropical_literal_exit_2(self, tmp_path, capsys, entry):
+        f = tmp_path / "bad.txt"
+        f.write_text(f"pair supertropical\nrows 2\ncols 2\n2 {entry}\n1 3\n")
+        assert run_command(["det", str(f)]) == 2
+        assert entry in kv(capsys.readouterr().out)["error"]
+
+    def test_bad_rhs_literal_exit_2(self, st_file, capsys):
+        assert run_command(["solve", "cramer", st_file, "--rhs", "4,zz"]) == 2
+        assert "zz" in kv(capsys.readouterr().out)["error"]
+
 
 class TestDoubledLiterals:
     def test_doubled_boolean_matrix_file(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Dependence search, ranks, conditions, rank defect, surpassing spans."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,17 +22,63 @@ from pairlin import (
     st_tan,
     submatrix_rank,
 )
-from pairlin.rank import DomainEmpty, CoefficientDomain
+from pairlin.instances import ST_ZERO, st_ghost, st_value
+from pairlin.rank import DomainEmpty, CoefficientDomain, DependenceWitness, _combo_null
 from pairlin.suites import (
     two_track_doubled_matrix,
     clipped_counting_matrix,
     symdiff_independent_vectors,
     sign_rank_gap_matrix,
     rand_singular_supertropical,
+    rand_supertropical_matrix,
 )
 
 sign = make_algebra("sign")
 st = make_algebra("supertropical")
+
+
+def fraction_domain_candidates(vectors, depth=2):
+    """Reference entry-ratio domain: the depth-d sum set built over Fractions."""
+    vals = sorted({st_value(e) for vec in vectors for e in vec if e.payload is not None})
+    level = {0} | set(vals)
+    for a in vals:
+        for b in vals:
+            level.add(a - b)
+    gen = sorted(level)
+    out = set(gen)
+    current = set(gen)
+    for _ in range(depth - 1):
+        current = {a + b for a in current for b in gen}
+        out |= current
+    return tuple(st_tan(v) for v in sorted(out))
+
+
+def naive_first_witness(alg, vectors, domain):
+    """Reference search: supports by size then lexicographically, coefficient
+    tuples lexicographically in domain order with the leading one 1."""
+    m = len(vectors)
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            for tail in itertools.product(domain.candidates, repeat=size - 1):
+                coeffs = (alg.one,) + tail
+                if _combo_null(alg, vectors, support, coeffs):
+                    return DependenceWitness(support, coeffs)
+    return None
+
+
+def half_integer_rows(rng, m, n, bound=3):
+    return [
+        tuple(st_tan(Fraction(rng.randint(-2 * bound, 2 * bound), 2)) for _ in range(n))
+        for _ in range(m)
+    ]
+
+
+def assert_null_witness(rows, w):
+    for j in range(len(rows[0])):
+        acc = st.zero
+        for i, c in zip(w.support, w.coeffs):
+            acc = st.add(acc, st.mul(c, rows[i][j]))
+        assert st.is_null(acc)
 
 
 class TestFindDependence:
@@ -80,7 +128,8 @@ class TestFindDependence:
         assert w.coeffs[0] == st.one and w.coeffs[1] == st_tan(-3)
 
     def test_supertropical_triple_search_matches_slow_scan(self):
-        # the tie-pattern solver must agree with the naive domain scan
+        # every forced-singular matrix has a null witness in its domain;
+        # test_supertropical_search_equals_naive_scan compares witnesses
         rng = random.Random(11)
         for _ in range(40):
             a = rand_singular_supertropical(rng, 3)
@@ -88,11 +137,122 @@ class TestFindDependence:
             dom = entry_ratio_domain(st, rows)
             w = find_dependence(rows, dom, st)
             assert w is not None
-            for j in range(3):
-                acc = st.zero
-                for i, c in zip(w.support, w.coeffs):
-                    acc = st.add(acc, st.mul(c, rows[i][j]))
-                assert st.is_null(acc)
+            assert_null_witness(rows, w)
+
+    def test_supertropical_search_equals_naive_scan(self):
+        # tangible rows: the tie solvers (k = 2, 3) and the scan fallback
+        # (k = 4) return exactly the naive scan's first witness, over the
+        # entry-ratio domain and over a hand-built domain in shuffled order
+        rng = random.Random(17)
+        reached = set()
+        cases = [(2, 3, 2)] * 25 + [(3, 2, 2)] * 15 + [(3, 3, 2)] * 15
+        # the naive scan is cubic in the domain at k = 4: depth 1 keeps it short
+        cases += [(4, 3, 1)] * 12
+        for m, n, depth in cases:
+            rows = half_integer_rows(rng, m, n)
+            dom = entry_ratio_domain(st, rows, depth)
+            w = find_dependence(rows, dom, st)
+            assert w == naive_first_witness(st, rows, dom), rows
+            if w is not None:
+                reached.add(len(w.support))
+            if m < 4:
+                shuffled = list(dom.candidates)
+                rng.shuffle(shuffled)
+                listed = CoefficientDomain(tuple(shuffled), "heuristic")
+                # a domain built from other vectors, on another denominator
+                thirds = (st_tan(Fraction(rng.randint(-9, 9), 3)),) * n
+                other = entry_ratio_domain(st, [rows[0], thirds], depth)
+                for d in (listed, other):
+                    assert find_dependence(rows, d, st) == naive_first_witness(
+                        st, rows, d
+                    ), rows
+        assert {2, 3, 4} <= reached
+
+    @pytest.mark.parametrize(
+        "rows, depth, ascending, descending",
+        [
+            (["1/2g -3/2", "-2 -2g"], 2, "0,1/2", "0,5/2"),
+            (
+                ["-3/2 -1/2 -1", "1 1/2g 3/2", "0 -1/2g -1/2", "1/2 -1/2 -3/2"],
+                1,
+                "0,-2,0,-1/2",
+                "0,1,3,5/2",
+            ),
+        ],
+    )
+    def test_supertropical_witness_follows_domain_order(
+        self, rows, depth, ascending, descending
+    ):
+        # ghost rows with several witnesses on the full support (k = 2, 4):
+        # the first in domain order wins, ascending value for the entry-ratio
+        # domain and tuple order for a hand-built one
+        rows = [tuple(st.parse_literal(t) for t in r.split()) for r in rows]
+        dom = entry_ratio_domain(st, rows, depth)
+        rev = CoefficientDomain(tuple(reversed(dom.candidates)), "heuristic")
+        for domain, expected in ((dom, ascending), (rev, descending)):
+            w = find_dependence(rows, domain, st)
+            assert w.support == tuple(range(len(rows)))
+            assert ",".join(st.format_literal(c) for c in w.coeffs) == expected
+
+    def test_supertropical_ghost_rows_witness_is_null(self):
+        # with ghost entries the search is heuristic and may miss a witness;
+        # a witness it returns must still be null
+        rng = random.Random(19)
+        found = 0
+        for _ in range(60):
+            rows = list(rand_supertropical_matrix(rng, 3, tangible=False).entries)
+            w = find_dependence(rows, entry_ratio_domain(st, rows), st)
+            if w is not None:
+                found += 1
+                assert_null_witness(rows, w)
+        assert found > 0
+
+
+class TestEntryRatioDomain:
+    VECTOR_SETS = [
+        [(st_tan(0), st_tan(1)), (st_tan(3), st_tan(4))],
+        # denominators 2, 3, 5 and 7: none divides another
+        [
+            (st_tan(Fraction(1, 2)), st_tan(Fraction(-2, 3)), ST_ZERO),
+            (st_ghost(Fraction(3, 5)), st_tan(Fraction(5, 7)), st_tan(2)),
+        ],
+        [(ST_ZERO, ST_ZERO), (ST_ZERO, ST_ZERO)],
+        [],
+        [(st_ghost(Fraction(-7, 4)),), (st_tan(Fraction(5, 6)),)],
+    ]
+
+    def test_candidates_equal_fraction_builder(self):
+        for vectors in self.VECTOR_SETS:
+            for depth in range(4):
+                dom = entry_ratio_domain(st, vectors, depth)
+                ref = fraction_domain_candidates(vectors, depth)
+                assert dom.candidates == ref, (vectors, depth)
+                assert len(dom) == len(dom.candidates) == len(ref)
+                assert (dom.completeness, dom.depth, dom.exact) == (
+                    "heuristic",
+                    depth,
+                    False,
+                )
+
+    def test_random_vectors_equal_fraction_builder(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            rows = list(rand_supertropical_matrix(rng, 3, tangible=False).entries)
+            assert entry_ratio_domain(st, rows).candidates == (
+                fraction_domain_candidates(rows)
+            )
+
+    def test_membership_agrees_with_candidates(self):
+        for vectors in self.VECTOR_SETS:
+            dom = entry_ratio_domain(st, vectors)
+            values = [st_value(c) for c in dom.candidates]
+            probes = set(values)
+            for v in values[:: max(1, len(values) // 15)]:
+                probes |= {v + Fraction(1, 11), v / 2, v * 3, v + 100, -v}
+            probes |= {Fraction(1, 13), Fraction(10**6), Fraction(-5, 7)}
+            for v in probes:
+                assert (v in dom) == (st_tan(v) in dom.candidates), (vectors, v)
+            assert any(v not in dom for v in probes)
 
 
 class TestRanks:
@@ -117,6 +277,23 @@ class TestRanks:
 
     def test_clipped_counting_submatrix_rank(self):
         assert submatrix_rank(clipped_counting_matrix()) == 3
+
+    def test_supertropical_4x4_rank_report(self):
+        # no dependence among the 4 rows: the size-4 support scans the
+        # depth-2 domain of 16 entries on denominators 1, 2 and 3
+        rep = rank_report(rand_supertropical_matrix(random.Random(7), 4))
+        assert rep.lines() == [
+            ("row_rank", "4"),
+            ("col_rank", "4"),
+            ("submatrix_rank", "4"),
+            ("a1", "UNKNOWN"),
+            ("a1_detail", "ranks rest on heuristic independence"),
+            ("a2", "HOLDS"),
+            ("a2_detail", "submatrix 4 >= max(4,4)"),
+            ("a2prime", "HOLDS"),
+            ("a2prime_detail", "m <= n: nothing to check"),
+            ("domain", "heuristic"),
+        ]
 
 
 class TestConditions:
