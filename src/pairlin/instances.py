@@ -7,6 +7,7 @@ layer and never touches floating point.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .core import (
@@ -209,8 +210,16 @@ def _st_parse(s):
     if s == "-inf":
         return ST_ZERO
     ghost = s.endswith("g")
+    body = s[:-1] if ghost else s
+    _, e, exp = body.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
     try:
-        v = Fraction(s[:-1] if ghost else s)
+        # the value must print: neither its numerator nor its denominator
+        # has more digits than the literal's length plus its exponent, which
+        # is checked first, since Fraction("1e9999999") alone takes seconds
+        if limit and len(body) + (abs(int(exp)) if e else 0) > limit:
+            raise BadSpecifier(f"{_ST}: literal {s!r} exceeds the {limit}-digit limit")
+        v = Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadSpecifier(f"{_ST}: bad element literal {s!r}") from exc
     return st_ghost(v) if ghost else st_tan(v)

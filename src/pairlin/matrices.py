@@ -2,10 +2,14 @@
 Cayley-Hamilton, quasi-identities and quasi-inverses.
 
 Determinants are parity-split track sums.  Semiring pairs lack subtraction,
-so there is no elimination; where multiplication distributes over addition the
-sum is regrouped by row subsets (about n * 2^n products), and elsewhere every
-track is expanded, sharing the products of common prefixes (factorial).  The
-desk-scale caps bound n either way.
+so there is no elimination; instead tracks are built column by column and
+grouped by the set of rows they have taken.  Where multiplication distributes
+over addition each row set keeps its two parity sums (about n * 2^n
+products); elsewhere it keeps its distinct partial products with their track
+counts, which for tangible entries of a hyperfield are at most the number
+of atoms.  One such pass gives the determinants of every minor on the
+columns walked, so an adjoint takes n passes.  The desk-scale caps bound n
+either way.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ class NonInvertibleDeterminant(PairError):
 DEFAULT_DET_CAP = 8
 CAYLEY_HAMILTON_CAP = 5
 KRASNER_CAP = 4
+# depth of the supertropical entry-ratio domain, whose sum set grows about
+# cubically with it
+HEURISTIC_DEPTH_CAP = 16
 
 
 def det_cap():
@@ -199,19 +206,16 @@ class DoubledDet:
         return El(make_doubled(self.alg).id, (self.det_plus, self.det_minus))
 
 
-_PERM_CACHE = {}
-
-
 def _perms(n):
-    if n not in _PERM_CACHE:
-        ps = []
-        for perm in itertools.permutations(range(n)):
-            inv = sum(
-                1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-            )
-            ps.append((perm, inv & 1))
-        _PERM_CACHE[n] = tuple(ps)
-    return _PERM_CACHE[n]
+    """Yield every permutation of range(n) with its parity, in lexicographic
+    order, keeping no table.
+
+    Lexicographic order of the permutations is lexicographic order of their
+    Lehmer codes, and a code's digit sum is the permutation's inversion count.
+    """
+    codes = itertools.product(*(range(k) for k in range(n, 0, -1)))
+    for perm, code in zip(itertools.permutations(range(n)), codes):
+        yield perm, sum(code) & 1
 
 
 def _det_size(a: Matrix, cap) -> int:
@@ -224,11 +228,11 @@ def _det_size(a: Matrix, cap) -> int:
 
 
 def det_tracks(a: Matrix, cap=None) -> DoubledDet:
-    """Reference parity-split expansion: each track's n-fold product, folded
-    in lexicographic order of the permutations.
+    """Reference parity-split expansion: each of the n! tracks multiplied out
+    on its own and folded into its parity's sum, in lexicographic order of
+    the permutations.
 
-    Assumes no algebraic law; the fast paths behind det_doubled are tested
-    against it.
+    Assumes no algebraic law; det_doubled is tested against it.
     """
     n = _det_size(a, cap)
     alg = a.alg
@@ -250,16 +254,30 @@ def det_method(alg: PairAlgebra) -> str:
 
 
 def det_doubled(a: Matrix, cap=None) -> DoubledDet:
-    """Exact parity-split determinant (det_plus, det_minus).
+    """Exact parity-split determinant (det_plus, det_minus), equal to
+    det_tracks.
 
-    Equal to det_tracks: by the subset DP over pairs that declare
-    multiplication distributive, and by the prefix-sharing track walk, which
-    folds the same products in the same order, over every other pair.
+    Pairs that declare multiplication distributive take the subset DP; every
+    other pair takes the grouped track walk, which needs only that addition
+    is commutative and associative.
     """
-    _det_size(a, cap)
+    n = _det_size(a, cap)
+    plus, minus = _minor_layer(a, range(n))[(1 << n) - 1]
+    return DoubledDet(a.alg, plus, minus)
+
+
+def _minor_layer(a: Matrix, cols) -> dict:
+    """(det_plus, det_minus) of the submatrix on rows S and columns cols, for
+    every row set S (a bitmask) with |S| = len(cols).
+
+    Both paths walk cols in order and extend each partial track, held under
+    the set S of rows it has taken, by a row i outside S.  That adds one
+    inversion per row of S with a larger index than i, so an odd number of
+    those swaps the track's parity.
+    """
     if det_method(a.alg) == "dp":
-        return _det_subset_dp(a)
-    return _det_track_walk(a)
+        return _dp_layer(a, cols)
+    return _walk_layer(a, cols)
 
 
 def _plus(alg, x, y):
@@ -271,19 +289,14 @@ def _plus(alg, x, y):
     return alg.add(x, y)
 
 
-def _det_subset_dp(a: Matrix) -> DoubledDet:
-    """Column by column over the set S of rows the earlier columns took.
-
-    Each S keeps its (even, odd) sums of partial track products.  Giving
-    column |S| the row i outside S adds one inversion per row of S with a
-    larger index than i, so an odd number of those swaps the pair.
+def _dp_layer(a: Matrix, cols) -> dict:
+    """Each S keeps its (even, odd) sums of partial track products.
     Regrouping the track sum by S needs multiplication to distribute over
-    addition.
-    """
+    addition."""
     alg = a.alg
     n = a.rows
     layer = {0: (alg.one, None)}
-    for c in range(n):
+    for c in cols:
         nxt = {}
         for s, (even, odd) in layer.items():
             for i in range(n):
@@ -300,47 +313,67 @@ def _det_subset_dp(a: Matrix) -> DoubledDet:
                     x, y = _plus(alg, px, x), _plus(alg, py, y)
                 nxt[t] = (x, y)
         layer = nxt
-    even, odd = layer[(1 << n) - 1]
-    return DoubledDet(
-        alg,
-        alg.zero if even is None else even,
-        alg.zero if odd is None else odd,
-    )
+    zero = alg.zero
+    return {
+        s: (zero if even is None else even, zero if odd is None else odd)
+        for s, (even, odd) in layer.items()
+    }
 
 
-def _det_track_walk(a: Matrix) -> DoubledDet:
-    """Depth-first walk over the permutations in lexicographic order.
+def _walk_layer(a: Matrix, cols) -> dict:
+    """Each S keeps its distinct partial products, each with the number of
+    even and of odd partial tracks that reach it.
 
-    Depth k holds the product of the first k factors, so a track costs one
-    multiplication beyond its parent prefix; every track product and every
-    fold into the sums is the one det_tracks makes, in the same order.
+    Tracks with equal prefixes have equal continuations, since the next
+    prefix is mul(prefix, entry), so the grouping is exact for any pair and
+    a group costs one multiplication per extension.  A parity's sum is then
+    the sum over its distinct products x of k * x, for k tracks.
     """
     alg = a.alg
     n = a.rows
-    rows = a.entries
-    sums = [alg.zero, alg.zero]  # even, odd
-    prefix = [alg.one] + [None] * n
-    parity = [0] * (n + 1)
-    free = [tuple(range(n))] + [None] * n  # rows left for column k, ascending
-    nxt = [0] * n  # index into free[k] of the next row to try
-    k = 0
-    while k >= 0:
-        i = nxt[k]
-        if i == n - k:
-            k -= 1
-            continue
-        nxt[k] = i + 1
-        r = free[k][i]
-        prefix[k + 1] = alg.mul(prefix[k], rows[r][k])
-        # rows with an index past r that columns 0..k-1 took: (n-1-r) - (n-k-1-i)
-        parity[k + 1] = parity[k] ^ ((k + r + i) & 1)
-        if k + 1 < n:
-            free[k + 1] = free[k][:i] + free[k][i + 1 :]
-            nxt[k + 1] = 0
-            k += 1
-        else:
-            sums[parity[n]] = alg.add(sums[parity[n]], prefix[n])
-    return DoubledDet(alg, sums[0], sums[1])
+    layer = {0: {alg.one: [1, 0]}}
+    for c in cols:
+        nxt = {}
+        for s, prefixes in layer.items():
+            for i in range(n):
+                if s >> i & 1:
+                    continue
+                e = a.entries[i][c]
+                swap = (s >> i).bit_count() & 1
+                out = nxt.setdefault(s | 1 << i, {})
+                for x, (even, odd) in prefixes.items():
+                    y = alg.mul(x, e)
+                    if swap:
+                        even, odd = odd, even
+                    counts = out.get(y)
+                    if counts is None:
+                        out[y] = [even, odd]
+                    else:
+                        counts[0] += even
+                        counts[1] += odd
+        layer = nxt
+    return {s: _parity_sums(alg, prefixes) for s, prefixes in layer.items()}
+
+
+def _parity_sums(alg, prefixes) -> tuple:
+    sums = [alg.zero, alg.zero]
+    for x, counts in prefixes.items():
+        for p, k in enumerate(counts):
+            if k:
+                sums[p] = alg.add(sums[p], _multiple(alg, k, x))
+    return tuple(sums)
+
+
+def _multiple(alg, k, x):
+    """x + x + ... + x with k >= 1 terms, by doubling."""
+    acc = None
+    while True:
+        if k & 1:
+            acc = x if acc is None else alg.add(acc, x)
+        k >>= 1
+        if not k:
+            return acc
+        x = alg.add(x, x)
 
 
 def permanent(a: Matrix, cap=None) -> El:
@@ -389,22 +422,24 @@ def _switch_pow(dalg, x: El, k: int) -> El:
 
 def adjoint(a: Matrix, cap=None) -> Matrix:
     """Doubled adjoint: entry (i,j) is the (j,i) minor's doubled determinant,
-    switch-adjusted by the parity of i+j."""
+    switch-adjusted by the parity of i+j.
+
+    Row i comes from one minor layer over every column but i.
+    """
     if not a.is_square:
         raise DimensionMismatch("adjoint of a non-square matrix")
     n = a.rows
+    if n > 1 and n - 1 > (cap if cap is not None else det_cap()):
+        raise CapExceeded(f"determinant cap exceeded at n = {n - 1}")
     dalg = make_doubled(a.alg)
+    full = (1 << n) - 1
     out = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            if n == 1:
-                dd = DoubledDet(a.alg, a.alg.one, a.alg.zero)
-            else:
-                dd = det_doubled(a.minor(j, i), cap=cap)
-            cof = El(dalg.id, (dd.det_plus, dd.det_minus))
-            row.append(_switch_pow(dalg, cof, i + j))
-        out.append(tuple(row))
+        layer = _minor_layer(a, [c for c in range(n) if c != i])
+        out.append(tuple(
+            _switch_pow(dalg, El(dalg.id, layer[full ^ 1 << j]), i + j)
+            for j in range(n)
+        ))
     return Matrix(dalg, tuple(out))
 
 
@@ -584,12 +619,13 @@ def krasner_det_contains_zero(a: Matrix, cap=KRASNER_CAP) -> bool:
                 raise PairError("krasner determinant needs tangible-or-zero entries")
             rrow.append(sorted(cosets[idx]))
         reps.append(rrow)
+    perms = tuple(_perms(n))  # n <= cap, so at most cap! entries, for this call only
     for choice in itertools.product(
         *[reps[i][j] for i in range(n) for j in range(n)]
     ):
         grid = [choice[i * n : (i + 1) * n] for i in range(n)]
         det = 0
-        for perm, odd in _perms(n):
+        for perm, odd in perms:
             term = 1
             for c in range(n):
                 term = (term * grid[perm[c]][c]) % p

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .core import PairAlgebra, PairError, surpasses0
 from .instances import st_tan, st_value
-from .matrices import Matrix, is_singular
+from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, is_singular
 
 
 class DomainEmpty(PairError):
@@ -142,7 +142,10 @@ def entry_ratio_domain(alg, vectors, depth: int = 2) -> EntryRatioDomain:
     Every entry value is multiplied by S, the lcm of the entry denominators,
     so the sum set is built over integers; it is in bijection with the set
     of rational sums, and `candidates` lists the latter in ascending order.
+    A depth above HEURISTIC_DEPTH_CAP raises CapExceeded before any work.
     """
+    if depth > HEURISTIC_DEPTH_CAP:
+        raise CapExceeded(f"heuristic depth {depth} exceeds the cap {HEURISTIC_DEPTH_CAP}")
     vals = {st_value(e) for vec in vectors for e in vec if e.payload is not None}
     scale = math.lcm(*(v.denominator for v in vals))
     ints = {_times(v, scale) for v in vals}

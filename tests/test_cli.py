@@ -1,6 +1,7 @@
 """Command-line surface: parsing, reports, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -184,11 +185,27 @@ class TestCommands:
         assert run_command(["rank", st_file, "--domain", flag]) == 2
         assert "error" in kv(capsys.readouterr().out)
 
-    @pytest.mark.parametrize("entry", ["abc", "1/0", "g", "1/0g"])
+    def test_heuristic_depth_cap_exit_3(self, st_file, capsys):
+        start = time.perf_counter()
+        assert run_command(["rank", st_file, "--domain", "heuristic:1000"]) == 3
+        assert time.perf_counter() - start < 1.0  # refused before the sum set
+        assert "heuristic depth 1000" in kv(capsys.readouterr().out)["error"]
+        assert run_command(["rank", st_file, "--domain", "heuristic:2"]) == 0
+        assert run_command(["rank", st_file]) == 0
+        with_flag, default = capsys.readouterr().out.split("pair: ")[1:]
+        assert with_flag == default  # depth 2 is the default domain
+
+    @pytest.mark.parametrize(
+        "entry", ["abc", "1/0", "g", "1/0g", "1e5000", "1e-5000", "1e9999999", "1e9999999g"]
+    )
     def test_bad_supertropical_literal_exit_2(self, tmp_path, capsys, entry):
+        # a value beyond the int-to-str digit limit could not be printed, and
+        # is refused before its Fraction is built
         f = tmp_path / "bad.txt"
         f.write_text(f"pair supertropical\nrows 2\ncols 2\n2 {entry}\n1 3\n")
+        start = time.perf_counter()
         assert run_command(["det", str(f)]) == 2
+        assert time.perf_counter() - start < 1.0
         assert entry in kv(capsys.readouterr().out)["error"]
 
     def test_bad_rhs_literal_exit_2(self, st_file, capsys):

@@ -1,6 +1,7 @@
 """Determinants, adjoints, Laplace expansion, Cayley-Hamilton, quasi-inverses."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from pairlin.core import El
 from pairlin.instances import make_doubled, registered_instances
 from pairlin.matrices import (
     Matrix,
+    _perms,
     det_method,
     det_signed,
     det_tracks,
@@ -185,6 +187,15 @@ def rand_carrier_matrix(rng, alg, n):
     return matrix(alg, [[rng.choice(alg.carrier) for _ in range(n)] for _ in range(n)])
 
 
+def off_carrier_masks(alg):
+    """Atom subsets outside the carrier, or every nonempty subset where the
+    carrier is the whole power set."""
+    atoms = len(alg.tangibles) + 1
+    carrier = {e.payload for e in alg.carrier}
+    every = range(1, 1 << atoms)
+    return [m for m in every if m not in carrier] or list(every)
+
+
 def count_muls(monkeypatch, alg):
     calls = []
     inner = alg._mul
@@ -235,18 +246,50 @@ class TestDetPaths:
             if alg.id.startswith(("hyper:", "krasner:"))
         ]
         assert len(algs) == 6
+        algs += [make_algebra(s) for s in ("krasner:17:1", "krasner:2:1", "krasner:3:1")]
         for alg in algs:
             assert det_method(alg) == "tracks"
-            for n in range(1, 6):
-                for _ in range(3):
-                    assert same_det(rand_carrier_matrix(rng, alg, n)), (alg.id, n)
+            dalg = make_doubled(alg)
+            assert det_method(dalg) == "tracks"
+            t0 = (alg.zero,) + alg.tangibles
+            off = off_carrier_masks(alg)
+            for n in range(1, 7):
+                for draw in (
+                    lambda: rng.choice(alg.carrier),
+                    lambda: rng.choice(t0),
+                    lambda: El(alg.id, rng.choice(off)),
+                ):
+                    a = matrix(alg, [[draw() for _ in range(n)] for _ in range(n)])
+                    assert same_det(a), (alg.id, n)
+                a = matrix(dalg, [
+                    [El(dalg.id, (rng.choice(alg.carrier), rng.choice(t0))) for _ in range(n)]
+                    for _ in range(n)
+                ])
+                assert same_det(a), (dalg.id, n)
 
     def test_walk_shares_prefix_products(self, monkeypatch):
-        alg = make_algebra("hyper:hex1-c3")
-        a = rand_carrier_matrix(random.Random(14), alg, 5)
-        calls = count_muls(monkeypatch, alg)
-        det_doubled(a)
-        assert len(calls) == 5 + 20 + 60 + 120 + 120  # sum of 5!/(5-k)!
+        # a row set holds at most one group per distinct prefix, and a
+        # product of atoms is an atom, so tangible-or-zero entries give at
+        # most k groups per row set for k atoms (the tangibles and the
+        # hyperzero); no entries give more groups than partial tracks
+        rng = random.Random(14)
+        for spec in ("hyper:hex1-c3", "hyper:weaksign-c2", "krasner:17:1"):
+            alg = make_algebra(spec)
+            k = len(alg.tangibles) + 1
+            t0 = (alg.zero,) + alg.tangibles
+            off = off_carrier_masks(alg)
+            calls = count_muls(monkeypatch, alg)
+            for n in range(1, 7):
+                tracks = sum(math.perm(n, j) for j in range(1, n + 1))
+                grouped = 2 * k * sum(math.comb(n, c) * (n - c) for c in range(n))
+                calls.clear()
+                det_doubled(matrix(alg, [[rng.choice(t0) for _ in range(n)] for _ in range(n)]))
+                assert 0 < len(calls) <= min(tracks, grouped), (spec, n)
+                calls.clear()
+                det_doubled(matrix(alg, [
+                    [El(alg.id, rng.choice(off)) for _ in range(n)] for _ in range(n)
+                ]))
+                assert 0 < len(calls) <= tracks, (spec, n)
 
     def test_dp_multiplication_count(self, monkeypatch):
         n = 6
@@ -259,6 +302,35 @@ class TestDetPaths:
         a = matrix(st, [[st_tan(0)] * 3 for _ in range(3)])
         with pytest.raises(CapExceeded):
             det_tracks(a, cap=2)
+
+    def test_perms_keeps_the_old_table_order(self):
+        for n in range(7):
+            table = []
+            for perm in itertools.permutations(range(n)):
+                inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+                table.append((perm, inv & 1))
+            perms = _perms(n)
+            assert iter(perms) is perms  # a generator, not a cached table
+            assert list(perms) == table, n
+
+
+def adjoint_by_minors(a):
+    """The adjoint entry by entry: det_tracks of the (j,i) minor, its parts
+    exchanged when i+j is odd."""
+    alg, n = a.alg, a.rows
+    dalg = make_doubled(alg)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if n == 1:
+                p, q = alg.one, alg.zero
+            else:
+                d = det_tracks(a.minor(j, i))
+                p, q = d.det_plus, d.det_minus
+            row.append(El(dalg.id, (q, p) if (i + j) & 1 else (p, q)))
+        rows.append(tuple(row))
+    return matrix(dalg, rows)
 
 
 class TestAdjointAndLaplace:
@@ -306,6 +378,36 @@ class TestAdjointAndLaplace:
             for rows in itertools.combinations(range(4), 2):
                 l = laplace_expand(a, rows)
                 assert (l.det_plus, l.det_minus) == (d.det_plus, d.det_minus)
+
+    def test_adjoint_matches_per_minor_tracks(self):
+        rng = random.Random(16)
+        dst = make_doubled(st)
+        hex3 = make_algebra("hyper:hex1-c3")
+        dhex = make_doubled(hex3)
+        cases = [(alg, lambda alg=alg: rng.choice(alg.carrier)) for alg in registered_instances()]
+        cases += [
+            (st, lambda: rand_supertropical_matrix(rng, 1, tangible=False)[0, 0]),
+            (dst, lambda: El(dst.id, (
+                rand_supertropical_matrix(rng, 1, tangible=False)[0, 0],
+                rand_supertropical_matrix(rng, 1, tangible=False)[0, 0],
+            ))),
+            (dhex, lambda: El(dhex.id, (rng.choice(hex3.carrier), rng.choice(hex3.carrier)))),
+        ]
+        for alg, draw in cases:
+            for n in range(1, 6):
+                for _ in range(2):
+                    a = matrix(alg, [[draw() for _ in range(n)] for _ in range(n)])
+                    got = adjoint(a)
+                    assert got.entries == adjoint_by_minors(a).entries, (alg.id, n)
+
+    def test_adjoint_keeps_the_cap(self, monkeypatch):
+        a = matrix(st, [[st_tan(0)] * 4 for _ in range(4)])
+        with pytest.raises(CapExceeded):
+            adjoint(a, cap=2)
+        assert adjoint(a, cap=3).rows == 4  # its minors are 3 x 3
+        monkeypatch.setenv("PAIRLIN_CAP_N", "2")
+        with pytest.raises(CapExceeded):
+            adjoint(a)
 
     def test_adjoint_balances_det_times_identity(self):
         # |A| I nabla A adj(A), entrywise in the doubled pair

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pairlin import (
+    CapExceeded,
     check_condition,
     col_rank,
     entry_ratio_domain,
@@ -23,6 +24,7 @@ from pairlin import (
     submatrix_rank,
 )
 from pairlin.instances import ST_ZERO, st_ghost, st_value
+from pairlin.matrices import HEURISTIC_DEPTH_CAP
 from pairlin.rank import DomainEmpty, CoefficientDomain, DependenceWitness, _combo_null
 from pairlin.suites import (
     two_track_doubled_matrix,
@@ -253,6 +255,12 @@ class TestEntryRatioDomain:
             for v in probes:
                 assert (v in dom) == (st_tan(v) in dom.candidates), (vectors, v)
             assert any(v not in dom for v in probes)
+
+    def test_depth_cap(self):
+        vectors = self.VECTOR_SETS[0]
+        assert len(entry_ratio_domain(st, vectors, HEURISTIC_DEPTH_CAP)) > 0
+        with pytest.raises(CapExceeded):
+            entry_ratio_domain(st, vectors, HEURISTIC_DEPTH_CAP + 1)
 
 
 class TestRanks:
