@@ -23,9 +23,7 @@ from .instances import (
     NotASubgroup,
     make_algebra,
     make_doubled,
-    make_hyperpair,
     make_sign_pair,
-    make_special,
     make_supertropical,
     registered_instances,
     st_ghost,

@@ -22,11 +22,10 @@ from .matrices import (
     matrix,
 )
 from .rank import (
-    CoefficientDomain,
     UndecidableSurpassing,
     check_condition,
-    entry_ratio_domain,
     exact_domain,
+    heuristic_domain,
     rank_report,
 )
 from .solve import NoConvergence, cramer_solve, jacobi_solve
@@ -108,9 +107,7 @@ def _domain_from_flag(alg, vectors, flag):
             if not arg.isdecimal():
                 raise ParseFailure(f"heuristic depth {arg!r} is not a nonnegative integer")
             depth = int(arg)
-        if alg.id == "supertropical":
-            return entry_ratio_domain(alg, vectors, depth)
-        return CoefficientDomain((alg.one,), "heuristic", depth)
+        return heuristic_domain(alg, vectors, depth)
     raise ParseFailure(f"unknown domain flag {flag!r}")
 
 

@@ -2,7 +2,10 @@
 
 A "pair" is a carrier with a distinguished tangible set T and a null layer A0
 standing in for {0}.  All arithmetic on elements is mediated by the owning
-algebra descriptor; elements themselves are opaque tagged payloads.
+algebra descriptor; elements themselves are opaque tagged payloads.  A
+descriptor is immutable and carries its own capabilities (negation, decision
+rules for surpassing and height, its base pair when doubled), so nothing is
+looked up by id.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ class NoPresentation(PairError):
 
 
 class AlgebraMismatch(PairError):
+    pass
+
+
+class CapExceeded(PairError):
     pass
 
 
@@ -91,10 +98,12 @@ class ModulusValue:
 
 
 class PairAlgebra:
-    """Descriptor of a pair: carrier arithmetic plus tangible/null predicates.
+    """Descriptor of a pair: carrier arithmetic, tangible/null predicates and
+    every capability the layers above consult.
 
-    Immutable after construction; operations are pure, so descriptors are
-    freely shareable across workers.
+    Each field is given to the constructor and none can be assigned
+    afterwards, so descriptors are freely shareable.  The kind detection and
+    the axiom audit are computed on first use and memoised.
     """
 
     def __init__(
@@ -121,34 +130,65 @@ class PairAlgebra:
         format_literal: Optional[Callable[[El], str]] = None,
         spec_string: str = "",
         desc: str = "",
+        base: Optional["PairAlgebra"] = None,
+        krasner_field: Optional[int] = None,
+        krasner_cosets: Optional[list] = None,
+        surpass_rule: Optional[Callable[[El, El], bool]] = None,
+        height_rule: Optional[Callable[[El], int]] = None,
+        max_plus: bool = False,
     ):
-        self.id = id
-        self.zero = zero
-        self.one = one
-        self._add = add
-        self._mul = mul
-        self._is_tangible = is_tangible
-        self._is_null = is_null
-        self.dagger = dagger
-        self.negation = negation
-        self.negation_unique = negation_unique
-        # multiplication distributes over addition on both sides; declared by
-        # the constructor, never scanned (a carrier scan is cubic)
-        self.distributive = distributive
-        self.tangibles = tangibles
-        self.carrier = carrier
-        self.modulus = modulus
-        self.declared_kind = declared_kind
-        self.tangible_inverse = tangible_inverse
-        self.tangible_lift = tangible_lift
-        self.sample = sample
-        self.parse_literal = parse_literal
-        self.format_literal = format_literal
-        self.spec_string = spec_string or id
-        self.desc = desc
-        self._kind_cache = None
-        self._kind_warning = None
-        self._audit_cache = None
+        fields = dict(
+            id=id,
+            zero=zero,
+            one=one,
+            _add=add,
+            _mul=mul,
+            _is_tangible=is_tangible,
+            _is_null=is_null,
+            dagger=dagger,
+            negation=negation,
+            negation_unique=negation_unique,
+            # multiplication distributes over addition on both sides;
+            # declared by the constructor, never scanned (a carrier scan is
+            # cubic)
+            distributive=distributive,
+            tangibles=tangibles,
+            carrier=carrier,
+            modulus=modulus,
+            declared_kind=declared_kind,
+            tangible_inverse=tangible_inverse,
+            tangible_lift=tangible_lift,
+            sample=sample,
+            parse_literal=parse_literal,
+            format_literal=format_literal,
+            spec_string=spec_string or id,
+            desc=desc,
+            # the base pair of a doubled pair
+            base=base,
+            # F_p and the coset of each atom, for a Krasner quotient
+            krasner_field=krasner_field,
+            krasner_cosets=krasner_cosets,
+            # decide b1 <=_0 b2 and the height of c where no finite null
+            # layer or tangible set can
+            surpass_rule=surpass_rule,
+            height_rule=height_rule,
+            # values are rationals under max and +: dependence searches run
+            # on the entry-ratio domain in integers
+            max_plus=max_plus,
+            # kind detection and audit report, filled on first use
+            _memo={},
+        )
+        for name, value in fields.items():
+            # object.__setattr__ keeps the attributes in CPython's inline
+            # storage; writing through vars(self) would build an instance
+            # dict and slow every attribute read by about a sixth
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable: cannot delete {name!r}")
 
     # -- element plumbing ---------------------------------------------------
 
@@ -217,25 +257,28 @@ class PairAlgebra:
         The declared kind overrides detection, but a mismatch is recorded and
         surfaces as an audit warning.
         """
-        if self._kind_cache is not None:
-            return self._kind_cache
-        two = self.add(self.one, self.one)
-        if self.is_null(two):
-            detected = FIRST
-        elif all(not self.is_null(self.add(a, a)) for a in self.tangible_sample()):
-            detected = SECOND
-        else:
-            detected = UNKNOWN
-        if self.declared_kind != UNKNOWN and self.declared_kind != detected:
-            self._kind_warning = (
-                f"declared kind {self.declared_kind!r} but detected {detected!r}"
-            )
-            detected = self.declared_kind
-        self._kind_cache = detected
-        return detected
+        memo = self._memo
+        if "kind" not in memo:
+            memo["kind"] = _detect_kind(self)
+        return memo["kind"][0]
 
     def __repr__(self):
         return f"PairAlgebra({self.id!r})"
+
+
+def _detect_kind(alg: PairAlgebra):
+    """(kind, warning or None)."""
+    two = alg.add(alg.one, alg.one)
+    if alg.is_null(two):
+        detected = FIRST
+    elif all(not alg.is_null(alg.add(a, a)) for a in alg.tangible_sample()):
+        detected = SECOND
+    else:
+        detected = UNKNOWN
+    if alg.declared_kind != UNKNOWN and alg.declared_kind != detected:
+        warning = f"declared kind {alg.declared_kind!r} but detected {detected!r}"
+        return alg.declared_kind, warning
+    return detected, None
 
 
 # -- derived operations -----------------------------------------------------
@@ -288,9 +331,8 @@ def surpasses0(alg: PairAlgebra, b1: El, b2: El) -> bool:
     alg.check(b1, b2)
     if b1 == b2:
         return True
-    rule = _SURPASS_RULES.get(alg.id.split(":")[0])
-    if rule is not None:
-        return rule(alg, b1, b2)
+    if alg.surpass_rule is not None:
+        return alg.surpass_rule(b1, b2)
     if alg.carrier is not None:
         for c in alg.carrier:
             if alg.is_null(c) and alg.add(b1, c) == b2:
@@ -299,24 +341,14 @@ def surpasses0(alg: PairAlgebra, b1: El, b2: El) -> bool:
     raise Undecidable(f"surpassing over {alg.id}: no null-layer enumeration or rule")
 
 
-# Instance modules register decision rules for infinite null layers here,
-# keyed by the algebra id prefix (before the first ':').
-_SURPASS_RULES: dict = {}
-
-
-def register_surpass_rule(prefix: str, rule):
-    _SURPASS_RULES[prefix] = rule
-
-
 def height(alg: PairAlgebra, c: El) -> int:
     """Minimal number of tangibles summing to c; zero has height 0."""
     alg.check(c)
     if c == alg.zero:
         return 0
     if alg.tangibles is None:
-        rule = _HEIGHT_RULES.get(alg.id.split(":")[0])
-        if rule is not None:
-            return rule(alg, c)
+        if alg.height_rule is not None:
+            return alg.height_rule(c)
         raise Undecidable(f"height over {alg.id}: no tangible enumeration")
     seen = set()
     level = set(alg.tangibles)
@@ -330,13 +362,6 @@ def height(alg: PairAlgebra, c: El) -> int:
             raise Unreachable(f"{c!r} is not T-generated in {alg.id}")
         level = nxt
         t += 1
-
-
-_HEIGHT_RULES: dict = {}
-
-
-def register_height_rule(prefix: str, rule):
-    _HEIGHT_RULES[prefix] = rule
 
 
 @dataclass(frozen=True)
@@ -444,9 +469,15 @@ def axiom_audit(alg: PairAlgebra) -> AuditReport:
     Verdicts cover admissibility, Property N, metatangibility and its
     refinements, kind, balancing-related properties, and the hypotheses the
     matrix theory consumes (tangible summand, LZS, unique negation).
+    Computed once per descriptor.
     """
-    if alg._audit_cache is not None:
-        return alg._audit_cache
+    memo = alg._memo
+    if "audit" not in memo:
+        memo["audit"] = _audit(alg)
+    return memo["audit"]
+
+
+def _audit(alg: PairAlgebra) -> AuditReport:
     rep = AuditReport(alg.id)
     elems = alg.carrier if alg.carrier is not None else alg.carrier_sample()
     tang = alg.tangible_sample()
@@ -542,8 +573,9 @@ def axiom_audit(alg: PairAlgebra) -> AuditReport:
     kind = alg.kind()
     flags["first_kind"] = kind == FIRST
     flags["second_kind"] = kind == SECOND
-    if alg._kind_warning:
-        rep.warnings.append(alg._kind_warning)
+    warning = alg._memo["kind"][1]  # filled by alg.kind() above
+    if warning:
+        rep.warnings.append(warning)
 
     # second-kind refinements and balancing hygiene
     flags["strict_second_kind"] = kind == SECOND
@@ -630,5 +662,4 @@ def axiom_audit(alg: PairAlgebra) -> AuditReport:
         if set(alg.carrier) - cover:
             rep.warnings.append("T + A0 does not cover the carrier")
 
-    alg._audit_cache = rep
     return rep

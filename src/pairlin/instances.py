@@ -1,16 +1,22 @@
-"""Concrete pair constructions and the algebra-specifier registry.
+"""Concrete pair constructions and the algebra-specifier parser.
 
-Every constructor returns a PairAlgebra descriptor.  Finite instances are
-table-driven; the supertropical pair works over exact rationals with a ghost
-layer and never touches floating point.
+Every constructor returns a finished PairAlgebra descriptor, passing each
+capability of its pair (negation, tangible inverses, surpassing and height
+rules, Krasner data, a doubled pair's base) to the descriptor's constructor.
+Finite instances are table-driven or, for hyperpairs, atomwise over subsets
+of atoms, and hold at most CARRIER_CAP elements; the supertropical pair
+works over exact rationals with a ghost layer and never touches floating
+point.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 
 from .core import (
+    CapExceeded,
     El,
     FIRST,
     ModulusValue,
@@ -18,8 +24,6 @@ from .core import (
     PairError,
     SECOND,
     balances,
-    register_height_rule,
-    register_surpass_rule,
 )
 
 
@@ -29,6 +33,19 @@ class BadSpecifier(PairError):
 
 class NotASubgroup(PairError):
     pass
+
+
+# The most elements a finite pair's carrier may hold.  Table pairs check it
+# before building their (size)^2 tables (about 300 elements take a third of a
+# second); hyperpairs check it while their carrier closure grows, which has
+# no other bound (krasner:61:60 runs for minutes).  Every registered pair has
+# at most 25 elements.
+CARRIER_CAP = 256
+
+
+def _check_size(spec, size):
+    if size > CARRIER_CAP:
+        raise BadSpecifier(f"{spec}: more than {CARRIER_CAP} elements")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +246,13 @@ def _st_format(a):
     if a.payload is None:
         return "-inf"
     layer, v = a.payload
-    return str(v) + ("g" if layer == "g" else "")
+    try:
+        # values add along a track and denominators multiply, so a value of
+        # printable literals can still pass the int-to-str digit limit
+        text = str(v)
+    except ValueError as exc:
+        raise CapExceeded(f"{_ST}: value exceeds the int-to-str digit limit") from exc
+    return text + ("g" if layer == "g" else "")
 
 
 def make_supertropical() -> PairAlgebra:
@@ -267,10 +290,13 @@ def make_supertropical() -> PairAlgebra:
         parse_literal=_st_parse,
         format_literal=_st_format,
         desc="supertropical pair over exact rationals (first kind, tropical type)",
+        surpass_rule=_st_surpass,
+        height_rule=_st_height,
+        max_plus=True,
     )
 
 
-def _st_surpass(alg, b1, b2):
+def _st_surpass(b1, b2):
     # b1 + c = b2 with c ghost-or-zero: b2 ghost no smaller than b1, or equal
     if b1 == b2:
         return True
@@ -281,30 +307,22 @@ def _st_surpass(alg, b1, b2):
     return b2.payload[0] == "g" and b1.payload[1] <= b2.payload[1]
 
 
-def _st_height(alg, c):
+def _st_height(c):
     return 1 if c.payload[0] == "t" else 2
-
-
-register_surpass_rule(_ST, _st_surpass)
-register_height_rule(_ST, _st_height)
 
 
 # ---------------------------------------------------------------------------
 # doubling
 
 
-_DOUBLED_CACHE = {}
-
-
+@functools.cache
 def make_doubled(base: PairAlgebra) -> PairAlgebra:
     """Doubled pair: ordered pairs with twist multiplication and switch negation.
 
     Nullity joins the sum-in-A0 rule with the diagonal, so the switch is a
     negation map even over second-kind bases; for first-kind bases this is
-    exactly the b1+b2-null rule.
+    exactly the b1+b2-null rule.  Built once per base descriptor.
     """
-    if base.id in _DOUBLED_CACHE:
-        return _DOUBLED_CACHE[base.id]
     did = f"doubled:{base.id}"
 
     def pack(p, n):
@@ -376,7 +394,7 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
         picks = base.sample[:4]
         sample = tuple(pack(p, n) for p in picks for n in picks)
 
-    alg = PairAlgebra(
+    return PairAlgebra(
         id=did,
         zero=zero,
         one=one,
@@ -402,10 +420,8 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
         else None,
         spec_string=f"doubled:{base.spec_string}",
         desc=f"doubled pair over {base.id} (switch negation, second kind)",
+        base=base,
     )
-    alg.base = base
-    _DOUBLED_CACHE[base.id] = alg
-    return alg
 
 
 def embed_doubled(dalg: PairAlgebra, a: El) -> El:
@@ -476,6 +492,7 @@ def make_counting(q: int) -> PairAlgebra:
     """Clipped counting pair on {0..q}: add/mul truncate at q, T = {1}, A0 = {0,q}."""
     if q < 2:
         raise BadSpecifier("counting pair needs q >= 2")
+    _check_size(f"counting:{q}", q + 1)
     atoms = tuple(str(i) for i in range(q + 1))
     add = {(x, y): str(min(int(x) + int(y), q)) for x in atoms for y in atoms}
     mul = {(x, y): str(min(int(x) * int(y), q)) for x in atoms for y in atoms}
@@ -491,6 +508,7 @@ def make_npq(p: int, q: int) -> PairAlgebra:
     """N_{p,q}: {0..p+q-1} with wraparound p+q-1 + 1 = q; A0 = {0}, T = {1}."""
     if p < 1 or q < 0 or p + q < 2:
         raise BadSpecifier("npq needs p >= 1, q >= 0, p+q >= 2")
+    _check_size(f"npq:{p}:{q}", p + q)
     top = p + q - 1
 
     def red(n):
@@ -516,6 +534,7 @@ def make_minimal(kind: str, n: int) -> PairAlgebra:
         raise BadSpecifier(f"minimal pair kind must be first|second, got {kind!r}")
     if n < 1 or (kind == SECOND and n < 2):
         raise BadSpecifier("minimal second-kind pair needs n >= 2")
+    _check_size(f"minimal:{kind}:{n}", n + 2)
     ts = tuple(f"t{i}" for i in range(n))
     atoms = ("0",) + ts + ("inf",)
 
@@ -571,17 +590,26 @@ def _closure_pair(
     atom_names,
     hyperadd,  # (i, j) -> frozenset of atom indices
     atom_mul,  # (i, j) -> atom index
-    zero_atom,  # index of the hyperzero, or None for the symdiff-style pair
+    one,  # atom index of the unit
+    negation,  # atom i -> atom negation[i]
+    negation_unique=False,
+    inverse=None,  # tangible atom -> atom of its inverse, or None
     spec_string="",
     desc="",
+    **fields,  # further descriptor fields: the Krasner data
 ):
-    """Build a pair whose elements are subsets of atoms, closed under + and *."""
+    """Build a pair whose elements are subsets of atoms, closed under + and *.
+
+    Atom 0 is the hyperzero.  Hypernegation (-)S = {-s} is also the
+    canonical dagger.
+    """
     k = len(atom_names)
 
     # atom-by-atom tables, k^2 entries each: sets combine atomwise through
     # them, and a product or sum of two atoms is one lookup
     add_atoms = [[sum(1 << x for x in hyperadd(i, j)) for j in range(k)] for i in range(k)]
     mul_atoms = [[1 << atom_mul(i, j) for j in range(k)] for i in range(k)]
+    neg_atoms = [1 << j for j in negation]
     atom_of = {1 << i: i for i in range(k)}
 
     def bits(mask):
@@ -612,7 +640,17 @@ def _closure_pair(
 
         return op
 
-    zero_mask = 1 << zero_atom
+    def negate(a):
+        out = 0
+        for i in bits(a.payload):
+            out |= neg_atoms[i]
+        return El(id, out)
+
+    tangible_inverse = None
+    if inverse is not None:
+        def tangible_inverse(a):
+            return El(id, 1 << inverse(a.payload.bit_length() - 1))
+
     singles = [1 << i for i in range(k)]
     # the carrier is the submodule ⊞-spanned by the tangibles: closed under
     # hyperaddition and the tangible action, but not under arbitrary products
@@ -630,6 +668,7 @@ def _closure_pair(
                     if m not in seen:
                         seen.add(m)
                         nxt.append(m)
+            _check_size(spec_string or id, len(seen))
         frontier = nxt
     carrier_masks = sorted(seen)
 
@@ -649,7 +688,7 @@ def _closure_pair(
                 part = part.strip()
                 if not part:
                     continue
-                if part.isdigit() and part not in atom_names:
+                if part.isdecimal() and part not in atom_names:
                     idx = int(part)
                     if not 0 <= idx < k:
                         raise BadSpecifier(f"{id}: atom index {part} out of range")
@@ -667,51 +706,36 @@ def _closure_pair(
         except ValueError:
             raise BadSpecifier(f"{id}: unknown atom {s!r}")
 
-    alg = PairAlgebra(
+    return PairAlgebra(
         id=id,
-        zero=El(id, zero_mask),
-        one=El(id, 1 << atom_names.index("g0") if "g0" in atom_names else singles[1]),
+        zero=El(id, 1),
+        one=El(id, 1 << one),
         add=element_op(add_atoms),
         mul=element_op(mul_atoms),
-        is_tangible=lambda a: a.payload in singles and a.payload != zero_mask,
-        is_null=lambda a: bool(a.payload & zero_mask),
+        is_tangible=lambda a: a.payload in singles and a.payload != 1,
+        is_null=lambda a: bool(a.payload & 1),
+        dagger=negate,
+        negation=negate,
+        negation_unique=negation_unique,
         # a set times a sum is not the union of the products in general
         # (hyper:hex1-c3: {g0,g1}*(g1+g2)), so determinants take the track
         # walk; conservative for the few that do distribute, e.g. krasner:3:1
         distributive=False,
-        tangibles=tuple(El(id, m) for m in singles if m != zero_mask),
+        tangibles=tuple(El(id, m) for m in singles[1:]),
         carrier=tuple(El(id, m) for m in carrier_masks),
+        tangible_inverse=tangible_inverse,
         parse_literal=parse_literal,
         format_literal=lambda a: name_of(a.payload),
         spec_string=spec_string or id,
         desc=desc,
+        surpass_rule=_subset_surpass,
+        **fields,
     )
-    return alg
 
 
-def _subset_surpass(alg, b1, b2):
+def _subset_surpass(b1, b2):
+    # hyperpair surpassing is subset inclusion
     return b1.payload & ~b2.payload == 0
-
-
-# hyperpair surpassing is subset inclusion
-register_surpass_rule("krasner", _subset_surpass)
-register_surpass_rule("hyper", _subset_surpass)
-
-
-def _attach_hyper_negation(alg, neg_atom_map, atom_count):
-    """Elementwise hypernegation (-)S = {-s}; also the canonical dagger."""
-    table = {}
-    for mask in range(1 << atom_count):
-        out = 0
-        m, i = mask, 0
-        while m:
-            if m & 1:
-                out |= 1 << neg_atom_map[i]
-            m >>= 1
-            i += 1
-        table[mask] = out
-    alg.negation = lambda a: El(alg.id, table[a.payload])
-    alg.dagger = lambda a: El(alg.id, table[a.payload])
 
 
 def make_krasner(p: int, generators) -> PairAlgebra:
@@ -762,34 +786,20 @@ def make_krasner(p: int, generators) -> PairAlgebra:
         b = min(atom_sets[j])
         return assigned[(a * b) % p]
 
-    one_name = f"c{min(atom_sets[assigned[1]])}"
-    alg = _closure_pair(
+    return _closure_pair(
         f"krasner:{p}:{','.join(str(g) for g in sorted(G))}",
         atom_names,
         hyperadd,
         atom_mul,
-        zero_atom=0,
+        one=assigned[1],
+        negation=[0] + [assigned[p - min(c)] for c in cosets],
+        negation_unique=True,
+        inverse=lambda i: assigned[pow(min(atom_sets[i]), p - 2, p)],
         spec_string=f"krasner:{p}:{'-'.join(str(g) for g in gens)}",
         desc=f"Krasner quotient hyperpair F_{p}/{sorted(G)}",
+        krasner_field=p,
+        krasner_cosets=atom_sets,
     )
-    alg.one = alg.parse_literal(one_name)
-    neg_map = {0: 0}
-    for i, c in enumerate(atom_sets[1:], start=1):
-        neg_map[i] = assigned[(p - min(c)) % p]
-    _attach_hyper_negation(alg, neg_map, len(atom_names))
-    alg.negation_unique = True
-    alg.krasner_field = p
-    alg.krasner_group = frozenset(G)
-    alg.krasner_cosets = atom_sets
-
-    def tangible_inverse(a):
-        i = a.payload.bit_length() - 1
-        r = min(atom_sets[i])
-        rinv = pow(r, p - 2, p)
-        return alg.parse_literal(f"c{min(atom_sets[assigned[rinv]])}")
-
-    alg.tangible_inverse = tangible_inverse
-    return alg
 
 
 def make_hex(variant: int, n: int) -> PairAlgebra:
@@ -824,24 +834,17 @@ def make_hex(variant: int, n: int) -> PairAlgebra:
             return 0
         return 1 + ((i - 1) + (j - 1)) % n
 
-    alg = _closure_pair(
+    return _closure_pair(
         f"hyper:hex{variant}:{n}",
         atom_names,
         hyperadd,
         atom_mul,
-        zero_atom=0,
+        one=1,
+        negation=range(n + 1),
+        inverse=lambda i: 1 + (-(i - 1)) % n,
         spec_string=f"hyper:hex{variant}-c{n}",
         desc=f"hyperfield hex({'i' * variant}) over C_{n}",
     )
-    _attach_hyper_negation(alg, {i: i for i in range(n + 1)}, n + 1)
-    alg.negation_unique = False
-
-    def tangible_inverse(a):
-        i = a.payload.bit_length() - 1
-        return El(alg.id, 1 << (1 + (-(i - 1)) % n))
-
-    alg.tangible_inverse = tangible_inverse
-    return alg
 
 
 def make_weak_sign(n: int) -> PairAlgebra:
@@ -878,17 +881,14 @@ def make_weak_sign(n: int) -> PairAlgebra:
         gj, sj = decode(j)
         return 1 + 2 * ((gi + gj) % n) + (si ^ sj)
 
-    alg = _closure_pair(
-        f"hyper:weaksign:{n}", atom_names, hyperadd, atom_mul, zero_atom=0,
+    return _closure_pair(
+        f"hyper:weaksign:{n}", atom_names, hyperadd, atom_mul,
+        one=1,
+        # (g, +) <-> (g, -): atoms 2g+1 and 2g+2 trade places
+        negation=[0] + [i + 1 if i % 2 else i - 1 for i in range(1, 2 * n + 1)],
         spec_string=f"hyper:weaksign-c{n}",
         desc=f"signed hyperfield over C_{n}",
     )
-    neg = {0: 0}
-    for i in range(1, 2 * n + 1):
-        g, s = decode(i)
-        neg[i] = 1 + 2 * g + (1 - s)
-    _attach_hyper_negation(alg, neg, 2 * n + 1)
-    return alg
 
 
 def make_powerset_symdiff(n: int) -> PairAlgebra:
@@ -912,17 +912,22 @@ def make_powerset_symdiff(n: int) -> PairAlgebra:
 
     singles = [1 << i for i in range(n)]
 
+    def atom(name):
+        if name not in atom_names:
+            raise BadSpecifier(f"{id}: unknown atom {name!r}")
+        return 1 << atom_names.index(name)
+
     def parse_literal(s):
-        if s == "{}":
-            return El(id, 0)
-        if s.startswith("{"):
-            mask = 0
-            for part in s[1:-1].split(","):
-                part = part.strip()
-                if part:
-                    mask |= 1 << atom_names.index(part)
-            return El(id, mask)
-        return El(id, 1 << atom_names.index(s))
+        if not s.startswith("{"):
+            return El(id, atom(s))
+        if not s.endswith("}"):
+            raise BadSpecifier(f"{id}: bad set literal {s!r}")
+        mask = 0
+        for part in s[1:-1].split(","):
+            part = part.strip()
+            if part:
+                mask |= atom(part)
+        return El(id, mask)
 
     def fmt(a):
         if a.payload == 0:
@@ -957,19 +962,6 @@ def make_powerset_symdiff(n: int) -> PairAlgebra:
 
 # ---------------------------------------------------------------------------
 # specifier registry
-
-
-def make_special(spec: str) -> PairAlgebra:
-    """Build a named table pair from its specifier."""
-    return make_algebra(spec)
-
-
-def make_hyperpair(spec: str) -> PairAlgebra:
-    alg = make_algebra(spec)
-    if not (spec.startswith("krasner") or spec.startswith("hyper")
-            or spec.startswith("powerset-symdiff")):
-        raise BadSpecifier(f"{spec!r} is not a hyperpair specifier")
-    return alg
 
 
 _ALGEBRA_CACHE = {}

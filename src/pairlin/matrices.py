@@ -18,15 +18,11 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .core import El, PairAlgebra, PairError, balances
+from .core import CapExceeded, El, PairAlgebra, PairError, balances
 from .instances import BadSpecifier, embed_doubled, make_doubled, project_doubled
 
 
 class DimensionMismatch(PairError):
-    pass
-
-
-class CapExceeded(PairError):
     pass
 
 
@@ -163,10 +159,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
             for i in range(a.rows)
         ),
     )
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a.entries == b.entries
 
 
 def embed_matrix(dalg, a: Matrix) -> Matrix:
@@ -401,18 +393,6 @@ def det_signed(a: Matrix) -> El:
 # adjoint and Laplace
 
 
-def _dd_mul(dalg, x: El, y: El) -> El:
-    (p1, n1), (p2, n2) = x.payload, y.payload
-    base = dalg.base
-    return El(
-        dalg.id,
-        (
-            base.add(base.mul(p1, p2), base.mul(n1, n2)),
-            base.add(base.mul(p1, n2), base.mul(n1, p2)),
-        ),
-    )
-
-
 def _switch_pow(dalg, x: El, k: int) -> El:
     if k & 1:
         p, n = x.payload
@@ -465,8 +445,7 @@ def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
         comp_cols = tuple(j for j in range(n) if j not in cols)
         d1 = det_doubled(a.submatrix(rows, cols), cap=cap)
         d2 = det_doubled(a.submatrix(comp_rows, comp_cols), cap=cap)
-        term = _dd_mul(
-            dalg,
+        term = dalg.mul(
             El(dalg.id, (d1.det_plus, d1.det_minus)),
             El(dalg.id, (d2.det_plus, d2.det_minus)),
         )
@@ -516,16 +495,7 @@ def cayley_hamilton_check(a: Matrix, cap=CAYLEY_HAMILTON_CAP) -> bool:
     for k, c in enumerate(coeffs):
         term = scalar_mat(dalg, c, powers[n - k])
         total = term if total is None else mat_add(total, term)
-    return all(doubled_entry_null(dalg, e) for row in total.entries for e in row)
-
-
-def doubled_entry_null(dalg, e: El) -> bool:
-    """Nullity of a doubled element: components balance in the base pair.
-
-    make_doubled's null predicate already folds the balance rule in, so this
-    is a readable alias.
-    """
-    return dalg.is_null(e)
+    return all(dalg.is_null(e) for row in total.entries for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +514,7 @@ def quasi_identity_check(m: Matrix) -> bool:
                     return False
             elif not alg.is_null(m[i, j]):
                 return False
-    return mat_eq(mat_mul(m, m), m)
+    return mat_mul(m, m).entries == m.entries
 
 
 @dataclass
@@ -601,7 +571,7 @@ def krasner_det_contains_zero(a: Matrix, cap=KRASNER_CAP) -> bool:
     """Whether some choice of coset representatives makes the classical
     field determinant vanish.  Exhaustive over representative choices."""
     alg = a.alg
-    if not hasattr(alg, "krasner_field"):
+    if alg.krasner_field is None:
         raise PairError(f"{alg.id} is not a Krasner quotient instance")
     if not a.is_square:
         raise DimensionMismatch("krasner determinant of a non-square matrix")

@@ -158,12 +158,18 @@ def entry_ratio_domain(alg, vectors, depth: int = 2) -> EntryRatioDomain:
     return EntryRatioDomain(scale, frozenset(out), depth)
 
 
+def heuristic_domain(alg: PairAlgebra, vectors, depth: int):
+    """The entry-ratio domain of the given depth over a max-plus pair; the
+    coefficient 1 alone over any other pair."""
+    if alg.max_plus:
+        return entry_ratio_domain(alg, vectors, depth)
+    return CoefficientDomain((alg.one,), "heuristic", depth)
+
+
 def default_domain(alg: PairAlgebra, vectors):
     if alg.tangibles is not None:
         return exact_domain(alg)
-    if alg.id == "supertropical":
-        return entry_ratio_domain(alg, vectors)
-    return CoefficientDomain((alg.one,), "heuristic", 0)
+    return heuristic_domain(alg, vectors, 2)
 
 
 def _combo_null(alg, vectors, support, coeffs) -> bool:
@@ -362,7 +368,7 @@ def _super_search(raw, scale, view, support):
     return None
 
 
-def find_dependence(vectors, domain, alg=None):
+def find_dependence(vectors, domain, alg):
     """First dependence witness, or None (definitive only for exact domains).
 
     Supports are enumerated by size then lexicographically; coefficient
@@ -371,8 +377,6 @@ def find_dependence(vectors, domain, alg=None):
     """
     if not vectors:
         return None
-    if alg is None:
-        alg = _owner(vectors)
     if len(domain) == 0:
         raise DomainEmpty("empty coefficient domain")
     m = len(vectors)
@@ -382,7 +386,7 @@ def find_dependence(vectors, domain, alg=None):
             raise PairError("vectors must have equal length")
         for e in vec:
             alg.check(e)
-    supertrop = alg.id == "supertropical"
+    supertrop = alg.max_plus
     if supertrop:
         view = domain
         if not isinstance(domain, EntryRatioDomain):
@@ -408,10 +412,6 @@ def find_dependence(vectors, domain, alg=None):
                     if _combo_null(alg, vectors, support, coeffs):
                         return DependenceWitness(support, coeffs)
     return None
-
-
-def _owner(vectors):
-    raise PairError("an algebra must be supplied with raw vectors")
 
 
 def row_rank(a: Matrix, domain=None) -> int:

@@ -212,6 +212,36 @@ class TestCommands:
         assert run_command(["solve", "cramer", st_file, "--rhs", "4,zz"]) == 2
         assert "zz" in kv(capsys.readouterr().out)["error"]
 
+    def test_unprintable_determinant_exit_3(self, tmp_path, capsys):
+        # each literal prints, but their sum has a 4401-digit denominator
+        a, b = f"1/{10 ** 2200 + 1}", f"1/{10 ** 2200 + 3}"
+        f = tmp_path / "digits.txt"
+        f.write_text(f"pair supertropical\nrows 2\ncols 2\n{a} -inf\n-inf {b}\n")
+        start = time.perf_counter()
+        assert run_command(["det", str(f)]) == 3
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("error:")] == [
+            "error: supertropical: value exceeds the int-to-str digit limit"
+        ]
+
+    @pytest.mark.parametrize("entry", ["zz", "{g0", "{g0,zz}"])
+    def test_bad_powerset_literal_exit_2(self, tmp_path, capsys, entry):
+        f = tmp_path / "bad.txt"
+        f.write_text(f"pair powerset-symdiff:2\nrows 1\ncols 2\ng0 {entry}\n")
+        assert run_command(["det", str(f)]) == 2
+        assert "powerset-symdiff:2" in kv(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("spec", ["krasner:61:60", "counting:2000"])
+    def test_oversized_pair_exit_2(self, tmp_path, capsys, spec):
+        start = time.perf_counter()
+        assert run_command(["audit", spec]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "more than 256 elements" in kv(capsys.readouterr().out)["error"]
+        f = tmp_path / "big.txt"
+        f.write_text(f"pair {spec}\nrows 1\ncols 1\n0\n")
+        assert run_command(["det", str(f)]) == 2
+
 
 class TestDoubledLiterals:
     def test_doubled_boolean_matrix_file(self, tmp_path, capsys):

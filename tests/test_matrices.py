@@ -23,7 +23,7 @@ from pairlin import (
     quasi_inverse,
     st_tan,
 )
-from pairlin.core import El
+from pairlin.core import El, PairAlgebra
 from pairlin.instances import make_doubled, registered_instances
 from pairlin.matrices import (
     Matrix,
@@ -197,14 +197,17 @@ def off_carrier_masks(alg):
 
 
 def count_muls(monkeypatch, alg):
+    """Count alg.mul calls; descriptors are immutable, so the class's method
+    is wrapped and calls on other pairs pass through uncounted."""
     calls = []
-    inner = alg._mul
+    inner = PairAlgebra.mul
 
-    def counted(x, y):
-        calls.append(1)
-        return inner(x, y)
+    def counted(self, x, y):
+        if self is alg:
+            calls.append(1)
+        return inner(self, x, y)
 
-    monkeypatch.setattr(alg, "_mul", counted)
+    monkeypatch.setattr(PairAlgebra, "mul", counted)
     return calls
 
 
