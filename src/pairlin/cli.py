@@ -319,7 +319,7 @@ def run_command(argv) -> int:
     except (CapExceeded, Undecidable, NoConvergence, UndecidableSurpassing) as exc:
         rep.emit("error", str(exc))
         return 3
-    except (BadSpecifier, ParseFailure, UnknownExample, OSError) as exc:
+    except (BadSpecifier, ParseFailure, UnknownExample, OSError, UnicodeDecodeError) as exc:
         rep.emit("error", str(exc))
         return 2
     except PairError as exc:

@@ -49,6 +49,11 @@ class CapExceeded(PairError):
 
 
 CHARACTERISTIC_CAP = 10 ** 6
+# largest finite carrier axiom_audit enumerates: the audit walks every triple
+# of elements, so 32 elements are 32,768 triples (under a second for a table
+# pair; a doubled pair of 25 elements takes about 1.7 s).  Every registered
+# pair has at most 25 elements.
+AUDIT_CARRIER_CAP = 32
 
 FIRST = "first"
 SECOND = "second"
@@ -469,10 +474,16 @@ def axiom_audit(alg: PairAlgebra) -> AuditReport:
     Verdicts cover admissibility, Property N, metatangibility and its
     refinements, kind, balancing-related properties, and the hypotheses the
     matrix theory consumes (tangible summand, LZS, unique negation).
-    Computed once per descriptor.
+    Computed once per descriptor.  A finite carrier of more than
+    AUDIT_CARRIER_CAP elements raises CapExceeded before any work.
     """
     memo = alg._memo
     if "audit" not in memo:
+        if alg.carrier is not None and len(alg.carrier) > AUDIT_CARRIER_CAP:
+            raise CapExceeded(
+                f"audit cap exceeded: {alg.id} has {len(alg.carrier)} elements,"
+                f" more than {AUDIT_CARRIER_CAP}"
+            )
         memo["audit"] = _audit(alg)
     return memo["audit"]
 

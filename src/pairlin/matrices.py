@@ -8,8 +8,15 @@ over addition each row set keeps its two parity sums (about n * 2^n
 products); elsewhere it keeps its distinct partial products with their track
 counts, which for tangible entries of a hyperfield are at most the number
 of atoms.  One such pass gives the determinants of every minor on the
-columns walked, so an adjoint takes n passes.  The desk-scale caps bound n
-either way.
+columns walked, so an adjoint takes n passes and a Laplace expansion two.
+The desk-scale caps bound n either way.
+
+Doubled products with an embedded factor, b -> (b, 0), are done in base
+coordinates.  Zero is additively neutral and multiplicatively absorbing in
+every pair (the audit's admissible flag), so (p, n)(x, 0) = (px + n0, p0 + nx)
+= (px, nx) exactly, and the powers of an embedded matrix are the embedded
+powers of the base matrix.  Cayley-Hamilton therefore multiplies only base
+matrices and folds each entry of f(A) as two base sums.
 """
 
 from __future__ import annotations
@@ -148,17 +155,6 @@ def mat_vec(a: Matrix, v) -> tuple:
 
 def scalar_mat(alg, c, a: Matrix) -> Matrix:
     return Matrix(alg, tuple(tuple(alg.mul(c, e) for e in row) for row in a.entries))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    alg = a.alg
-    return Matrix(
-        alg,
-        tuple(
-            tuple(alg.add(a[i, j], b[i, j]) for j in range(a.cols))
-            for i in range(a.rows)
-        ),
-    )
 
 
 def embed_matrix(dalg, a: Matrix) -> Matrix:
@@ -427,6 +423,11 @@ def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
     """Generalized Laplace expansion along a set of rows.
 
     Contract: equals det_doubled(a) exactly, as a doubled element.
+
+    A permutation and its inverse have one parity, so the minor layer of the
+    transpose over rows holds the doubled determinant of A on rows x S for
+    every column set S, and its layer over the other rows holds every
+    complementary minor: two layers instead of 2 * C(n, m) determinants.
     """
     if not a.is_square:
         raise DimensionMismatch("laplace expansion of a non-square matrix")
@@ -439,16 +440,14 @@ def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
     alg = a.alg
     dalg = make_doubled(alg)
     comp_rows = tuple(i for i in range(n) if i not in rows)
-    m = len(rows)
+    at = a.transpose()
+    top = _minor_layer(at, rows)
+    bottom = _minor_layer(at, comp_rows)
+    full = (1 << n) - 1
     acc = El(dalg.id, (alg.zero, alg.zero))
-    for cols in itertools.combinations(range(n), m):
-        comp_cols = tuple(j for j in range(n) if j not in cols)
-        d1 = det_doubled(a.submatrix(rows, cols), cap=cap)
-        d2 = det_doubled(a.submatrix(comp_rows, comp_cols), cap=cap)
-        term = dalg.mul(
-            El(dalg.id, (d1.det_plus, d1.det_minus)),
-            El(dalg.id, (d2.det_plus, d2.det_minus)),
-        )
+    for cols in itertools.combinations(range(n), len(rows)):
+        s = sum(1 << j for j in cols)
+        term = dalg.mul(El(dalg.id, top[s]), El(dalg.id, bottom[full ^ s]))
         term = _switch_pow(dalg, term, sum(rows) + sum(cols))
         acc = dalg.add(acc, term)
     p, q = acc.payload
@@ -487,15 +486,21 @@ def cayley_hamilton_check(a: Matrix, cap=CAYLEY_HAMILTON_CAP) -> bool:
     alg = a.alg
     dalg = make_doubled(alg)
     coeffs = char_poly_doubled(a)
-    ahat = embed_matrix(dalg, a)
-    powers = [identity(dalg, n)]
+    # f(A)_ij = (sum c+ (A^(n-k))_ij, sum c- (A^(n-k))_ij): see the module notes
+    powers = [identity(alg, n)]
     for _ in range(n):
-        powers.append(mat_mul(powers[-1], ahat))
-    total = None
-    for k, c in enumerate(coeffs):
-        term = scalar_mat(dalg, c, powers[n - k])
-        total = term if total is None else mat_add(total, term)
-    return all(dalg.is_null(e) for row in total.entries for e in row)
+        powers.append(mat_mul(powers[-1], a))
+    for i in range(n):
+        for j in range(n):
+            plus = minus = None
+            for k, c in enumerate(coeffs):
+                cp, cm = c.payload
+                x = powers[n - k].entries[i][j]
+                plus = _plus(alg, plus, alg.mul(cp, x))
+                minus = _plus(alg, minus, alg.mul(cm, x))
+            if not dalg.is_null(El(dalg.id, (plus, minus))):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

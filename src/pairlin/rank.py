@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .core import PairAlgebra, PairError, surpasses0
+from .core import PairAlgebra, PairError, balances, surpasses0
 from .instances import st_tan, st_value
-from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, is_singular
+from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, _minor_layer, det_cap
 
 
 class DomainEmpty(PairError):
@@ -434,12 +434,19 @@ def _rank_of(alg, vectors, domain):
 
 
 def submatrix_rank(a: Matrix) -> int:
-    """Largest size of a nonsingular square submatrix."""
+    """Largest size of a nonsingular square submatrix.
+
+    One minor layer per column set gives that set's doubled determinants
+    against every row set at once.
+    """
+    alg = a.alg
     for k in range(min(a.rows, a.cols), 0, -1):
-        for ri in itertools.combinations(range(a.rows), k):
-            for ci in itertools.combinations(range(a.cols), k):
-                if not is_singular(a.submatrix(ri, ci)):
-                    return k
+        if k > det_cap():
+            raise CapExceeded(f"determinant cap exceeded at n = {k}")
+        for ci in itertools.combinations(range(a.cols), k):
+            layer = _minor_layer(a, ci)
+            if not all(balances(alg, p, q) for p, q in layer.values()):
+                return k
     return 0
 
 

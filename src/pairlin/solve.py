@@ -1,5 +1,12 @@
 """Cramer's rule with balance verification, and the Jacobi iteration with
-modulus-based convergence."""
+modulus-based convergence.
+
+Both work on the doubled pair only where a factor is embedded, b -> (b, 0).
+Zero is additively neutral and multiplicatively absorbing in every pair, so
+(p, n)(x, 0) = (px, nx) and (x, 0)(p, n) = (xp, xn) exactly: adj(A) v, A w and
+|A| v are each two folds in the base, one per coordinate, and no embedded
+vector or matrix is built.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import El, PairError, balances
-from .instances import embed_doubled, make_doubled, project_doubled
+from .instances import make_doubled
 from .matrices import (
     DimensionMismatch,
     CapExceeded,
@@ -17,7 +24,6 @@ from .matrices import (
     adjoint,
     det_doubled,
     det_cap,
-    embed_matrix,
     mat_vec,
 )
 
@@ -46,11 +52,21 @@ class CramerResult:
     x_verified: bool = False
 
 
-def _doubled_balance(dalg, lhs: El, rhs: El) -> bool:
+def _doubled_balance(dalg, lhs, rhs) -> bool:
     # switch negation is declared unique on doubled pairs: X nabla Y iff
-    # X (-) Y is null there
-    p, n = rhs.payload
-    return dalg.is_null(dalg.add(lhs, El(dalg.id, (n, p))))
+    # X (-) Y is null there; X and Y are given as base coordinates
+    (lp, ln), (rp, rn) = lhs, rhs
+    return dalg.is_null(El(dalg.id, (dalg.base.add(lp, rn), dalg.base.add(ln, rp))))
+
+
+def _adj_vec(a: Matrix, v) -> tuple:
+    """adj(A) (v, 0) as its two base coordinate vectors (w+, w-)."""
+    alg = a.alg
+    rows = adjoint(a).entries
+    return tuple(
+        tuple(alg.sum(alg.mul(e.payload[side], x) for e, x in zip(row, v)) for row in rows)
+        for side in (0, 1)
+    )
 
 
 def cramer_solve(a: Matrix, v) -> CramerResult:
@@ -63,14 +79,11 @@ def cramer_solve(a: Matrix, v) -> CramerResult:
         raise DimensionMismatch("right-hand side length mismatch")
     alg = a.alg
     dalg = make_doubled(alg)
-    adj = adjoint(a)
-    vhat = tuple(embed_doubled(dalg, e) for e in v)
-    w = mat_vec(adj, vhat)
+    wp, wm = _adj_vec(a, v)
+    w = tuple(El(dalg.id, pm) for pm in zip(wp, wm))
     d = det_doubled(a)
-    det_el = El(dalg.id, (d.det_plus, d.det_minus))
-    ahat = embed_matrix(dalg, a)
-    aw = mat_vec(ahat, w)
-    lhs = tuple(dalg.mul(det_el, ve) for ve in vhat)
+    lhs = ((alg.mul(d.det_plus, e), alg.mul(d.det_minus, e)) for e in v)
+    aw = zip(mat_vec(a, wp), mat_vec(a, wm))
     balance_verified = all(
         _doubled_balance(dalg, l, r) for l, r in zip(lhs, aw)
     )
@@ -79,7 +92,7 @@ def cramer_solve(a: Matrix, v) -> CramerResult:
     if alg.negation is not None and alg.tangible_inverse is not None:
         det_base = alg.add(d.det_plus, alg.negation(d.det_minus))
         if alg.is_tangible(det_base):
-            w_base = tuple(project_doubled(dalg, we) for we in w)
+            w_base = tuple(alg.add(p, alg.negation(q)) for p, q in zip(wp, wm))
             if all(alg.is_tangible(e) or e == alg.zero for e in w_base):
                 inv = alg.tangible_inverse(det_base)
                 x = tuple(alg.mul(inv, e) for e in w_base)
@@ -227,13 +240,8 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     # mu identity, checked exactly
     d = det_doubled(a)
     det_mu = alg.modulus(alg.add(d.det_plus, d.det_minus))
-    dalg = make_doubled(alg)
-    adj = adjoint(a)
-    vhat = tuple(embed_doubled(dalg, e) for e in v)
-    w = mat_vec(adj, vhat)
     ok = True
-    for xi, wi in zip(state.x, w):
-        p, q = wi.payload
+    for xi, p, q in zip(state.x, *_adj_vec(a, v)):
         wmu = max(alg.modulus(p), alg.modulus(q))
         lhs = alg.modulus(xi)
         if wmu.is_bottom:

@@ -130,6 +130,13 @@ class TestCommands:
         assert d["strict_second_kind"] == "true"
         assert d["a0_bipotent"] == "true"
 
+    @pytest.mark.parametrize("spec", ["counting:32", "counting:255", "doubled:krasner:13:3"])
+    def test_audit_over_the_carrier_cap_exit_3(self, capsys, spec):
+        start = time.perf_counter()
+        assert run_command(["audit", spec]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "more than 32" in kv(capsys.readouterr().out)["error"]
+
     def test_example_pass(self, capsys):
         assert run_command(["example", "sign-a2-counterexample"]) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from pairlin import (
+    CapExceeded,
     axiom_audit,
     balances,
     characteristic,
@@ -15,12 +16,18 @@ from pairlin import (
     height,
     make_algebra,
     make_doubled,
+    registered_instances,
     st_ghost,
     st_tan,
     surpasses0,
     uniform_presentation,
 )
-from pairlin.core import NonTangibleInput, NotMetatangible, UniformPresentation
+from pairlin.core import (
+    AUDIT_CARRIER_CAP,
+    NonTangibleInput,
+    NotMetatangible,
+    UniformPresentation,
+)
 
 sign = make_algebra("sign")
 sb = make_algebra("superboolean")
@@ -274,6 +281,22 @@ class TestAudit:
         assert not rep.flags["property_n"]
         assert rep.flags["weakly_metatangible"]
         assert not rep.flags["metatangible"]
+
+    def test_audit_carrier_cap_both_sides(self):
+        at_cap = make_algebra(f"counting:{AUDIT_CARRIER_CAP - 1}")
+        assert len(at_cap.carrier) == AUDIT_CARRIER_CAP
+        assert axiom_audit(at_cap).flags["admissible"]
+        for spec in (f"counting:{AUDIT_CARRIER_CAP}", "doubled:counting:5"):
+            over = make_algebra(spec)
+            assert len(over.carrier) > AUDIT_CARRIER_CAP
+            with pytest.raises(CapExceeded, match="audit cap exceeded"):
+                axiom_audit(over)
+
+    def test_registered_pairs_fit_the_audit_cap(self):
+        for alg in registered_instances():
+            assert len(alg.carrier) <= AUDIT_CARRIER_CAP, alg.id
+        for spec in ("hyper:hex2-c4", "krasner:17:1", "doubled:sign", "doubled:superboolean"):
+            assert len(make_algebra(spec).carrier) <= AUDIT_CARRIER_CAP, spec
 
     def test_tangible_plus_null_covers_metatangible_carriers(self):
         for alg in (sign, sb, db):
