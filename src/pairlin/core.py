@@ -4,8 +4,12 @@ A "pair" is a carrier with a distinguished tangible set T and a null layer A0
 standing in for {0}.  All arithmetic on elements is mediated by the owning
 algebra descriptor; elements themselves are opaque tagged payloads.  A
 descriptor is immutable and carries its own capabilities (negation, decision
-rules for surpassing and height, its base pair when doubled), so nothing is
-looked up by id.
+rules for surpassing and height, its base pair when doubled, its codec), so
+nothing is looked up by id.
+
+The matrix kernels do not run on elements.  A pair's codec maps the elements
+one kernel call sees to plain Python values (codes) and back, and adds and
+multiplies codes with no owner check and no element construction; see Codec.
 """
 
 from __future__ import annotations
@@ -102,6 +106,41 @@ class ModulusValue:
         return ModulusValue(-self.value)
 
 
+class Codec:
+    """Codes for the elements of one kernel call.
+
+    `encode` and `decode` map elements to codes and back, `add` and `mul`
+    are the pair's operations on codes, and `zero` and `one` are codes.  A
+    codec whose codes depend on the call's elements (the supertropical
+    scale) has `rebind`, which builds the codec for a given iterable of
+    elements; every other codec serves any call as it is.
+
+    A plain class: a dataclass would cost about a millisecond at import.
+    """
+
+    __slots__ = ("zero", "one", "add", "mul", "encode", "decode", "rebind")
+
+    def __init__(self, zero, one, add, mul, encode, decode, rebind=None):
+        self.zero, self.one = zero, one
+        self.add, self.mul = add, mul
+        self.encode, self.decode = encode, decode
+        self.rebind = rebind
+
+    def bind(self, elements) -> "Codec":
+        return self if self.rebind is None else self.rebind(elements)
+
+
+def _same(x):
+    return x
+
+
+def el_codec(alg: "PairAlgebra") -> Codec:
+    """Elements as their own codes, with the descriptor's raw operations:
+    the codec of a pair that declares none, and the reference the tests run
+    every coded kernel against."""
+    return Codec(alg.zero, alg.one, alg._add, alg._mul, _same, _same)
+
+
 class PairAlgebra:
     """Descriptor of a pair: carrier arithmetic, tangible/null predicates and
     every capability the layers above consult.
@@ -110,6 +149,19 @@ class PairAlgebra:
     afterwards, so descriptors are freely shareable.  The kind detection and
     the axiom audit are computed on first use and memoised.
     """
+
+    # Fixed slots: CPython keeps at most 29 attributes of an instance dict in
+    # its inline storage, and a 30th moves them all to a plain dict, which
+    # nearly doubles the cost of every attribute read and so of every element
+    # operation.
+    __slots__ = (
+        "id", "zero", "one", "_add", "_mul", "_is_tangible", "_is_null",
+        "dagger", "negation", "negation_unique", "distributive", "tangibles",
+        "carrier", "modulus", "declared_kind", "tangible_inverse",
+        "tangible_lift", "sample", "parse_literal", "format_literal",
+        "spec_string", "desc", "base", "krasner_field", "krasner_cosets",
+        "surpass_rule", "height_rule", "max_plus", "_codec", "_memo",
+    )
 
     def __init__(
         self,
@@ -141,6 +193,7 @@ class PairAlgebra:
         surpass_rule: Optional[Callable[[El, El], bool]] = None,
         height_rule: Optional[Callable[[El], int]] = None,
         max_plus: bool = False,
+        codec: Optional[Callable[["PairAlgebra"], Codec]] = None,
     ):
         fields = dict(
             id=id,
@@ -180,13 +233,14 @@ class PairAlgebra:
             # values are rationals under max and +: dependence searches run
             # on the entry-ratio domain in integers
             max_plus=max_plus,
-            # kind detection and audit report, filled on first use
+            # builds the pair's Codec from the descriptor; called on first
+            # kernel use, so construction builds no code tables
+            _codec=codec or el_codec,
+            # kind detection, audit report and codec, filled on first use
             _memo={},
         )
         for name, value in fields.items():
-            # object.__setattr__ keeps the attributes in CPython's inline
-            # storage; writing through vars(self) would build an instance
-            # dict and slow every attribute read by about a sixth
+            # past this class's own __setattr__, which refuses assignment
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -212,6 +266,14 @@ class PairAlgebra:
     def mul(self, a: El, b: El) -> El:
         self.check(a, b)
         return self._mul(a, b)
+
+    def coding(self, elements=()) -> Codec:
+        """The pair's codec, bound to the elements one kernel call will
+        encode."""
+        memo = self._memo
+        if "codec" not in memo:
+            memo["codec"] = self._codec(self)
+        return memo["codec"].bind(elements)
 
     def is_tangible(self, a: El) -> bool:
         self.check(a)

@@ -7,16 +7,23 @@ Finite instances are table-driven or, for hyperpairs, atomwise over subsets
 of atoms, and hold at most CARRIER_CAP elements; the supertropical pair
 works over exact rationals with a ghost layer and never touches floating
 point.
+
+Each constructor also passes its pair's codec (see core.Codec): table pairs
+and the symmetric-difference pair code an element by its index into the
+carrier, hyperpairs by its atom mask, the supertropical pair by a scaled
+integer with a ghost bit, and a doubled pair by a pair of base codes.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from fractions import Fraction
 
 from .core import (
     CapExceeded,
+    Codec,
     El,
     FIRST,
     ModulusValue,
@@ -50,6 +57,26 @@ def _check_size(spec, size):
 
 # ---------------------------------------------------------------------------
 # table pairs
+
+
+def _carrier_codec(alg) -> Codec:
+    """Codes are indices into a carrier closed under + and *, and the
+    operations are nested-list tables of the pair's own."""
+    carrier = alg.carrier
+    index = {e.payload: i for i, e in enumerate(carrier)}
+
+    def table(op):
+        return [[index[op(x, y).payload] for y in carrier] for x in carrier]
+
+    add_t, mul_t = table(alg._add), table(alg._mul)
+    return Codec(
+        zero=index[alg.zero.payload],
+        one=index[alg.one.payload],
+        add=lambda x, y: add_t[x][y],
+        mul=lambda x, y: mul_t[x][y],
+        encode=lambda e: index[e.payload],
+        decode=carrier.__getitem__,
+    )
 
 
 def _table_pair(
@@ -132,6 +159,7 @@ def _table_pair(
         format_literal=lambda a: str(a.payload),
         spec_string=spec_string or id,
         desc=desc,
+        codec=_carrier_codec,
     )
 
 
@@ -255,6 +283,54 @@ def _st_format(a):
     return text + ("g" if layer == "g" else "")
 
 
+def _st_codec(scale) -> Codec:
+    """Supertropical codes: ((v * scale) << 1) | ghost for value v, and
+    None for zero.  A call's codec takes for scale the lcm of the
+    denominators of its elements, so every code is an integer: a product
+    adds codes and ors the ghost bits, a sum keeps the larger value, and
+    equal values sum to their ghost."""
+
+    def encode(e):
+        if e.payload is None:
+            return None
+        layer, v = e.payload
+        step, rest = divmod(scale, v.denominator)
+        if rest:
+            raise PairError(f"{_ST}: {v} is not a multiple of 1/{scale}")
+        return (v.numerator * step) << 1 | (layer == "g")
+
+    def decode(c):
+        if c is None:
+            return ST_ZERO
+        return El(_ST, ("g" if c & 1 else "t", Fraction(c >> 1, scale)))
+
+    def rebind(elements):
+        return _st_codec(
+            math.lcm(*{e.payload[1].denominator for e in elements if e.payload is not None})
+        )
+
+    return Codec(
+        zero=None, one=0, add=_st_add_codes, mul=_st_mul_codes,
+        encode=encode, decode=decode, rebind=rebind,
+    )
+
+
+def _st_add_codes(x, y):
+    if x is None:
+        return y
+    if y is None:
+        return x
+    if x >> 1 == y >> 1:
+        return x | 1
+    return x if x > y else y
+
+
+def _st_mul_codes(x, y):
+    if x is None or y is None:
+        return None
+    return x + y - (x & y & 1)
+
+
 def make_supertropical() -> PairAlgebra:
     """Max-plus supertropical pair: tangible rationals plus a ghost copy."""
     sample = (
@@ -293,6 +369,7 @@ def make_supertropical() -> PairAlgebra:
         surpass_rule=_st_surpass,
         height_rule=_st_height,
         max_plus=True,
+        codec=lambda alg: _st_codec(1),
     )
 
 
@@ -394,6 +471,26 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
         picks = base.sample[:4]
         sample = tuple(pack(p, n) for p in picks for n in picks)
 
+    def codec(base_codec):
+        badd, bmul = base_codec.add, base_codec.mul
+        benc, bdec = base_codec.encode, base_codec.decode
+
+        def mul(x, y):
+            (p1, n1), (p2, n2) = x, y
+            return badd(bmul(p1, p2), bmul(n1, n2)), badd(bmul(p1, n2), bmul(n1, p2))
+
+        return Codec(
+            zero=(base_codec.zero, base_codec.zero),
+            one=(base_codec.one, base_codec.zero),
+            add=lambda x, y: (badd(x[0], y[0]), badd(x[1], y[1])),
+            mul=mul,
+            encode=lambda e: (benc(e.payload[0]), benc(e.payload[1])),
+            decode=lambda c: pack(bdec(c[0]), bdec(c[1])),
+            rebind=base_codec.rebind and (
+                lambda elements: codec(base.coding(x for e in elements for x in e.payload))
+            ),
+        )
+
     return PairAlgebra(
         id=did,
         zero=zero,
@@ -421,6 +518,7 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
         spec_string=f"doubled:{base.spec_string}",
         desc=f"doubled pair over {base.id} (switch negation, second kind)",
         base=base,
+        codec=lambda dalg: codec(base.coding()),
     )
 
 
@@ -629,6 +727,14 @@ def _closure_pair(
                 out |= row[j]
         return out
 
+    def mask_op(table):
+        def op(m1, m2):
+            if m1 & (m1 - 1) or m2 & (m2 - 1):
+                return combine(table, m1, m2)
+            return table[m1.bit_length() - 1][m2.bit_length() - 1]
+
+        return op
+
     def element_op(table):
         atom_els = [[El(id, m) for m in row] for row in table]
 
@@ -729,6 +835,16 @@ def _closure_pair(
         spec_string=spec_string or id,
         desc=desc,
         surpass_rule=_subset_surpass,
+        # codes are atom masks: a product of sets that are not atoms can
+        # leave the carrier, so carrier indices would not do
+        codec=lambda alg: Codec(
+            zero=1,
+            one=1 << one,
+            add=mask_op(add_atoms),
+            mul=mask_op(mul_atoms),
+            encode=lambda e: e.payload,
+            decode=lambda m: El(id, m),
+        ),
         **fields,
     )
 
@@ -956,6 +1072,7 @@ def make_powerset_symdiff(n: int) -> PairAlgebra:
         parse_literal=parse_literal,
         format_literal=fmt,
         desc=f"power set of C_{n} under symmetric difference (F2 group algebra)",
+        codec=_carrier_codec,
     )
     return alg
 

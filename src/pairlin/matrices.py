@@ -11,19 +11,24 @@ of atoms.  One such pass gives the determinants of every minor on the
 columns walked, so an adjoint takes n passes and a Laplace expansion two.
 The desk-scale caps bound n either way.
 
+The kernels run on codes, not on elements: each public call binds its pair's
+codec (core.Codec) to the elements it was given, encodes each matrix once,
+adds and multiplies codes, and decodes only the values it returns.
+
 Doubled products with an embedded factor, b -> (b, 0), are done in base
 coordinates.  Zero is additively neutral and multiplicatively absorbing in
 every pair (the audit's admissible flag), so (p, n)(x, 0) = (px + n0, p0 + nx)
 = (px, nx) exactly, and the powers of an embedded matrix are the embedded
 powers of the base matrix.  Cayley-Hamilton therefore multiplies only base
-matrices and folds each entry of f(A) as two base sums.
+matrices and folds each entry of f(A) as two base sums.  The same laws let
+every sum of products start from the zero code.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import CapExceeded, El, PairAlgebra, PairError, balances
 from .instances import BadSpecifier, embed_doubled, make_doubled, project_doubled
@@ -132,16 +137,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     alg = a.alg
-    return Matrix(
-        alg,
-        tuple(
-            tuple(
-                alg.sum(alg.mul(a[i, k], b[k, j]) for k in range(a.cols))
-                for j in range(b.cols)
-            )
-            for i in range(a.rows)
-        ),
-    )
+    alg.check(*b.entries[0])
+    coding, x = _coded(a, *b.entries)
+    dec = coding.decode
+    prod = _mat_mul_codes(x, _encode(coding, b.entries), coding)
+    return Matrix(alg, tuple(tuple(dec(c) for c in row) for row in prod))
 
 
 def mat_vec(a: Matrix, v) -> tuple:
@@ -169,16 +169,47 @@ def project_matrix(dalg, a: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+# codes
+
+
+def _encode(coding, rows) -> list:
+    enc = coding.encode
+    return [[enc(e) for e in row] for row in rows]
+
+
+def _coded(a: Matrix, *extra) -> tuple:
+    """The codec of one call, bound to a's entries and the extra element
+    iterables, and a's entries as codes."""
+    coding = a.alg.coding(itertools.chain(*a.entries, *extra))
+    return coding, _encode(coding, a.entries)
+
+
+def _dot(coding, xs, ys):
+    add, mul = coding.add, coding.mul
+    acc = coding.zero
+    for x, y in zip(xs, ys):
+        acc = add(acc, mul(x, y))
+    return acc
+
+
+def _mat_mul_codes(x, y, coding) -> list:
+    cols = list(zip(*y))
+    return [[_dot(coding, row, col) for col in cols] for row in x]
+
+
+# ---------------------------------------------------------------------------
 # doubled determinants
 
 
 @dataclass(frozen=True)
 class DoubledDet:
-    """Ordered pair of the even-track and odd-track sums."""
+    """Ordered pair of the even-track and odd-track sums, with the number of
+    code products the minor layers made for it (0 where none ran)."""
 
     alg: PairAlgebra
     det_plus: El
     det_minus: El
+    products: int = field(default=0, compare=False)
 
     def total(self) -> El:
         """det_plus + det_minus: the permanent."""
@@ -220,7 +251,8 @@ def det_tracks(a: Matrix, cap=None) -> DoubledDet:
     on its own and folded into its parity's sum, in lexicographic order of
     the permutations.
 
-    Assumes no algebraic law; det_doubled is tested against it.
+    Assumes no algebraic law and runs on elements; det_doubled is tested
+    against it.
     """
     n = _det_size(a, cap)
     alg = a.alg
@@ -250,65 +282,56 @@ def det_doubled(a: Matrix, cap=None) -> DoubledDet:
     is commutative and associative.
     """
     n = _det_size(a, cap)
-    plus, minus = _minor_layer(a, range(n))[(1 << n) - 1]
-    return DoubledDet(a.alg, plus, minus)
+    coding, codes = _coded(a)
+    layer, products = _minor_layer(a.alg, codes, range(n), coding)
+    p, q = layer[(1 << n) - 1]
+    return DoubledDet(a.alg, coding.decode(p), coding.decode(q), products)
 
 
-def _minor_layer(a: Matrix, cols) -> dict:
-    """(det_plus, det_minus) of the submatrix on rows S and columns cols, for
-    every row set S (a bitmask) with |S| = len(cols).
+def _minor_layer(alg, codes, cols, coding) -> tuple:
+    """(layer, products): the layer maps every row set S (a bitmask) with
+    |S| = len(cols) to the coded (det_plus, det_minus) of the submatrix on
+    rows S and columns cols, and products counts the code products made.
 
     Both paths walk cols in order and extend each partial track, held under
     the set S of rows it has taken, by a row i outside S.  That adds one
     inversion per row of S with a larger index than i, so an odd number of
     those swaps the track's parity.
     """
-    if det_method(a.alg) == "dp":
-        return _dp_layer(a, cols)
-    return _walk_layer(a, cols)
+    if det_method(alg) == "dp":
+        return _dp_layer(codes, cols, coding)
+    return _walk_layer(codes, cols, coding)
 
 
-def _plus(alg, x, y):
-    # None marks an empty sum, which the DP never multiplies
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return alg.add(x, y)
-
-
-def _dp_layer(a: Matrix, cols) -> dict:
+def _dp_layer(codes, cols, coding) -> tuple:
     """Each S keeps its (even, odd) sums of partial track products.
     Regrouping the track sum by S needs multiplication to distribute over
     addition."""
-    alg = a.alg
-    n = a.rows
-    layer = {0: (alg.one, None)}
-    for c in cols:
+    add, mul = coding.add, coding.mul
+    m = len(codes)
+    layer = {0: (coding.one, coding.zero)}
+    products = 0
+    for k, c in enumerate(cols):
+        col = [row[c] for row in codes]
         nxt = {}
         for s, (even, odd) in layer.items():
-            for i in range(n):
+            for i in range(m):
                 if s >> i & 1:
                     continue
-                e = a.entries[i][c]
-                x = None if even is None else alg.mul(even, e)
-                y = None if odd is None else alg.mul(odd, e)
+                e = col[i]
+                x = mul(even, e)
+                y = mul(odd, e)
                 if (s >> i).bit_count() & 1:
                     x, y = y, x
                 t = s | 1 << i
-                if t in nxt:
-                    px, py = nxt[t]
-                    x, y = _plus(alg, px, x), _plus(alg, py, y)
-                nxt[t] = (x, y)
+                prev = nxt.get(t)
+                nxt[t] = (x, y) if prev is None else (add(prev[0], x), add(prev[1], y))
+        products += 2 * (m - k) * len(layer)
         layer = nxt
-    zero = alg.zero
-    return {
-        s: (zero if even is None else even, zero if odd is None else odd)
-        for s, (even, odd) in layer.items()
-    }
+    return layer, products
 
 
-def _walk_layer(a: Matrix, cols) -> dict:
+def _walk_layer(codes, cols, coding) -> tuple:
     """Each S keeps its distinct partial products, each with the number of
     even and of odd partial tracks that reach it.
 
@@ -317,20 +340,22 @@ def _walk_layer(a: Matrix, cols) -> dict:
     a group costs one multiplication per extension.  A parity's sum is then
     the sum over its distinct products x of k * x, for k tracks.
     """
-    alg = a.alg
-    n = a.rows
-    layer = {0: {alg.one: [1, 0]}}
+    mul = coding.mul
+    m = len(codes)
+    layer = {0: {coding.one: [1, 0]}}
+    products = 0
     for c in cols:
         nxt = {}
         for s, prefixes in layer.items():
-            for i in range(n):
+            for i in range(m):
                 if s >> i & 1:
                     continue
-                e = a.entries[i][c]
+                e = codes[i][c]
                 swap = (s >> i).bit_count() & 1
                 out = nxt.setdefault(s | 1 << i, {})
+                products += len(prefixes)
                 for x, (even, odd) in prefixes.items():
-                    y = alg.mul(x, e)
+                    y = mul(x, e)
                     if swap:
                         even, odd = odd, even
                     counts = out.get(y)
@@ -340,28 +365,39 @@ def _walk_layer(a: Matrix, cols) -> dict:
                         counts[0] += even
                         counts[1] += odd
         layer = nxt
-    return {s: _parity_sums(alg, prefixes) for s, prefixes in layer.items()}
+    return {s: _parity_sums(coding, prefixes) for s, prefixes in layer.items()}, products
 
 
-def _parity_sums(alg, prefixes) -> tuple:
-    sums = [alg.zero, alg.zero]
+def _parity_sums(coding, prefixes) -> tuple:
+    add = coding.add
+    sums = [coding.zero, coding.zero]
     for x, counts in prefixes.items():
         for p, k in enumerate(counts):
             if k:
-                sums[p] = alg.add(sums[p], _multiple(alg, k, x))
+                sums[p] = add(sums[p], _multiple(add, k, x))
     return tuple(sums)
 
 
-def _multiple(alg, k, x):
+def _multiple(add, k, x):
     """x + x + ... + x with k >= 1 terms, by doubling."""
     acc = None
     while True:
         if k & 1:
-            acc = x if acc is None else alg.add(acc, x)
+            acc = x if acc is None else add(acc, x)
         k >>= 1
         if not k:
             return acc
-        x = alg.add(x, x)
+        x = add(x, x)
+
+
+def _column_layers(a: Matrix, coding, codes, k):
+    """(cols, layer) for every set of k columns in lexicographic order; the
+    layer maps each set of k rows (a bitmask) to the doubled determinant of
+    the submatrix on those rows and columns, decoded."""
+    dec = coding.decode
+    for cols in itertools.combinations(range(a.cols), k):
+        layer, _ = _minor_layer(a.alg, codes, cols, coding)
+        yield cols, {s: (dec(p), dec(q)) for s, (p, q) in layer.items()}
 
 
 def permanent(a: Matrix, cap=None) -> El:
@@ -389,11 +425,28 @@ def det_signed(a: Matrix) -> El:
 # adjoint and Laplace
 
 
-def _switch_pow(dalg, x: El, k: int) -> El:
-    if k & 1:
-        p, n = x.payload
-        return El(dalg.id, (n, p))
-    return x
+def _adjoint_size(a: Matrix, cap) -> int:
+    if not a.is_square:
+        raise DimensionMismatch("adjoint of a non-square matrix")
+    n = a.rows
+    if n > 1 and n - 1 > (cap if cap is not None else det_cap()):
+        raise CapExceeded(f"determinant cap exceeded at n = {n - 1}")
+    return n
+
+
+def _adjoint_codes(alg, codes, coding) -> list:
+    """adjoint(a) as rows of coded (plus, minus) pairs, for a's codes."""
+    n = len(codes)
+    full = (1 << n) - 1
+    out = []
+    for i in range(n):
+        layer, _ = _minor_layer(alg, codes, [c for c in range(n) if c != i], coding)
+        row = []
+        for j in range(n):
+            p, q = layer[full ^ 1 << j]
+            row.append((q, p) if (i + j) & 1 else (p, q))
+        out.append(row)
+    return out
 
 
 def adjoint(a: Matrix, cap=None) -> Matrix:
@@ -402,21 +455,14 @@ def adjoint(a: Matrix, cap=None) -> Matrix:
 
     Row i comes from one minor layer over every column but i.
     """
-    if not a.is_square:
-        raise DimensionMismatch("adjoint of a non-square matrix")
-    n = a.rows
-    if n > 1 and n - 1 > (cap if cap is not None else det_cap()):
-        raise CapExceeded(f"determinant cap exceeded at n = {n - 1}")
+    _adjoint_size(a, cap)
     dalg = make_doubled(a.alg)
-    full = (1 << n) - 1
-    out = []
-    for i in range(n):
-        layer = _minor_layer(a, [c for c in range(n) if c != i])
-        out.append(tuple(
-            _switch_pow(dalg, El(dalg.id, layer[full ^ 1 << j]), i + j)
-            for j in range(n)
-        ))
-    return Matrix(dalg, tuple(out))
+    coding, codes = _coded(a)
+    dec = coding.decode
+    return Matrix(dalg, tuple(
+        tuple(El(dalg.id, (dec(p), dec(q))) for p, q in row)
+        for row in _adjoint_codes(a.alg, codes, coding)
+    ))
 
 
 def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
@@ -438,20 +484,25 @@ def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
     if n > (cap if cap is not None else det_cap()):
         raise CapExceeded(f"laplace cap exceeded at n = {n}")
     alg = a.alg
-    dalg = make_doubled(alg)
+    coding, codes = _coded(a)
+    add, mul = coding.add, coding.mul
     comp_rows = tuple(i for i in range(n) if i not in rows)
-    at = a.transpose()
-    top = _minor_layer(at, rows)
-    bottom = _minor_layer(at, comp_rows)
+    at = [list(col) for col in zip(*codes)]
+    top, made = _minor_layer(alg, at, rows, coding)
+    bottom, more = _minor_layer(alg, at, comp_rows, coding)
     full = (1 << n) - 1
-    acc = El(dalg.id, (alg.zero, alg.zero))
+    plus = minus = coding.zero
     for cols in itertools.combinations(range(n), len(rows)):
         s = sum(1 << j for j in cols)
-        term = dalg.mul(El(dalg.id, top[s]), El(dalg.id, bottom[full ^ s]))
-        term = _switch_pow(dalg, term, sum(rows) + sum(cols))
-        acc = dalg.add(acc, term)
-    p, q = acc.payload
-    return DoubledDet(alg, p, q)
+        (p1, n1), (p2, n2) = top[s], bottom[full ^ s]
+        # the doubled (twist) product of the two minors
+        x = add(mul(p1, p2), mul(n1, n2))
+        y = add(mul(p1, n2), mul(n1, p2))
+        if (sum(rows) + sum(cols)) & 1:
+            x, y = y, x
+        plus, minus = add(plus, x), add(minus, y)
+    dec = coding.decode
+    return DoubledDet(alg, dec(plus), dec(minus), made + more)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +518,21 @@ def char_poly_doubled(a: Matrix, cap=None):
     n = a.rows
     alg = a.alg
     dalg = make_doubled(alg)
-    coeffs = [El(dalg.id, (alg.one, alg.zero))]
+    coding, codes = _coded(a)
+    add = coding.add
+    coeffs = [(coding.one, coding.zero)]
     for k in range(1, n + 1):
-        acc = El(dalg.id, (alg.zero, alg.zero))
+        if k > (cap if cap is not None else det_cap()):
+            raise CapExceeded(f"determinant cap exceeded at n = {k}")
+        plus = minus = coding.zero
         for subset in itertools.combinations(range(n), k):
-            d = det_doubled(a.submatrix(subset, subset), cap=cap)
-            acc = dalg.add(acc, El(dalg.id, (d.det_plus, d.det_minus)))
-        coeffs.append(_switch_pow(dalg, acc, k))
-    return coeffs
+            sub = [[codes[i][j] for j in subset] for i in subset]
+            layer, _ = _minor_layer(alg, sub, range(k), coding)
+            p, q = layer[(1 << k) - 1]
+            plus, minus = add(plus, p), add(minus, q)
+        coeffs.append((minus, plus) if k & 1 else (plus, minus))
+    dec = coding.decode
+    return [El(dalg.id, (dec(p), dec(q))) for p, q in coeffs]
 
 
 def cayley_hamilton_check(a: Matrix, cap=CAYLEY_HAMILTON_CAP) -> bool:
@@ -485,20 +543,21 @@ def cayley_hamilton_check(a: Matrix, cap=CAYLEY_HAMILTON_CAP) -> bool:
         raise CapExceeded(f"cayley-hamilton cap exceeded at n = {n}")
     alg = a.alg
     dalg = make_doubled(alg)
-    coeffs = char_poly_doubled(a)
+    coeffs = [c.payload for c in char_poly_doubled(a)]
+    coding, codes = _coded(a, *coeffs)
+    cs = _encode(coding, coeffs)
+    zero, one = coding.zero, coding.one
     # f(A)_ij = (sum c+ (A^(n-k))_ij, sum c- (A^(n-k))_ij): see the module notes
-    powers = [identity(alg, n)]
+    powers = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
     for _ in range(n):
-        powers.append(mat_mul(powers[-1], a))
+        powers.append(_mat_mul_codes(powers[-1], codes, coding))
+    dec = coding.decode
     for i in range(n):
         for j in range(n):
-            plus = minus = None
-            for k, c in enumerate(coeffs):
-                cp, cm = c.payload
-                x = powers[n - k].entries[i][j]
-                plus = _plus(alg, plus, alg.mul(cp, x))
-                minus = _plus(alg, minus, alg.mul(cm, x))
-            if not dalg.is_null(El(dalg.id, (plus, minus))):
+            column = [powers[n - k][i][j] for k in range(n + 1)]
+            plus = _dot(coding, (c[0] for c in cs), column)
+            minus = _dot(coding, (c[1] for c in cs), column)
+            if not dalg.is_null(El(dalg.id, (dec(plus), dec(minus)))):
                 return False
     return True
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .core import PairAlgebra, PairError, balances, surpasses0
 from .instances import st_tan, st_value
-from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, _minor_layer, det_cap
+from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, _coded, _column_layers, det_cap
 
 
 class DomainEmpty(PairError):
@@ -440,11 +440,11 @@ def submatrix_rank(a: Matrix) -> int:
     against every row set at once.
     """
     alg = a.alg
+    coding, codes = _coded(a)
     for k in range(min(a.rows, a.cols), 0, -1):
         if k > det_cap():
             raise CapExceeded(f"determinant cap exceeded at n = {k}")
-        for ci in itertools.combinations(range(a.cols), k):
-            layer = _minor_layer(a, ci)
+        for _, layer in _column_layers(a, coding, codes, k):
             if not all(balances(alg, p, q) for p, q in layer.values()):
                 return k
     return 0

@@ -5,7 +5,8 @@ Both work on the doubled pair only where a factor is embedded, b -> (b, 0).
 Zero is additively neutral and multiplicatively absorbing in every pair, so
 (p, n)(x, 0) = (px, nx) and (x, 0)(p, n) = (xp, xn) exactly: adj(A) v, A w and
 |A| v are each two folds in the base, one per coordinate, and no embedded
-vector or matrix is built.
+vector or matrix is built.  Those folds run on the codes of one coding of A
+and v (see matrices), and only w and |A| are decoded.
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ from .matrices import (
     DimensionMismatch,
     CapExceeded,
     Matrix,
+    _adjoint_codes,
+    _adjoint_size,
+    _coded,
+    _det_size,
+    _dot,
+    _minor_layer,
     _perms,
-    adjoint,
-    det_doubled,
     det_cap,
     mat_vec,
 )
@@ -60,13 +65,15 @@ def _doubled_balance(dalg, lhs, rhs) -> bool:
 
 
 def _adj_vec(a: Matrix, v) -> tuple:
-    """adj(A) (v, 0) as its two base coordinate vectors (w+, w-)."""
-    alg = a.alg
-    rows = adjoint(a).entries
-    return tuple(
-        tuple(alg.sum(alg.mul(e.payload[side], x) for e, x in zip(row, v)) for row in rows)
-        for side in (0, 1)
-    )
+    """(coding, codes of A, codes of v, w, det): adj(A) (v, 0) as its two
+    base coordinate vectors w = (w+, w-) and |A| = (det+, det-), all coded
+    under one coding of A and v."""
+    coding, codes = _coded(a, v)
+    vc = [coding.encode(e) for e in v]
+    adj = _adjoint_codes(a.alg, codes, coding)
+    w = tuple([_dot(coding, (e[side] for e in row), vc) for row in adj] for side in (0, 1))
+    layer, _ = _minor_layer(a.alg, codes, range(a.rows), coding)
+    return coding, codes, vc, w, layer[(1 << a.rows) - 1]
 
 
 def cramer_solve(a: Matrix, v) -> CramerResult:
@@ -77,20 +84,29 @@ def cramer_solve(a: Matrix, v) -> CramerResult:
         raise DimensionMismatch("cramer needs a square matrix")
     if len(v) != a.rows:
         raise DimensionMismatch("right-hand side length mismatch")
+    _adjoint_size(a, None)
     alg = a.alg
+    alg.check(*v)
+    _det_size(a, None)
     dalg = make_doubled(alg)
-    wp, wm = _adj_vec(a, v)
-    w = tuple(El(dalg.id, pm) for pm in zip(wp, wm))
-    d = det_doubled(a)
-    lhs = ((alg.mul(d.det_plus, e), alg.mul(d.det_minus, e)) for e in v)
-    aw = zip(mat_vec(a, wp), mat_vec(a, wm))
+    coding, codes, vc, (wp, wm), (dp, dm) = _adj_vec(a, v)
+    mul, dec = coding.mul, coding.decode
+
+    def base(xs):
+        return [dec(x) for x in xs]
+
+    lhs = zip(base(mul(dp, e) for e in vc), base(mul(dm, e) for e in vc))
+    aw = zip(base(_dot(coding, row, wp) for row in codes),
+             base(_dot(coding, row, wm) for row in codes))
     balance_verified = all(
         _doubled_balance(dalg, l, r) for l, r in zip(lhs, aw)
     )
+    wp, wm = base(wp), base(wm)
+    w = tuple(El(dalg.id, pm) for pm in zip(wp, wm))
     x = None
     x_verified = False
     if alg.negation is not None and alg.tangible_inverse is not None:
-        det_base = alg.add(d.det_plus, alg.negation(d.det_minus))
+        det_base = alg.add(dec(dp), alg.negation(dec(dm)))
         if alg.is_tangible(det_base):
             w_base = tuple(alg.add(p, alg.negation(q)) for p, q in zip(wp, wm))
             if all(alg.is_tangible(e) or e == alg.zero for e in w_base):
@@ -238,10 +254,12 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     ax = mat_vec(a, state.x)
     state.balance_verified = all(balances(alg, l, r) for l, r in zip(ax, v))
     # mu identity, checked exactly
-    d = det_doubled(a)
-    det_mu = alg.modulus(alg.add(d.det_plus, d.det_minus))
+    _det_size(a, None)
+    coding, _, _, w, (dp, dm) = _adj_vec(a, v)
+    dec = coding.decode
+    det_mu = alg.modulus(alg.add(dec(dp), dec(dm)))
     ok = True
-    for xi, p, q in zip(state.x, *_adj_vec(a, v)):
+    for xi, p, q in zip(state.x, *([dec(c) for c in side] for side in w)):
         wmu = max(alg.modulus(p), alg.modulus(q))
         lhs = alg.modulus(xi)
         if wmu.is_bottom:

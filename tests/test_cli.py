@@ -1,11 +1,13 @@
 """Command-line surface: parsing, reports, exit codes."""
 
 import json
+import math
 import time
 
 import pytest
 
 from pairlin.cli import (
+    DET_MINOR_CAP,
     format_matrix_text,
     parse_matrix_text,
     run_command,
@@ -173,6 +175,38 @@ class TestCommands:
         assert run_command(["--format", "json-lines", "det", str(f)]) == 0
         recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert {"key": "det_method", "value": "tracks"} in recs
+
+    def test_det_products_reported_after_det_method(self, st_file, capsys):
+        # the 2x2 subset DP makes 2 * n * 2^(n-1) = 8 code products
+        assert run_command(["det", st_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["det_method: dp", "det_products: 8"]
+        assert run_command(["--format", "json-lines", "det", st_file]) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert recs[-1] == {"key": "det_products", "value": "8"}
+
+    def test_det_nonsquare_minor_cap_exit_3(self, tmp_path, capsys):
+        # C(m, k) * C(n, k) minors for k = min(m, n): 2 x 100 is under the
+        # cap, 2 x 101 and 8 x 16 over it
+        assert math.comb(100, 2) <= DET_MINOR_CAP < math.comb(101, 2)
+        f = tmp_path / "wide.txt"
+        for m, n in ((2, 100), (2, 101), (8, 16)):
+            rows = "\n".join(" ".join("1" if (i + j) % 3 else "-1" for j in range(n)) for i in range(m))
+            f.write_text(f"pair sign\nrows {m}\ncols {n}\n{rows}\n")
+            start = time.perf_counter()
+            rc = run_command(["det", str(f)])
+            out = capsys.readouterr().out
+            if (m, n) == (2, 100):
+                assert rc == 0
+                assert out.count(" singular: ") == math.comb(100, 2)
+            else:
+                assert rc == 3
+                assert time.perf_counter() - start < 1.0  # refused before any minor
+                count = math.comb(m, min(m, n)) * math.comb(n, min(m, n))
+                assert kv(out)["error"] == (
+                    f"minor cap exceeded: {count} minors of size {min(m, n)},"
+                    f" more than {DET_MINOR_CAP}"
+                )
 
     def test_json_lines_format(self, st_file, capsys):
         assert run_command(["--format", "json-lines", "det", st_file]) == 0

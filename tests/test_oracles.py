@@ -1,10 +1,11 @@
 """The shared-layer and base-coordinate kernels against their per-minor and
 doubled-product predecessors, kept here as reference oracles.
 
-Laplace expansion and submatrix rank read many minors off one minor layer;
-Cayley-Hamilton, Cramer and the Jacobi mu check multiply embedded factors in
-base coordinates.  Each reference below is the straightforward version: one
-det_doubled per submatrix, or doubled arithmetic on embedded matrices.
+Laplace expansion, submatrix rank and the `det` report on a non-square
+matrix read many minors off one minor layer; Cayley-Hamilton, Cramer and the
+Jacobi mu check multiply embedded factors in base coordinates.  Each
+reference below is the straightforward version: one det_doubled per
+submatrix, or doubled arithmetic on embedded matrices.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from pairlin import (
     matrix,
     submatrix_rank,
 )
+from pairlin.cli import format_matrix_text, run_command
 from pairlin.core import El, PairError, balances
 from pairlin.instances import embed_doubled, make_doubled, project_doubled, registered_instances
 from pairlin.matrices import (
@@ -165,6 +167,23 @@ def submatrix_rank_ref(a):
                 if not is_singular(a.submatrix(ri, ci)):
                     return k
     return 0
+
+
+def det_minor_lines_ref(a):
+    """`pairlin det` on a non-square matrix, minor lines only: a fresh
+    submatrix and is_singular per k x k minor, k = min(m, n), in row-major
+    order."""
+    k = min(a.rows, a.cols)
+    out = []
+    for ri in itertools.combinations(range(a.rows), k):
+        for ci in itertools.combinations(range(a.cols), k):
+            label = (
+                "rows=[" + ",".join(str(i + 1) for i in ri) + "]"
+                " cols=[" + ",".join(str(j + 1) for j in ci) + "]"
+            )
+            singular = str(is_singular(a.submatrix(ri, ci))).lower()
+            out.append(f"minor {label} singular: {singular}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +372,27 @@ def test_submatrix_rank_keeps_its_cap(monkeypatch):
         assert outcome(submatrix_rank, a) == outcome(submatrix_rank_ref, a), cap
     monkeypatch.setenv("PAIRLIN_CAP_N", "2")
     assert outcome(submatrix_rank, a)[1] is CapExceeded
+
+
+def test_nonsquare_det_report_matches_per_minor_reference(tmp_path, capsys):
+    rng = random.Random(15)
+    path = tmp_path / "m.txt"
+    for alg in PAIRS:
+        for m, n in ((1, 3), (2, 3), (3, 2), (2, 4), (4, 3), (3, 5)):
+            a = rand_matrix(rng, alg, m, n)
+            path.write_text(format_matrix_text(a))
+            assert run_command(["det", str(path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[3:] == det_minor_lines_ref(a), (alg.id, a.entries)
+
+
+def test_nonsquare_det_report_keeps_the_determinant_cap(tmp_path, capsys, monkeypatch):
+    a = rand_matrix(random.Random(16), st, 3, 4)
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix_text(a))
+    for cap in ("2", "x"):
+        monkeypatch.setenv("PAIRLIN_CAP_N", cap)
+        ref = outcome(det_minor_lines_ref, a)
+        assert ref[0] == "raised"
+        assert run_command(["det", str(path)]) in (2, 3)
+        assert capsys.readouterr().out.splitlines()[3] == f"error: {ref[2]}"
