@@ -166,25 +166,40 @@ def cmd_det(args, rep):
     return 0
 
 
+def _search_stats():
+    """The counts every dependence search of one command adds to (see
+    rank.find_dependence), in the order they are reported."""
+    return {"supports_tried": 0, "supports_scanned": 0}
+
+
+def _emit_stats(rep, stats):
+    for k, v in stats.items():
+        rep.emit(k, str(v))
+
+
 def cmd_rank(args, rep):
     alg, a = parse_matrix_text(open(args.file).read())
     dom = _domain_from_flag(alg, list(a.entries), args.domain)
-    r = rank_report(a, dom)
+    stats = _search_stats()
+    r = rank_report(a, dom, stats)
     rep.emit("pair", alg.spec_string)
     for k, v in r.lines():
         rep.emit(k, v)
+    _emit_stats(rep, stats)
     return 0
 
 
 def cmd_check(args, rep):
     alg, a = parse_matrix_text(open(args.file).read())
     dom = _domain_from_flag(alg, list(a.entries), args.domain)
-    v = check_condition(a, args.condition, dom)
+    stats = _search_stats()
+    v = check_condition(a, args.condition, dom, stats)
     rep.emit(args.condition, v.verdict)
     if v.detail:
         rep.emit(f"{args.condition}_detail", v.detail)
     if v.witness is not None:
         rep.emit("witness", v.witness.kv(alg.format_literal))
+    _emit_stats(rep, stats)
     if v.verdict == "FAILS":
         return 1
     if v.verdict == "UNKNOWN":

@@ -307,28 +307,32 @@ def _dp_layer(codes, cols, coding) -> tuple:
     """Each S keeps its (even, odd) sums of partial track products.
     Regrouping the track sum by S needs multiplication to distribute over
     addition."""
-    add, mul = coding.add, coding.mul
     m = len(codes)
     layer = {0: (coding.one, coding.zero)}
     products = 0
     for k, c in enumerate(cols):
-        col = [row[c] for row in codes]
-        nxt = {}
-        for s, (even, odd) in layer.items():
-            for i in range(m):
-                if s >> i & 1:
-                    continue
-                e = col[i]
-                x = mul(even, e)
-                y = mul(odd, e)
-                if (s >> i).bit_count() & 1:
-                    x, y = y, x
-                t = s | 1 << i
-                prev = nxt.get(t)
-                nxt[t] = (x, y) if prev is None else (add(prev[0], x), add(prev[1], y))
         products += 2 * (m - k) * len(layer)
-        layer = nxt
+        layer = _dp_step(layer, [row[c] for row in codes], coding)
     return layer, products
+
+
+def _dp_step(layer, col, coding) -> dict:
+    """The DP layer one column further: every S extended by each row i
+    outside it, with the coded entries col[i] of the new column."""
+    add, mul = coding.add, coding.mul
+    nxt = {}
+    for s, (even, odd) in layer.items():
+        for i, e in enumerate(col):
+            if s >> i & 1:
+                continue
+            x = mul(even, e)
+            y = mul(odd, e)
+            if (s >> i).bit_count() & 1:
+                x, y = y, x
+            t = s | 1 << i
+            prev = nxt.get(t)
+            nxt[t] = (x, y) if prev is None else (add(prev[0], x), add(prev[1], y))
+    return nxt
 
 
 def _walk_layer(codes, cols, coding) -> tuple:
@@ -434,8 +438,10 @@ def _adjoint_size(a: Matrix, cap) -> int:
     return n
 
 
-def _adjoint_codes(alg, codes, coding) -> list:
-    """adjoint(a) as rows of coded (plus, minus) pairs, for a's codes."""
+def _adjoint_codes(alg, codes, coding) -> tuple:
+    """(rows, layer): adjoint(a) as rows of coded (plus, minus) pairs, for
+    a's codes, and the last row's minor layer, over every column but the
+    last."""
     n = len(codes)
     full = (1 << n) - 1
     out = []
@@ -446,7 +452,7 @@ def _adjoint_codes(alg, codes, coding) -> list:
             p, q = layer[full ^ 1 << j]
             row.append((q, p) if (i + j) & 1 else (p, q))
         out.append(row)
-    return out
+    return out, layer
 
 
 def adjoint(a: Matrix, cap=None) -> Matrix:
@@ -461,7 +467,7 @@ def adjoint(a: Matrix, cap=None) -> Matrix:
     dec = coding.decode
     return Matrix(dalg, tuple(
         tuple(El(dalg.id, (dec(p), dec(q))) for p, q in row)
-        for row in _adjoint_codes(a.alg, codes, coding)
+        for row in _adjoint_codes(a.alg, codes, coding)[0]
     ))
 
 
@@ -513,12 +519,19 @@ def char_poly_doubled(a: Matrix, cap=None):
     """Characteristic polynomial coefficients of lambda*I (-) A in the doubled
     pair: coefficient of lambda^(n-k) is switch^k of the sum of the k x k
     principal minors' doubled determinants."""
+    dalg = make_doubled(a.alg)
+    coding, codes = _coded(a)
+    dec = coding.decode
+    return [El(dalg.id, (dec(p), dec(q))) for p, q in _char_poly_codes(a, codes, coding, cap)]
+
+
+def _char_poly_codes(a: Matrix, codes, coding, cap=None) -> list:
+    """char_poly_doubled's coefficients as coded (plus, minus) pairs, for
+    a's codes."""
     if not a.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n = a.rows
     alg = a.alg
-    dalg = make_doubled(alg)
-    coding, codes = _coded(a)
     add = coding.add
     coeffs = [(coding.one, coding.zero)]
     for k in range(1, n + 1):
@@ -531,8 +544,7 @@ def char_poly_doubled(a: Matrix, cap=None):
             p, q = layer[(1 << k) - 1]
             plus, minus = add(plus, p), add(minus, q)
         coeffs.append((minus, plus) if k & 1 else (plus, minus))
-    dec = coding.decode
-    return [El(dalg.id, (dec(p), dec(q))) for p, q in coeffs]
+    return coeffs
 
 
 def cayley_hamilton_check(a: Matrix, cap=CAYLEY_HAMILTON_CAP) -> bool:
@@ -541,11 +553,11 @@ def cayley_hamilton_check(a: Matrix, cap=CAYLEY_HAMILTON_CAP) -> bool:
     n = a.rows
     if n > cap:
         raise CapExceeded(f"cayley-hamilton cap exceeded at n = {n}")
-    alg = a.alg
-    dalg = make_doubled(alg)
-    coeffs = [c.payload for c in char_poly_doubled(a)]
-    coding, codes = _coded(a, *coeffs)
-    cs = _encode(coding, coeffs)
+    dalg = make_doubled(a.alg)
+    # the coefficients are sums of products of entries, so the coding of A
+    # covers them
+    coding, codes = _coded(a)
+    cs = _char_poly_codes(a, codes, coding)
     zero, one = coding.zero, coding.one
     # f(A)_ij = (sum c+ (A^(n-k))_ij, sum c- (A^(n-k))_ij): see the module notes
     powers = [[[one if i == j else zero for j in range(n)] for i in range(n)]]

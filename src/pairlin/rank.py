@@ -11,6 +11,16 @@ are multiplied by a common denominator, the entry-ratio domain is held as a
 set of such integers, and `Fraction` coefficients are built only for the
 witness returned.  A domain's `candidates` tuple of tangible elements, which
 the other searches iterate, is built from the integers on first access.
+
+Its reference is a lexicographic scan of the domain, which costs |D|^(k-2)
+for a support of k vectors.  A null combination of tangible vectors attains
+every column's maximum twice, so supports of size 2 are solved from those
+ties, and supports of size 3 and 4 from patterns of ties, one per column,
+when the patterns reach every witness the scan accepts: size 3 when the
+domain holds every tie value (v_p - v_q in one column), size 4 when also no
+row has a ghost entry and the patterns number at most |D|^2.  Every other
+support scans (see `_super_search`).  `find_dependence` counts the supports
+it tries and those that scanned.
 """
 
 from __future__ import annotations
@@ -219,8 +229,60 @@ def _super_combo_null(raw, support, values):
     return True
 
 
+def _column_ties(raw, support):
+    """Per column, the ties (p, q, d) that two live entries of the support
+    could make at the column's maximum: u_p + v_p = u_q + v_q, that is
+    u_q - u_p = d = v_p - v_q, for support positions p < q.  None when some
+    column's only live entry is tangible, which no combination makes null."""
+    out = []
+    for j in range(len(raw[0])):
+        live = [(p, raw[i][j]) for p, i in enumerate(support) if raw[i][j][0] is not None]
+        if len(live) == 1 and live[0][1][0] == "t":
+            return None
+        out.append([
+            (p, q, vp - vq)
+            for (p, (_, vp)), (q, (_, vq)) in itertools.combinations(live, 2)
+        ])
+    return out
+
+
+def _merge_tie(state, p, q, d):
+    """`state` with the tie u_q - u_p = d merged in, or None when the two
+    contradict.  A state gives each support position its (root, offset),
+    u = u_root + offset, the root being the least position of its component;
+    position 0 is always a root, and u_0 = 0."""
+    rp, op = state[p]
+    rq, oq = state[q]
+    if rp == rq:
+        return state if oq - op == d else None
+    shift = op + d - oq  # u_rq - u_rp
+    if rp < rq:
+        keep, drop = rp, rq
+    else:
+        keep, drop, shift = rq, rp, -shift
+    return tuple((keep, o + shift) if r == drop else (r, o) for r, o in state)
+
+
+def _tie_states(ties, k):
+    """The distinct states of every tie pattern (one tie per column with
+    one) that is consistent, merged column by column."""
+    states = {tuple((p, 0) for p in range(k))}
+    for col in ties:
+        if not col:
+            continue
+        nxt = set()
+        for s in states:
+            for p, q, d in col:
+                t = _merge_tie(s, p, q, d)
+                if t is not None:
+                    nxt.add(t)
+        states = nxt
+    return states
+
+
 def _super_search(raw, scale, view, support):
-    """Deterministic first-witness search over one support, supertropical.
+    """Deterministic first-witness search over one support, supertropical:
+    (witness or None, whether the domain scan ran).
 
     `raw` holds the entries as integers, value * scale (see `_super_raw`),
     and `view` is the domain as integers, member x standing for value
@@ -228,18 +290,27 @@ def _super_search(raw, scale, view, support):
     on these integers throughout and builds the tangible coefficients only
     for the witness it returns.
 
-    The leading coefficient is normalized to 1.  A null combination of
-    tangible rows must, in every column, have its maximum attained at least
-    twice, so the feasible coefficient vectors are cut out by per-column tie
-    equations.  Supports of size <= 3 are solved by enumerating tie patterns
-    and keeping the solutions that are domain members; over tangible rows
-    this visits exactly the feasible set of the lexicographic domain scan, in
-    the same order, without the scan.  Rows with ghost entries can also be
-    killed by a ghost dominating a column outright, which tie equations do
-    not see; supertropical domains are heuristic, so a miss there still
-    reports as no-witness, never as independence.  Larger supports scan the
-    middle coefficients over the domain in domain order and solve for the
-    last one.
+    The leading coefficient is normalized to 1.  The reference is the
+    lexicographic domain scan: the middle coefficients run over the domain
+    in domain order, and the last over the values that tie it with the
+    maximum of the others in some column (and 1).  A null combination of
+    tangible rows has, in every column with a live entry, its maximum
+    attained at least twice, so each null point solves one tie pattern: one
+    tie u_q - u_p = v_p - v_q per column, merged in a union-find with
+    offsets.  A pattern whose ties join all of the support gives one point;
+    for k = 4, one whose ties leave two components gives a line, walked by
+    its free component's first coefficient in domain order.  A pattern
+    whose ties join only one pair is skipped: its points make a size-2
+    witness on that pair whose coefficient is that pair's tie value, found
+    before this support whenever the domain holds the tie values.
+
+    Size 2 takes its candidates from the ties directly.  Sizes 3 and 4 take
+    the tie patterns when the domain holds every tie value; size 4 also
+    needs rows free of ghosts (a ghost can dominate a column alone, which no
+    tie equation sees) and at most |D|^2 patterns, the scan's number of
+    middle pairs.  Every other support, and any larger one, scans.  Size 3
+    keeps its tie patterns over rows with ghosts, where a miss still reports
+    as no witness over the heuristic domain, never as independence.
     """
     step = scale // view.scale
 
@@ -258,8 +329,8 @@ def _super_search(raw, scale, view, support):
     n = len(raw[0])
     if k == 1:
         if _super_combo_null(raw, support, [0]):
-            return witness([0])
-        return None
+            return witness([0]), False
+        return None, False
 
     if k == 2:
         i1, i2 = support
@@ -271,73 +342,9 @@ def _super_search(raw, scale, view, support):
                 cands.add(v1 - v2)
         for a2 in sorted(filter(in_domain, cands), key=key):
             if _super_combo_null(raw, support, [0, a2]):
-                return witness([0, a2])
-        return None
+                return witness([0, a2]), False
+        return None, False
 
-    if k == 3:
-        pairs = ((0, 1), (0, 2), (1, 2))
-        options = []
-        for j in range(n):
-            col = []
-            for p, q in pairs:
-                lp, vp = raw[support[p]][j]
-                lq, vq = raw[support[q]][j]
-                if lp is None or lq is None:
-                    continue
-                col.append((p, q, vp - vq))
-            if not col:
-                col.append(None)  # column with <2 live rows: no tie possible
-            options.append(col)
-        found = set()
-        for pattern in itertools.product(*options):
-            u2 = u3 = None
-            link = None  # value of u2 - u3 when only the (1,2) tie appears
-            ok = True
-            for c in pattern:
-                if c is None:
-                    continue
-                p, q, d = c
-                if (p, q) == (0, 1):
-                    # 0 + vp = u2 + vq  =>  u2 = vp - vq = d
-                    if u2 is None:
-                        u2 = d
-                    elif u2 != d:
-                        ok = False
-                        break
-                elif (p, q) == (0, 2):
-                    if u3 is None:
-                        u3 = d
-                    elif u3 != d:
-                        ok = False
-                        break
-                else:  # u2 + vp = u3 + vq  =>  u2 - u3 = vq - vp = -d
-                    if link is None:
-                        link = -d
-                    elif link != -d:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if link is not None:
-                if u2 is None and u3 is not None:
-                    u2 = u3 + link
-                elif u3 is None and u2 is not None:
-                    u3 = u2 - link
-                elif u2 is not None and u2 - u3 != link:
-                    continue
-            if u2 is None or u3 is None:
-                # underdetermined: any such dependence restricts to a smaller
-                # support, which was searched first
-                continue
-            found.add((u2, u3))
-        feas = [(u2, u3) for (u2, u3) in found if in_domain(u2) and in_domain(u3)]
-        feas.sort(key=lambda t: (key(t[0]), key(t[1])))
-        for u2, u3 in feas:
-            if _super_combo_null(raw, support, [0, u2, u3]):
-                return witness([0, u2, u3])
-        return None
-
-    # general fallback: scan middles over the domain, complete the last
     def candidates_for_last(prefix_vals):
         last = support[-1]
         cands = set()
@@ -359,21 +366,86 @@ def _super_search(raw, scale, view, support):
         return sorted(filter(in_domain, cands), key=key)
 
     members = [x * step for x in view.ordered]
+    if k <= 4:
+        ties = _column_ties(raw, support)
+        if ties is None:
+            return None, False
+        if _ties_decide(raw, support, ties, in_domain, len(members)):
+            vals = _tie_solve(raw, support, ties, members, in_domain, key, candidates_for_last)
+            return (None if vals is None else witness(vals)), False
+
     for mid in itertools.product(members, repeat=k - 2):
         prefix = [0, *mid]
         for last in candidates_for_last(prefix):
             vals = prefix + [last]
             if _super_combo_null(raw, support, vals):
-                return witness(vals)
+                return witness(vals), True
+    return None, True
+
+
+def _ties_decide(raw, support, ties, in_domain, domain_size):
+    """Whether the tie patterns decide a support of size 3 or 4 (see
+    `_super_search`): the domain holds every tie value and, at size 4, the
+    rows have no ghost entry and the patterns number at most the scan's
+    domain_size^2 middle pairs."""
+    if not all(in_domain(d) for col in ties for _, _, d in col):
+        return False
+    if len(support) == 3:
+        return True
+    return (
+        all(layer != "g" for i in support for layer, _ in raw[i])
+        and math.prod(max(1, len(col)) for col in ties) <= domain_size ** 2
+    )
+
+
+def _tie_solve(raw, support, ties, members, in_domain, key, candidates_for_last):
+    """The scan's first witness on a support of size 3 or 4 (see
+    `_super_search`), from the tie patterns: the accepted point lowest in
+    domain-key order, or None.  A point is accepted when its coefficients
+    are domain members and its combination is null; at size 4 its last
+    coefficient must also be one of the scan's candidates."""
+    k = len(support)
+
+    def accepted(vals):
+        return (
+            all(map(in_domain, vals))
+            and _super_combo_null(raw, support, vals)
+            and (k == 3 or vals[-1] in candidates_for_last(vals[:-1]))
+        )
+
+    points = []
+    for state in _tie_states(ties, k):
+        roots = {r for r, _ in state}
+        if len(roots) == 1:
+            vals = [o for _, o in state]
+            if all(map(in_domain, vals)):
+                points.append((tuple(map(key, vals)), vals))
+        elif len(roots) == 2 and k == 4:
+            # the line's points in domain-key order of its first free
+            # coefficient, which is their lexicographic order
+            for t in members:
+                vals = [o if r == 0 else t + o for r, o in state]
+                if accepted(vals):
+                    points.append((tuple(map(key, vals)), vals))
+                    break
+    points.sort()
+    for _, vals in points:
+        if accepted(vals):
+            return vals
     return None
 
 
-def find_dependence(vectors, domain, alg):
+def find_dependence(vectors, domain, alg, *, stats=None):
     """First dependence witness, or None (definitive only for exact domains).
 
     Supports are enumerated by size then lexicographically; coefficient
     tuples lexicographically in domain order, with the leading coefficient
     normalized to 1 whenever the tangibles form a group.
+
+    `stats`, when given, is a dict whose "supports_tried" and
+    "supports_scanned" entries are increased by the supports searched and
+    by those of them that scanned the coefficient domain (every support of
+    a finite pair; supertropical supports the tie patterns do not decide).
     """
     if not vectors:
         return None
@@ -393,42 +465,51 @@ def find_dependence(vectors, domain, alg):
             view = _ListedView(domain.candidates)
         scale, raw = _super_raw(vectors, view.scale)
     normalizable = alg.tangible_inverse is not None or supertrop
-    for size in range(1, m + 1):
-        for support in itertools.combinations(range(m), size):
-            if supertrop:
-                w = _super_search(raw, scale, view, support)
-                if w is not None:
-                    return w
-                continue
-            if normalizable:
-                head = (alg.one,)
-                rest = itertools.product(domain.candidates, repeat=size - 1)
-                for tail in rest:
-                    coeffs = head + tail
-                    if _combo_null(alg, vectors, support, coeffs):
-                        return DependenceWitness(support, coeffs)
-            else:
-                for coeffs in itertools.product(domain.candidates, repeat=size):
-                    if _combo_null(alg, vectors, support, coeffs):
-                        return DependenceWitness(support, coeffs)
-    return None
+    tried = scanned = 0
+    try:
+        for size in range(1, m + 1):
+            for support in itertools.combinations(range(m), size):
+                tried += 1
+                if supertrop:
+                    w, scan = _super_search(raw, scale, view, support)
+                    scanned += scan
+                    if w is not None:
+                        return w
+                    continue
+                scanned += 1
+                if normalizable:
+                    head = (alg.one,)
+                    rest = itertools.product(domain.candidates, repeat=size - 1)
+                    for tail in rest:
+                        coeffs = head + tail
+                        if _combo_null(alg, vectors, support, coeffs):
+                            return DependenceWitness(support, coeffs)
+                else:
+                    for coeffs in itertools.product(domain.candidates, repeat=size):
+                        if _combo_null(alg, vectors, support, coeffs):
+                            return DependenceWitness(support, coeffs)
+        return None
+    finally:
+        if stats is not None:
+            stats["supports_tried"] += tried
+            stats["supports_scanned"] += scanned
 
 
-def row_rank(a: Matrix, domain=None) -> int:
-    return _rank_of(a.alg, list(a.entries), domain)
+def row_rank(a: Matrix, domain=None, stats=None) -> int:
+    return _rank_of(a.alg, list(a.entries), domain, stats)
 
 
-def col_rank(a: Matrix, domain=None) -> int:
-    return _rank_of(a.alg, [a.col(j) for j in range(a.cols)], domain)
+def col_rank(a: Matrix, domain=None, stats=None) -> int:
+    return _rank_of(a.alg, [a.col(j) for j in range(a.cols)], domain, stats)
 
 
-def _rank_of(alg, vectors, domain):
+def _rank_of(alg, vectors, domain, stats=None):
     if domain is None:
         domain = default_domain(alg, vectors)
     m = len(vectors)
     for k in range(m, 0, -1):
         for subset in itertools.combinations(range(m), k):
-            if find_dependence([vectors[i] for i in subset], domain, alg) is None:
+            if find_dependence([vectors[i] for i in subset], domain, alg, stats=stats) is None:
                 return k
     return 0
 
@@ -457,12 +538,13 @@ class ConditionVerdict:
     witness: Optional[DependenceWitness] = None
 
 
-def check_condition(a: Matrix, which: str, domain=None) -> ConditionVerdict:
+def check_condition(a: Matrix, which: str, domain=None, stats=None) -> ConditionVerdict:
     """Verdict for Condition A1, A2, or A2'.
 
     Over heuristic domains only witness-backed verdicts are safe: A1 can only
     Fail, A2 can only Hold, A2' can only Hold; the unsafe directions report
-    Unknown.
+    Unknown.  `stats` is passed to every dependence search (see
+    `find_dependence`).
     """
     alg = a.alg
     rows = list(a.entries)
@@ -470,12 +552,13 @@ def check_condition(a: Matrix, which: str, domain=None) -> ConditionVerdict:
         domain = default_domain(alg, rows)
     which = which.lower()
     if which in ("a2p", "a2'", "a2prime"):
-        w = find_dependence(rows, domain, alg) if a.rows > a.cols else None
+        w = find_dependence(rows, domain, alg, stats=stats) if a.rows > a.cols else None
         return _a2prime_verdict(a, w, domain)
     if which not in ("a1", "a2"):
         raise PairError(f"unknown condition {which!r}")
     return _rank_verdict(
-        which, submatrix_rank(a), row_rank(a, domain), col_rank(a, domain), domain
+        which, submatrix_rank(a), row_rank(a, domain, stats), col_rank(a, domain, stats),
+        domain,
     )
 
 
@@ -536,11 +619,13 @@ class RankReport:
         return out
 
 
-def rank_report(a: Matrix, domain=None) -> RankReport:
+def rank_report(a: Matrix, domain=None, stats=None) -> RankReport:
+    """Ranks, the first row witness and the three conditions; `stats` is
+    passed to every dependence search (see `find_dependence`)."""
     rows = list(a.entries)
     if domain is None:
         domain = default_domain(a.alg, rows)
-    rr, cr, sr = row_rank(a, domain), col_rank(a, domain), submatrix_rank(a)
+    rr, cr, sr = row_rank(a, domain, stats), col_rank(a, domain, stats), submatrix_rank(a)
     rep = RankReport(
         row_rank=rr,
         col_rank=cr,
@@ -548,7 +633,7 @@ def rank_report(a: Matrix, domain=None) -> RankReport:
         domain_completeness=domain.completeness,
         formatter=a.alg.format_literal,
     )
-    w = find_dependence(rows, domain, a.alg)
+    w = find_dependence(rows, domain, a.alg, stats=stats)
     if w is not None:
         rep.row_witnesses.append(w)
     rep.a1 = _rank_verdict("a1", sr, rr, cr, domain)

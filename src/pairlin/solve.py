@@ -26,9 +26,11 @@ from .matrices import (
     _coded,
     _det_size,
     _dot,
+    _dp_step,
     _minor_layer,
     _perms,
     det_cap,
+    det_method,
     mat_vec,
 )
 
@@ -67,13 +69,23 @@ def _doubled_balance(dalg, lhs, rhs) -> bool:
 def _adj_vec(a: Matrix, v) -> tuple:
     """(coding, codes of A, codes of v, w, det): adj(A) (v, 0) as its two
     base coordinate vectors w = (w+, w-) and |A| = (det+, det-), all coded
-    under one coding of A and v."""
+    under one coding of A and v.
+
+    On the DP path |A| is the adjoint's last layer, over every column but
+    the last, extended by the last column: 2n products instead of a layer.
+    The walk's layer holds summed values, which a product need not
+    distribute over, so it takes its own layer.
+    """
+    alg, n = a.alg, a.rows
     coding, codes = _coded(a, v)
     vc = [coding.encode(e) for e in v]
-    adj = _adjoint_codes(a.alg, codes, coding)
+    adj, last = _adjoint_codes(alg, codes, coding)
     w = tuple([_dot(coding, (e[side] for e in row), vc) for row in adj] for side in (0, 1))
-    layer, _ = _minor_layer(a.alg, codes, range(a.rows), coding)
-    return coding, codes, vc, w, layer[(1 << a.rows) - 1]
+    if det_method(alg) == "dp":
+        layer = _dp_step(last, [row[n - 1] for row in codes], coding)
+    else:
+        layer, _ = _minor_layer(alg, codes, range(n), coding)
+    return coding, codes, vc, w, layer[(1 << n) - 1]
 
 
 def cramer_solve(a: Matrix, v) -> CramerResult:

@@ -12,6 +12,7 @@ from pairlin.cli import (
     parse_matrix_text,
     run_command,
 )
+from pairlin.rank import rank_report
 
 RANK_GAP = """\
 # sign-pair counterexample fixture
@@ -104,6 +105,43 @@ class TestCommands:
 
     def test_check_a1_holds_exit_0(self, rank_gap_file, capsys):
         assert run_command(["check", "a1", rank_gap_file]) == 0
+
+    def test_rank_and_check_end_with_search_counts(self, rank_gap_file, capsys):
+        # summed over every dependence search of the command; a finite pair
+        # scans every support it tries
+        alg, a = parse_matrix_text(RANK_GAP)
+        stats = {"supports_tried": 0, "supports_scanned": 0}
+        report = rank_report(a, None, stats)
+        assert stats["supports_tried"] == stats["supports_scanned"] > 0
+        counts = [f"supports_tried: {stats['supports_tried']}",
+                  f"supports_scanned: {stats['supports_scanned']}"]
+        assert run_command(["rank", rank_gap_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["pair: sign"] + [f"{k}: {v}" for k, v in report.lines()] + counts
+        assert run_command(["--format", "json-lines", "check", "a2", rank_gap_file]) == 1
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["key"] for r in recs] == ["a2", "a2_detail", "supports_tried", "supports_scanned"]
+        assert int(recs[-2]["value"]) == int(recs[-1]["value"]) > 0
+
+    def test_a2p_counts_tie_solved_supports(self, tmp_path, capsys):
+        # four tangible vectors of length three: all 15 supports are tie-solved
+        f = tmp_path / "tall.txt"
+        f.write_text("pair supertropical\nrows 4\ncols 3\n"
+                     "-8 -3 -10\n-3 3 -7/2\n1 -2 6\n11/2 7 -11\n")
+        assert run_command(["check", "a2p", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "a2p: HOLDS",
+            "a2p_detail: rows dependent",
+            "witness: support=[1,2,3,4] coeffs=[0,-6,-31/2,-27/2]",
+            "supports_tried: 15",
+            "supports_scanned: 0",
+        ]
+        f.write_text("pair supertropical\nrows 2\ncols 2\n2 0\n1 3\n")
+        assert run_command(["check", "a2p", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "supports_tried: 0",
+            "supports_scanned: 0",
+        ]
 
     def test_solve_cramer(self, st_file, capsys):
         assert run_command(["solve", "cramer", st_file, "--rhs", "4,4"]) == 0

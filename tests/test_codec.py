@@ -32,6 +32,7 @@ from pairlin.instances import (
     registered_instances,
 )
 from pairlin.matrices import char_poly_doubled, det_tracks
+from pairlin.solve import _adj_vec
 
 st = make_algebra("supertropical")
 PAIRS = list(registered_instances()) + [
@@ -158,6 +159,38 @@ def test_kernels_agree_with_and_without_codec(alg, monkeypatch):
             assert coded["laplace"] == ("value", ref), (alg.id, n, rows)
         if n <= 5:
             assert coded["cayley_hamilton"] == ("value", True), (alg.id, n)
+
+
+@pytest.mark.parametrize("alg", PAIRS, ids=lambda alg: alg.id)
+def test_cramer_determinant_equals_det_doubled(alg):
+    # DP pairs extend the adjoint's last layer by the last column; walk
+    # pairs take a layer of their own
+    rng = random.Random(f"cramer-det:{alg.id}")
+    for n in range(1, 7):
+        a = matrix(alg, [[draw(rng, alg) for _ in range(n)] for _ in range(n)])
+        v = tuple(draw(rng, alg) for _ in range(n))
+        coding, _, _, _, (p, q) = _adj_vec(a, v)
+        d = det_doubled(a)
+        assert (coding.decode(p), coding.decode(q)) == (d.det_plus, d.det_minus), (alg.id, n)
+
+
+@pytest.mark.parametrize("spec", ["sign", "supertropical", "hyper:hex1-c3", "doubled:boolean"])
+def test_cayley_hamilton_codes_a_once(spec, monkeypatch):
+    alg = make_algebra(spec)
+    rng = random.Random(spec)
+    inner = PairAlgebra.coding
+    calls = []
+
+    def coding(self, elements=()):
+        calls.append(self)
+        return inner(self, elements)
+
+    monkeypatch.setattr(PairAlgebra, "coding", coding)
+    for n in range(1, 5):
+        a = matrix(alg, [[draw(rng, alg) for _ in range(n)] for _ in range(n)])
+        calls.clear()
+        assert cayley_hamilton_check(a)
+        assert calls == [alg], (spec, n)
 
 
 class Counting:

@@ -270,16 +270,29 @@ def test_cayley_hamilton_matches_doubled_powers():
 def test_polynomial_evaluation_matches_doubled_powers(monkeypatch):
     # Cayley-Hamilton always holds, so a check that answers true regardless
     # would agree with the reference; random coefficients in place of the
-    # characteristic polynomial make f(A) non-null often enough to tell
+    # characteristic polynomial make f(A) non-null often enough to tell.
+    # The check codes the coefficients under A's coding, which covers every
+    # sum of products of entries: supertropical coefficients are therefore
+    # drawn as products of two entries, ghosts and zero included.
     rng = random.Random(13)
     coeffs = []
+    monkeypatch.setattr(
+        matrices,
+        "_char_poly_codes",
+        lambda a, codes, coding: [tuple(map(coding.encode, c.payload)) for c in coeffs],
+    )
     monkeypatch.setattr(matrices, "char_poly_doubled", lambda a: coeffs)
     nonnull = 0
     for alg, a, _ in cases(14, sizes=range(2, 5)):
         dalg = make_doubled(alg)
-        coeffs[:] = [
-            El(dalg.id, (_draw(rng, alg), _draw(rng, alg))) for _ in range(a.rows + 1)
-        ]
+
+        def draw():
+            if alg is st:
+                pool = [e for row in a.entries for e in row]
+                return alg.mul(rng.choice(pool), rng.choice(pool))
+            return _draw(rng, alg)
+
+        coeffs[:] = [El(dalg.id, (draw(), draw())) for _ in range(a.rows + 1)]
         got = outcome(cayley_hamilton_check, a)
         assert got == outcome(cayley_hamilton_ref, a), (alg.id, a.entries, coeffs)
         nonnull += got == ("value", False)

@@ -25,6 +25,7 @@ from pairlin import (
 )
 from pairlin.instances import ST_ZERO, st_ghost, st_value
 from pairlin.matrices import HEURISTIC_DEPTH_CAP
+import pairlin.rank as rank_mod
 from pairlin.rank import DomainEmpty, CoefficientDomain, DependenceWitness, _combo_null
 from pairlin.suites import (
     two_track_doubled_matrix,
@@ -66,6 +67,25 @@ def naive_first_witness(alg, vectors, domain):
                 if _combo_null(alg, vectors, support, coeffs):
                     return DependenceWitness(support, coeffs)
     return None
+
+
+def scanned_witness(rows, domain):
+    """find_dependence with the tie patterns deciding no support of size 3
+    or 4, so that every such support takes the domain scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank_mod, "_ties_decide", lambda *args: False)
+        return find_dependence(rows, domain, st)
+
+
+def search_stats(rows, domain):
+    """(witness, supports tried, supports scanned) of one search."""
+    stats = {"supports_tried": 0, "supports_scanned": 0}
+    w = find_dependence(rows, domain, st, stats=stats)
+    return w, stats["supports_tried"], stats["supports_scanned"]
+
+
+def parse_rows(rows):
+    return [tuple(st.parse_literal(t) for t in row) for row in rows]
 
 
 def half_integer_rows(rng, m, n, bound=3):
@@ -142,9 +162,9 @@ class TestFindDependence:
             assert_null_witness(rows, w)
 
     def test_supertropical_search_equals_naive_scan(self):
-        # tangible rows: the tie solvers (k = 2, 3) and the scan fallback
-        # (k = 4) return exactly the naive scan's first witness, over the
-        # entry-ratio domain and over a hand-built domain in shuffled order
+        # tangible rows: the tie solvers (k = 2, 3, 4) return exactly the
+        # naive scan's first witness, over the entry-ratio domain and over a
+        # hand-built domain in shuffled order
         rng = random.Random(17)
         reached = set()
         cases = [(2, 3, 2)] * 25 + [(3, 2, 2)] * 15 + [(3, 3, 2)] * 15
@@ -169,6 +189,127 @@ class TestFindDependence:
                         st, rows, d
                     ), rows
         assert {2, 3, 4} <= reached
+
+    def test_supertropical_tie_solvers_equal_the_scan(self):
+        # tangible-or-zero rows, some repeated, some with a zero column: the
+        # tie patterns (k = 3, 4) give the scan's first witness, or None with
+        # it, over the entry-ratio domain of depth 1 or 2, the same members
+        # in shuffled order and a domain built from other vectors
+        rng = random.Random(29)
+        size4_ties = 0
+        for t in range(80):
+            n = 2 + t % 4
+            den = 1 + t % 2
+            rows = [
+                tuple(
+                    ST_ZERO if rng.random() < 0.15
+                    else st_tan(Fraction(rng.randint(-3 * den, 3 * den), den))
+                    for _ in range(n)
+                )
+                for _ in range(4)
+            ]
+            if t % 6 == 1:
+                rows[3] = rows[rng.randrange(3)]
+            if t % 6 == 2:
+                j = rng.randrange(n)
+                rows = [r[:j] + (ST_ZERO,) + r[j + 1:] for r in rows]
+            dom = entry_ratio_domain(st, rows, 1 + t % 3 // 2)
+            shuffled = list(dom.candidates)
+            rng.shuffle(shuffled)
+            listed = CoefficientDomain(tuple(shuffled), "heuristic")
+            other = entry_ratio_domain(
+                st, [rows[0], (st_tan(Fraction(rng.randint(-9, 9), 3)),) * n], 1
+            )
+            for d in (dom, listed, other):
+                w, tried, scanned = search_stats(rows, d)
+                assert w == scanned_witness(rows, d), (rows, d)
+                if tried == 15 and scanned == 0:
+                    size4_ties += 1
+        assert size4_ties >= 20
+
+    def test_size4_line_witness_follows_domain_order(self):
+        # the first witness lies on a tie pattern that leaves rows {1, 2}
+        # and {3, 4} apart: a line of points, walked in domain order
+        rows = parse_rows((("-inf", "2"), ("-3", "-inf"), ("0", "-5/2"), ("-1/2", "3")))
+        dom = entry_ratio_domain(st, rows, 1)
+        rev = CoefficientDomain(tuple(reversed(dom.candidates)), "heuristic")
+        for d, expected in ((dom, "0,2,-1,-1"), (rev, "0,6,3,-1")):
+            w, tried, scanned = search_stats(rows, d)
+            assert ",".join(st.format_literal(c) for c in w.coeffs) == expected
+            assert (tried, scanned) == (15, 0)
+            assert w == scanned_witness(rows, d)
+
+    def test_size3_ties_need_the_tie_values_in_the_domain(self):
+        # the pattern tying only rows 2 and 3 (u2 - u3 = 3) is a size-2
+        # witness only when 3 is a member; here it is not, so the size-3
+        # support takes the scan, which finds u2 = 5, u3 = 2
+        rows = [(st_tan(-100),) * 3, (st_tan(0),) * 3, (st_tan(3),) * 3]
+        dom = entry_ratio_domain(st, [(st_tan(2), st_tan(7))], 1)
+        assert [st_value(c) for c in dom.candidates] == [-5, 0, 2, 5, 7]
+        listed = CoefficientDomain(dom.candidates, "heuristic")
+        for d in (dom, listed):
+            w = find_dependence(rows, d, st)
+            assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,5,2]"
+            assert w == naive_first_witness(st, rows, d)
+
+    # `check a2p`'s three fixed 4x3 matrices in the cli-queries benchmark
+    FIXED_A2P = [
+        (
+            (("-8", "-3", "-10"), ("-3", "3", "-7/2"), ("1", "-2", "6"), ("11/2", "7", "-11")),
+            "support=[1,2,3,4] coeffs=[0,-6,-31/2,-27/2]",
+        ),
+        (
+            (("2", "0", "7"), ("0", "9", "5"), ("9", "-9/2", "11/2"), ("-12", "4", "3/2")),
+            "support=[1,2,3,4] coeffs=[0,1/2,-7,11/2]",
+        ),
+        (
+            (("-11", "12", "7"), ("-9/2", "-6", "0"), ("-5/2", "11", "-2"), ("-10", "-11/2", "-9")),
+            "support=[1,2,3,4] coeffs=[0,7,1,25/2]",
+        ),
+    ]
+
+    @pytest.mark.parametrize("rows, expected", FIXED_A2P)
+    def test_fixed_a2p_witnesses_from_tie_patterns(self, rows, expected):
+        rows = parse_rows(rows)
+        w, tried, scanned = search_stats(rows, entry_ratio_domain(st, rows))
+        assert w.kv(st.format_literal) == expected
+        assert (tried, scanned) == (15, 0)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # a ghost entry: a ghost can dominate a column alone
+            (
+                (("-6", "3", "4"), ("-4", "0", "4"), ("1g", "6", "5"), ("2", "-1", "2")),
+                "support=[1,2,3,4] coeffs=[0,0,-3,-4]",
+            ),
+            # entries in {0, 1, 2}: 6^3 tie patterns, more than |D|^2 = 81
+            (
+                (("2", "0", "2"), ("0", "1", "1"), ("2", "0", "1"), ("0", "2", "0")),
+                "support=[1,2,3,4] coeffs=[0,1,0,0]",
+            ),
+        ],
+    )
+    def test_size4_scan_keeps_ghost_rows_and_wide_small_domains(self, rows, expected):
+        rows = parse_rows(rows)
+        dom = entry_ratio_domain(st, rows)
+        w, tried, scanned = search_stats(rows, dom)
+        assert w.kv(st.format_literal) == expected
+        # every smaller support is tie-solved; the size-4 support scans
+        assert (tried, scanned) == (15, 1)
+        if all(st.is_tangible(e) for r in rows for e in r):
+            # over ghost rows the size-3 ties may miss what a scan finds
+            assert w == scanned_witness(rows, dom)
+
+    def test_search_stats_accumulate(self):
+        sign_rows = list(sign_rank_gap_matrix().entries)
+        stats = {"supports_tried": 0, "supports_scanned": 0}
+        assert find_dependence(sign_rows, exact_domain(sign), sign, stats=stats) is None
+        # a finite pair scans every support: 3 rows have 7 nonempty subsets
+        assert stats == {"supports_tried": 7, "supports_scanned": 7}
+        rows = parse_rows(self.FIXED_A2P[0][0])
+        find_dependence(rows, entry_ratio_domain(st, rows), st, stats=stats)
+        assert stats == {"supports_tried": 22, "supports_scanned": 7}
 
     @pytest.mark.parametrize(
         "rows, depth, ascending, descending",
@@ -287,8 +428,9 @@ class TestRanks:
         assert submatrix_rank(clipped_counting_matrix()) == 3
 
     def test_supertropical_4x4_rank_report(self):
-        # no dependence among the 4 rows: the size-4 support scans the
-        # depth-2 domain of 16 entries on denominators 1, 2 and 3
+        # no dependence among the 4 rows: the size-4 support of the depth-2
+        # domain of 16 entries on denominators 1, 2 and 3 is decided by its
+        # tie patterns, where the domain scan took over a second
         rep = rank_report(rand_supertropical_matrix(random.Random(7), 4))
         assert rep.lines() == [
             ("row_rank", "4"),
