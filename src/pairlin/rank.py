@@ -18,8 +18,7 @@ every column's maximum twice, so supports of size 2 are solved from those
 ties, and supports of size 3 and 4 from patterns of ties, one per column,
 when the patterns reach every witness the scan accepts: size 3 when the
 domain holds every tie value (v_p - v_q in one column), size 4 when also no
-row has a ghost entry and the patterns number at most |D|^2.  Every other
-support scans (see `_super_search`).  `find_dependence` counts the supports
+row has a ghost entry.  Every other support scans (see `_super_search`).  `find_dependence` counts the supports
 it tries and those that scanned.
 """
 
@@ -293,7 +292,8 @@ def _super_search(raw, scale, view, support):
     The leading coefficient is normalized to 1.  The reference is the
     lexicographic domain scan: the middle coefficients run over the domain
     in domain order, and the last over the values that tie it with the
-    maximum of the others in some column (and 1).  A null combination of
+    maximum of the others in some column (and 1); only the coefficients
+    after the leading 1 need be members.  A null combination of
     tangible rows has, in every column with a live entry, its maximum
     attained at least twice, so each null point solves one tie pattern: one
     tie u_q - u_p = v_p - v_q per column, merged in a union-find with
@@ -307,10 +307,19 @@ def _super_search(raw, scale, view, support):
     Size 2 takes its candidates from the ties directly.  Sizes 3 and 4 take
     the tie patterns when the domain holds every tie value; size 4 also
     needs rows free of ghosts (a ghost can dominate a column alone, which no
-    tie equation sees) and at most |D|^2 patterns, the scan's number of
-    middle pairs.  Every other support, and any larger one, scans.  Size 3
-    keeps its tie patterns over rows with ghosts, where a miss still reports
-    as no witness over the heuristic domain, never as independence.
+    tie equation sees).  Every other support, and any larger one, scans.
+    Size 3 keeps its tie patterns over rows with ghosts, where a miss still
+    reports as no witness over the heuristic domain, never as independence.
+    The patterns' cost follows their distinct states, not their number; it
+    exceeds the scan's only where the scan itself is short (a domain of a
+    few members, or a witness among its first points), so no size bound
+    picks the path.
+
+    A size-4 point need not be checked against the scan's last candidates:
+    over such rows, reached only when no smaller support has a witness, a
+    null point whose last coefficient ties no column's maximum of the others
+    keeps its last row below every maximum, so the other three rows were
+    already a size-3 witness.
     """
     step = scale // view.scale
 
@@ -370,8 +379,8 @@ def _super_search(raw, scale, view, support):
         ties = _column_ties(raw, support)
         if ties is None:
             return None, False
-        if _ties_decide(raw, support, ties, in_domain, len(members)):
-            vals = _tie_solve(raw, support, ties, members, in_domain, key, candidates_for_last)
+        if _ties_decide(raw, support, ties, in_domain):
+            vals = _tie_solve(raw, support, ties, members, in_domain, key)
             return (None if vals is None else witness(vals)), False
 
     for mid in itertools.product(members, repeat=k - 2):
@@ -383,50 +392,41 @@ def _super_search(raw, scale, view, support):
     return None, True
 
 
-def _ties_decide(raw, support, ties, in_domain, domain_size):
+def _ties_decide(raw, support, ties, in_domain):
     """Whether the tie patterns decide a support of size 3 or 4 (see
     `_super_search`): the domain holds every tie value and, at size 4, the
-    rows have no ghost entry and the patterns number at most the scan's
-    domain_size^2 middle pairs."""
+    rows have no ghost entry."""
     if not all(in_domain(d) for col in ties for _, _, d in col):
         return False
-    if len(support) == 3:
-        return True
-    return (
-        all(layer != "g" for i in support for layer, _ in raw[i])
-        and math.prod(max(1, len(col)) for col in ties) <= domain_size ** 2
+    return len(support) == 3 or all(
+        layer != "g" for i in support for layer, _ in raw[i]
     )
 
 
-def _tie_solve(raw, support, ties, members, in_domain, key, candidates_for_last):
+def _tie_solve(raw, support, ties, members, in_domain, key):
     """The scan's first witness on a support of size 3 or 4 (see
     `_super_search`), from the tie patterns: the accepted point lowest in
     domain-key order, or None.  A point is accepted when its coefficients
-    are domain members and its combination is null; at size 4 its last
-    coefficient must also be one of the scan's candidates."""
+    after the leading 1 are domain members and its combination is null."""
     k = len(support)
 
     def accepted(vals):
-        return (
-            all(map(in_domain, vals))
-            and _super_combo_null(raw, support, vals)
-            and (k == 3 or vals[-1] in candidates_for_last(vals[:-1]))
-        )
+        return all(map(in_domain, vals[1:])) and _super_combo_null(raw, support, vals)
 
     points = []
     for state in _tie_states(ties, k):
         roots = {r for r, _ in state}
         if len(roots) == 1:
             vals = [o for _, o in state]
-            if all(map(in_domain, vals)):
-                points.append((tuple(map(key, vals)), vals))
+            if all(map(in_domain, vals[1:])):
+                points.append((tuple(map(key, vals[1:])), vals))
         elif len(roots) == 2 and k == 4:
             # the line's points in domain-key order of its first free
             # coefficient, which is their lexicographic order
             for t in members:
                 vals = [o if r == 0 else t + o for r, o in state]
                 if accepted(vals):
-                    points.append((tuple(map(key, vals)), vals))
+                    points.append((tuple(map(key, vals[1:])), vals))
                     break
     points.sort()
     for _, vals in points:

@@ -29,7 +29,15 @@ from pairlin import (
 )
 from pairlin.cli import format_matrix_text, run_command
 from pairlin.core import El, PairError, balances
-from pairlin.instances import embed_doubled, make_doubled, project_doubled, registered_instances
+from pairlin.instances import (
+    embed_doubled,
+    make_doubled,
+    project_doubled,
+    registered_instances,
+    st_ghost,
+    st_tan,
+    st_value,
+)
 from pairlin.matrices import (
     CAYLEY_HAMILTON_CAP,
     DoubledDet,
@@ -271,9 +279,11 @@ def test_polynomial_evaluation_matches_doubled_powers(monkeypatch):
     # Cayley-Hamilton always holds, so a check that answers true regardless
     # would agree with the reference; random coefficients in place of the
     # characteristic polynomial make f(A) non-null often enough to tell.
-    # The check codes the coefficients under A's coding, which covers every
-    # sum of products of entries: supertropical coefficients are therefore
-    # drawn as products of two entries, ghosts and zero included.
+    # The check codes the coefficients under A's coding, so arbitrary
+    # coefficients are no longer valid input to it: a supertropical value
+    # is covered when its denominator divides those of A's entries.  The
+    # supertropical coefficients are therefore drawn as sums of up to n
+    # entry values (products of entries), tangible or ghost, or zero.
     rng = random.Random(13)
     coeffs = []
     monkeypatch.setattr(
@@ -288,8 +298,11 @@ def test_polynomial_evaluation_matches_doubled_powers(monkeypatch):
 
         def draw():
             if alg is st:
-                pool = [e for row in a.entries for e in row]
-                return alg.mul(rng.choice(pool), rng.choice(pool))
+                if rng.random() < 0.15:
+                    return st.zero
+                live = [st_value(e) for row in a.entries for e in row if e.payload is not None]
+                v = sum(rng.choice(live) for _ in range(rng.randint(0, a.rows))) if live else 0
+                return st_ghost(v) if rng.random() < 0.3 else st_tan(v)
             return _draw(rng, alg)
 
         coeffs[:] = [El(dalg.id, (draw(), draw())) for _ in range(a.rows + 1)]

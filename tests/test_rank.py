@@ -194,7 +194,8 @@ class TestFindDependence:
         # tangible-or-zero rows, some repeated, some with a zero column: the
         # tie patterns (k = 3, 4) give the scan's first witness, or None with
         # it, over the entry-ratio domain of depth 1 or 2, the same members
-        # in shuffled order and a domain built from other vectors
+        # in shuffled order, with the tangible 1 left out, and a domain built
+        # from other vectors
         rng = random.Random(29)
         size4_ties = 0
         for t in range(80):
@@ -220,7 +221,11 @@ class TestFindDependence:
             other = entry_ratio_domain(
                 st, [rows[0], (st_tan(Fraction(rng.randint(-9, 9), 3)),) * n], 1
             )
-            for d in (dom, listed, other):
+            # without the tangible 1, which the leading coefficient need not be
+            no_one = CoefficientDomain(
+                tuple(c for c in shuffled if c != st.one), "heuristic"
+            )
+            for d in (dom, listed, other, no_one):
                 w, tried, scanned = search_stats(rows, d)
                 assert w == scanned_witness(rows, d), (rows, d)
                 if tried == 15 and scanned == 0:
@@ -252,6 +257,16 @@ class TestFindDependence:
             assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,5,2]"
             assert w == naive_first_witness(st, rows, d)
 
+    def test_leading_one_need_not_be_a_member(self):
+        # the leading coefficient is normalized to 1 whether or not the
+        # domain holds it; the tie values -1 and -2 are members here
+        rows = parse_rows((("0", "0"), ("1", "-inf"), ("-inf", "2")))
+        dom = CoefficientDomain((st_tan(-1), st_tan(-2)), "heuristic")
+        w, tried, scanned = search_stats(rows, dom)
+        assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,-1,-2]"
+        assert (tried, scanned) == (7, 0)
+        assert w == scanned_witness(rows, dom) == naive_first_witness(st, rows, dom)
+
     # `check a2p`'s three fixed 4x3 matrices in the cli-queries benchmark
     FIXED_A2P = [
         (
@@ -275,31 +290,25 @@ class TestFindDependence:
         assert w.kv(st.format_literal) == expected
         assert (tried, scanned) == (15, 0)
 
-    @pytest.mark.parametrize(
-        "rows, expected",
-        [
-            # a ghost entry: a ghost can dominate a column alone
-            (
-                (("-6", "3", "4"), ("-4", "0", "4"), ("1g", "6", "5"), ("2", "-1", "2")),
-                "support=[1,2,3,4] coeffs=[0,0,-3,-4]",
-            ),
-            # entries in {0, 1, 2}: 6^3 tie patterns, more than |D|^2 = 81
-            (
-                (("2", "0", "2"), ("0", "1", "1"), ("2", "0", "1"), ("0", "2", "0")),
-                "support=[1,2,3,4] coeffs=[0,1,0,0]",
-            ),
-        ],
-    )
-    def test_size4_scan_keeps_ghost_rows_and_wide_small_domains(self, rows, expected):
-        rows = parse_rows(rows)
-        dom = entry_ratio_domain(st, rows)
-        w, tried, scanned = search_stats(rows, dom)
-        assert w.kv(st.format_literal) == expected
+    def test_size4_scan_keeps_ghost_rows(self):
+        # a ghost entry can dominate a column alone, which no tie sees
+        rows = parse_rows(
+            (("-6", "3", "4"), ("-4", "0", "4"), ("1g", "6", "5"), ("2", "-1", "2"))
+        )
+        w, tried, scanned = search_stats(rows, entry_ratio_domain(st, rows))
+        assert w.kv(st.format_literal) == "support=[1,2,3,4] coeffs=[0,0,-3,-4]"
         # every smaller support is tie-solved; the size-4 support scans
         assert (tried, scanned) == (15, 1)
-        if all(st.is_tangible(e) for r in rows for e in r):
-            # over ghost rows the size-3 ties may miss what a scan finds
-            assert w == scanned_witness(rows, dom)
+
+    def test_size4_ties_solve_wide_small_domains(self):
+        # entries in {0, 1, 2}: 6^3 tie patterns against |D|^2 = 81 middle
+        # pairs, but only their distinct states are kept
+        rows = parse_rows((("2", "0", "2"), ("0", "1", "1"), ("2", "0", "1"), ("0", "2", "0")))
+        dom = entry_ratio_domain(st, rows)
+        w, tried, scanned = search_stats(rows, dom)
+        assert w.kv(st.format_literal) == "support=[1,2,3,4] coeffs=[0,1,0,0]"
+        assert (tried, scanned) == (15, 0)
+        assert w == scanned_witness(rows, dom)
 
     def test_search_stats_accumulate(self):
         sign_rows = list(sign_rank_gap_matrix().entries)
