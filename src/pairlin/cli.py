@@ -238,6 +238,7 @@ def cmd_audit(args, rep):
     rep.emit("pair", alg.spec_string)
     for k, v in report.lines():
         rep.emit(k, v)
+    rep.emit("audit_elements", str(report.elements))
     return 0
 
 
@@ -344,8 +345,15 @@ def _glue_rhs(argv):
     return argv
 
 
+_PARSER = None  # built by the first run_command, not at import; parse_args
+# keeps no state between calls, so one parser serves every command
+
+
 def run_command(argv) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(_glue_rhs(argv))
     except SystemExit as exc:

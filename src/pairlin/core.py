@@ -54,9 +54,10 @@ class CapExceeded(PairError):
 
 CHARACTERISTIC_CAP = 10 ** 6
 # largest finite carrier axiom_audit enumerates: the audit walks every triple
-# of elements, so 32 elements are 32,768 triples (under a second for a table
-# pair; a doubled pair of 25 elements takes about 1.7 s).  Every registered
-# pair has at most 25 elements.
+# of elements, so 32 elements are 32,768 triples.  On interned tables that is
+# about 25-40 ms for counting:31 (32 elements) and 15-25 ms for the
+# 25-element doubled:krasner:7:2 (2-core VM, Python 3.11; on elements they
+# took 0.5 s and 1.4 s).  Every registered pair has at most 25 elements.
 AUDIT_CARRIER_CAP = 32
 
 FIRST = "first"
@@ -326,25 +327,27 @@ class PairAlgebra:
         """
         memo = self._memo
         if "kind" not in memo:
-            memo["kind"] = _detect_kind(self)
+            memo["kind"] = _detect_kind(
+                self.declared_kind, self.add, self.is_null, self.one, self.tangible_sample()
+            )
         return memo["kind"][0]
 
     def __repr__(self):
         return f"PairAlgebra({self.id!r})"
 
 
-def _detect_kind(alg: PairAlgebra):
-    """(kind, warning or None)."""
-    two = alg.add(alg.one, alg.one)
-    if alg.is_null(two):
+def _detect_kind(declared, add, is_null, one, tangibles):
+    """(kind, warning or None), from 1 + 1 and a + a over `tangibles`; the
+    operations are the descriptor's on elements, or the audit's on
+    interned indices."""
+    if is_null(add(one, one)):
         detected = FIRST
-    elif all(not alg.is_null(alg.add(a, a)) for a in alg.tangible_sample()):
+    elif all(not is_null(add(a, a)) for a in tangibles):
         detected = SECOND
     else:
         detected = UNKNOWN
-    if alg.declared_kind != UNKNOWN and alg.declared_kind != detected:
-        warning = f"declared kind {alg.declared_kind!r} but detected {detected!r}"
-        return alg.declared_kind, warning
+    if declared != UNKNOWN and declared != detected:
+        return declared, f"declared kind {declared!r} but detected {detected!r}"
     return detected, None
 
 
@@ -509,6 +512,9 @@ class AuditReport:
     witnesses: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     sample_only: bool = False
+    # elements the audit interned: the carrier or sample, and every result
+    # off it; reported by `pairlin audit`, not among lines()
+    elements: int = 0
 
     def lines(self):
         out = []
@@ -551,9 +557,18 @@ def axiom_audit(alg: PairAlgebra) -> AuditReport:
 
 
 def _audit(alg: PairAlgebra) -> AuditReport:
+    """The audit's loops on interned element indices.
+
+    Every element the audit meets is interned to an index into `els`, with
+    its null and tangible verdicts.  Addition and multiplication are
+    nested-list tables over the indices, filled on first use, so each ordered
+    pair of elements reaches the descriptor at most once, carrier results
+    and off-carrier results alike; dagger and negation are memoised per
+    index.  Loop orders and breaks are those of the element audit the tests
+    keep as the reference, so every flag and first witness is its own, and
+    witness notes print the decoded elements.
+    """
     rep = AuditReport(alg.id)
-    elems = alg.carrier if alg.carrier is not None else alg.carrier_sample()
-    tang = alg.tangible_sample()
     rep.sample_only = alg.carrier is None
     flags = rep.flags
     wit = rep.witnesses
@@ -562,122 +577,184 @@ def _audit(alg: PairAlgebra) -> AuditReport:
         flags[flag] = False
         wit.setdefault(flag, note)
 
+    els, index, null, tangible = [], {}, [], []
+    add_rows, mul_rows = [], []  # rows[i][j]: index of els[i] op els[j], or None
+
+    def intern(e):
+        i = index.get(e)
+        if i is None:
+            i = index[e] = len(els)
+            els.append(e)
+            null.append(alg.is_null(e))
+            tangible.append(alg.is_tangible(e))
+            for rows in (add_rows, mul_rows):
+                for row in rows:
+                    row.append(None)
+                rows.append([None] * (i + 1))
+        return i
+
+    def table(rows, op):
+        def at(i, j):
+            k = rows[i][j]
+            if k is None:
+                k = rows[i][j] = intern(op(els[i], els[j]))
+            return k
+
+        return at
+
+    def memoised(op):
+        memo = {}
+
+        def at(i):
+            k = memo.get(i)
+            if k is None:
+                k = memo[i] = intern(op(els[i]))
+            return k
+
+        return at
+
+    add, mul = table(add_rows, alg.add), table(mul_rows, alg.mul)
+    elems = [intern(e) for e in alg.carrier_sample()]
+    tang = [intern(a) for a in alg.tangible_sample()]
+    zero, one = intern(alg.zero), intern(alg.one)
+
     # admissibility: zero/one placement, T.A0 action, basic semiring laws
     flags["admissible"] = True
-    if alg.is_tangible(alg.zero) or not alg.is_null(alg.zero):
+    if tangible[zero] or not null[zero]:
         fail("admissible", "zero misplaced")
-    if not alg.is_tangible(alg.one):
+    if not tangible[one]:
         fail("admissible", "one not tangible")
     for a in elems:
-        if alg.is_tangible(a) and alg.is_null(a):
-            fail("admissible", f"{a!r} tangible and null")
-        if alg.add(a, alg.zero) != a:
-            fail("admissible", f"zero not neutral at {a!r}")
-        if alg.mul(a, alg.zero) != alg.zero or alg.mul(alg.zero, a) != alg.zero:
-            fail("admissible", f"zero not absorbing at {a!r}")
-        if alg.mul(a, alg.one) != a or alg.mul(alg.one, a) != a:
-            fail("admissible", f"one not neutral at {a!r}")
+        if tangible[a] and null[a]:
+            fail("admissible", f"{els[a]!r} tangible and null")
+        if add(a, zero) != a:
+            fail("admissible", f"zero not neutral at {els[a]!r}")
+        if mul(a, zero) != zero or mul(zero, a) != zero:
+            fail("admissible", f"zero not absorbing at {els[a]!r}")
+        if mul(a, one) != a or mul(one, a) != a:
+            fail("admissible", f"one not neutral at {els[a]!r}")
     for a, b in _pairs(elems):
-        if alg.add(a, b) != alg.add(b, a):
-            fail("admissible", f"addition not commutative at {a!r},{b!r}")
-    for a, b, c in _triples(elems):
-        if alg.add(alg.add(a, b), c) != alg.add(a, alg.add(b, c)):
-            fail("admissible", f"addition not associative at {a!r},{b!r},{c!r}")
-        if alg.mul(alg.mul(a, b), c) != alg.mul(a, alg.mul(b, c)):
-            fail("admissible", f"multiplication not associative at {a!r},{b!r},{c!r}")
+        if add(a, b) != add(b, a):
+            fail("admissible", f"addition not commutative at {els[a]!r},{els[b]!r}")
+    for a in elems:
+        for b in elems:
+            ab, mab = add(a, b), mul(a, b)
+            for c in elems:
+                if add(ab, c) != add(a, add(b, c)):
+                    fail("admissible", "addition not associative at"
+                         f" {els[a]!r},{els[b]!r},{els[c]!r}")
+                if mul(mab, c) != mul(a, mul(b, c)):
+                    fail("admissible", "multiplication not associative at"
+                         f" {els[a]!r},{els[b]!r},{els[c]!r}")
     for a in tang:
         for b in elems:
-            if alg.is_null(b):
-                if not alg.is_null(alg.mul(a, b)) or not alg.is_null(alg.mul(b, a)):
-                    fail("admissible", f"T action leaves null layer at {a!r},{b!r}")
+            if null[b]:
+                if not null[mul(a, b)] or not null[mul(b, a)]:
+                    fail("admissible", f"T action leaves null layer at {els[a]!r},{els[b]!r}")
     flags["distributive"] = True
     for a, b, c in _triples(elems):
-        if alg.mul(a, alg.add(b, c)) != alg.add(alg.mul(a, b), alg.mul(a, c)):
-            fail("distributive", f"{a!r}*({b!r}+{c!r})")
+        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+            fail("distributive", f"{els[a]!r}*({els[b]!r}+{els[c]!r})")
             break
     if alg.carrier is not None and alg.tangibles is not None:
-        spanned = {alg.zero}
-        frontier = {alg.zero}
+        spanned = {zero}
+        frontier = {zero}
         while frontier:
-            nxt = {alg.add(s, a) for s in frontier for a in alg.tangibles} - spanned
+            nxt = {add(s, a) for s in frontier for a in tang} - spanned
             spanned |= nxt
             frontier = nxt
-        if set(alg.carrier) - spanned:
+        if set(elems) - spanned:
             fail("admissible", "carrier not T-spanned")
 
     # Property N, with the registered canonical dagger
-    if alg.dagger is None:
+    dagger = memoised(alg.dagger) if alg.dagger is not None else None
+
+    def circ(a):  # core.circ on indices
+        if not tangible[a]:
+            raise NonTangibleInput(f"{els[a]!r} is not tangible in {alg.id}")
+        return add(a, dagger(a))
+
+    if dagger is None:
         flags["property_n"] = False
         wit["property_n"] = "no dagger registered"
     else:
         flags["property_n"] = True
         for a in tang:
-            d = alg.dagger(a)
-            if not alg.is_tangible(d) or not alg.is_null(alg.add(a, d)):
-                fail("property_n", f"dagger fails at {a!r}")
+            d = dagger(a)
+            if not tangible[d] or not null[add(a, d)]:
+                fail("property_n", f"dagger fails at {els[a]!r}")
         if flags["property_n"]:
-            e = circ(alg, alg.one)
+            e = circ(one)
             for a, b in _pairs(tang):
-                s = alg.add(a, b)
-                if alg.is_null(s) and s != alg.mul(a, e) and s != alg.mul(b, e):
-                    fail("property_n", f"null sum {a!r}+{b!r} is not a quasi-zero")
+                s = add(a, b)
+                if null[s] and s != mul(a, e) and s != mul(b, e):
+                    fail("property_n", f"null sum {els[a]!r}+{els[b]!r} is not a quasi-zero")
     if alg.tangibles is not None:
-        partners = [
-            b for b in alg.tangibles if alg.is_null(alg.add(alg.one, b))
-        ]
+        partners = [b for b in tang if null[add(one, b)]]
         wit["dagger_multiplicity"] = str(len(partners))
 
     # metatangibility ladder
     flags["weakly_metatangible"] = True
     for a, b in _pairs(tang):
-        s = alg.add(a, b)
-        if not (alg.is_tangible(s) or alg.is_null(s)):
-            fail("weakly_metatangible", f"{a!r}+{b!r} escapes T u A0")
+        s = add(a, b)
+        if not (tangible[s] or null[s]):
+            fail("weakly_metatangible", f"{els[a]!r}+{els[b]!r} escapes T u A0")
             break
     flags["metatangible"] = flags["weakly_metatangible"] and flags["property_n"]
     flags["a0_bipotent"] = flags["metatangible"]
     if flags["metatangible"]:
         for a, b in _pairs(tang):
-            s = alg.add(a, b)
-            if s != a and s != b and not alg.is_null(s):
-                fail("a0_bipotent", f"{a!r}+{b!r} not bipotent")
+            s = add(a, b)
+            if s != a and s != b and not null[s]:
+                fail("a0_bipotent", f"{els[a]!r}+{els[b]!r} not bipotent")
                 break
 
-    kind = alg.kind()
+    memo = alg._memo
+    if "kind" not in memo:
+        memo["kind"] = _detect_kind(alg.declared_kind, add, null.__getitem__, one, tang)
+    kind, warning = memo["kind"]
     flags["first_kind"] = kind == FIRST
     flags["second_kind"] = kind == SECOND
-    warning = alg._memo["kind"][1]  # filled by alg.kind() above
     if warning:
         rep.warnings.append(warning)
 
     # second-kind refinements and balancing hygiene
     flags["strict_second_kind"] = kind == SECOND
     if kind == SECOND and alg.tangibles is not None:
-        for a, b in _pairs(alg.tangibles):
-            if balances(alg, a, b) and alg.is_null(alg.add(a, b)):
-                fail("strict_second_kind", f"{a!r} nabla {b!r} with null sum")
+        annihilators = [zero] + tang
+
+        def balanced(b1, b2):  # core.balances over a finite second-kind T
+            if null[b1] and null[b2]:
+                return True
+            return any(null[add(b1, a)] and null[add(b2, a)] for a in annihilators)
+
+        for a, b in _pairs(tang):
+            if balanced(a, b) and null[add(a, b)]:
+                fail("strict_second_kind", f"{els[a]!r} nabla {els[b]!r} with null sum")
                 break
 
-    if alg.dagger is not None and flags["property_n"]:
-        e, e_prime = e_elements(alg)
-        flags["e_idempotent"] = alg.add(e, e) == e
+    if dagger is not None and flags["property_n"]:
+        e = circ(one)
+        e_prime = add(e, one)
+        flags["e_idempotent"] = add(e, e) == e
         flags["two_final"] = e_prime == e
         flags["circ_reversible"] = True
         for a, b in _pairs(tang):
-            if circ(alg, a) == circ(alg, b):
-                if a != b and alg.add(a, b) != circ(alg, a):
-                    fail("circ_reversible", f"{a!r},{b!r}")
+            if circ(a) == circ(b):
+                if a != b and add(a, b) != circ(a):
+                    fail("circ_reversible", f"{els[a]!r},{els[b]!r}")
                     break
         flags["tropical_type"] = (
             flags["a0_bipotent"] and flags["two_final"] and flags["circ_reversible"]
         )
         flags["almost_regular"] = True
         for a1, a2, a3 in _triples(tang):
-            if alg.is_null(alg.sum([a1, a2, a3])) and alg.is_null(
-                alg.sum([alg.dagger(a1), a2, a3])
-            ):
-                if not alg.is_null(alg.add(a2, a3)):
-                    fail("almost_regular", f"{a1!r},{a2!r},{a3!r}")
+            # alg.sum: zero + a1 + a2 + a3, left to right
+            if null[add(add(add(zero, a1), a2), a3)] and null[
+                add(add(add(zero, dagger(a1)), a2), a3)
+            ]:
+                if not null[add(a2, a3)]:
+                    fail("almost_regular", f"{els[a1]!r},{els[a2]!r},{els[a3]!r}")
                     break
     else:
         for k in ("e_idempotent", "two_final", "circ_reversible", "tropical_type",
@@ -690,49 +767,49 @@ def _audit(alg: PairAlgebra) -> AuditReport:
     tq = tang[:limit]
     for a1, a2, a3, a4 in itertools.product(tq, repeat=4):
         if (
-            alg.is_null(alg.add(a1, a2))
-            and alg.is_null(alg.add(a2, a3))
-            and alg.is_null(alg.add(a3, a4))
-            and not alg.is_null(alg.add(a1, a4))
+            null[add(a1, a2)]
+            and null[add(a2, a3)]
+            and null[add(a3, a4)]
+            and not null[add(a1, a4)]
         ):
-            fail("n_transitive", f"{a1!r},{a2!r},{a3!r},{a4!r}")
+            fail("n_transitive", f"{els[a1]!r},{els[a2]!r},{els[a3]!r},{els[a4]!r}")
             break
 
+    negation = memoised(alg.negation) if alg.negation is not None else None
     flags["uniquely_negated"] = True
     for a in tang:
-        partners = [b for b in tang if alg.is_null(alg.add(a, b))]
+        partners = [b for b in tang if null[add(a, b)]]
         if len(partners) != 1:
-            fail("uniquely_negated", f"{a!r} has {len(partners)} negation partners")
+            fail("uniquely_negated", f"{els[a]!r} has {len(partners)} negation partners")
             break
-        if alg.negation is not None and partners[0] != alg.negation(a):
-            fail("uniquely_negated", f"partner of {a!r} differs from declared negation")
+        if negation is not None and partners[0] != negation(a):
+            fail("uniquely_negated", f"partner of {els[a]!r} differs from declared negation")
             break
 
-    if alg.negation is not None:
-        flags["negation_involutive"] = all(
-            alg.negation(alg.negation(a)) == a for a in elems
-        )
+    if negation is not None:
+        flags["negation_involutive"] = all(negation(negation(a)) == a for a in elems)
 
     flags["tangible_summand"] = True
     for a, b in _pairs(elems):
-        if alg.is_tangible(alg.add(a, b)) and not (alg.is_tangible(a) or alg.is_tangible(b)):
-            fail("tangible_summand", f"{a!r}+{b!r}")
+        if tangible[add(a, b)] and not (tangible[a] or tangible[b]):
+            fail("tangible_summand", f"{els[a]!r}+{els[b]!r}")
             break
 
     flags["lzs"] = True
     for a, b in _pairs(tang):
-        if alg.add(a, b) == alg.zero:
-            fail("lzs", f"{a!r}+{b!r} = zero")
+        if add(a, b) == zero:
+            fail("lzs", f"{els[a]!r}+{els[b]!r} = zero")
             break
 
-    flags["idempotent_addition"] = all(alg.add(a, a) == a for a in elems)
+    flags["idempotent_addition"] = all(add(a, a) == a for a in elems)
 
     if flags["metatangible"] and alg.carrier is not None:
         # T + A0 must cover a metatangible carrier
-        nulls = [b for b in alg.carrier if alg.is_null(b)]
-        cover = {alg.add(a, b) for a in alg.tangibles for b in nulls}
-        cover |= set(alg.tangibles) | set(nulls)
-        if set(alg.carrier) - cover:
+        nulls = [b for b in elems if null[b]]
+        cover = {add(a, b) for a in tang for b in nulls}
+        cover |= set(tang) | set(nulls)
+        if set(elems) - cover:
             rep.warnings.append("T + A0 does not cover the carrier")
 
+    rep.elements = len(els)
     return rep

@@ -33,6 +33,15 @@ cols 2
 """
 
 
+DOMINANT_2X2 = """\
+pair supertropical
+rows 2
+cols 2
+100 2
+3 100
+"""
+
+
 @pytest.fixture
 def rank_gap_file(tmp_path):
     f = tmp_path / "rank_gap.txt"
@@ -53,6 +62,51 @@ def kv(out):
         k, _, v = line.partition(": ")
         d[k] = v
     return d
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        from pairlin import cli
+
+        sign = tmp_path / "sign2.txt"
+        sign.write_text("pair sign\nrows 2\ncols 2\n1 0\n0 -1\n")
+        st = tmp_path / "st.txt"
+        st.write_text(ST_FIX)
+        argvs = [
+            ["transpose", str(st)],
+            ["solve", "cramer", str(st)],
+            ["--format", "xml", "det", str(st)],
+            ["--format", "json-lines", "det", str(st)],
+            ["solve", "cramer", str(sign), "--rhs", "-1,1"],
+            ["--help"],
+            ["det", str(st)],
+            ["--format", "json-lines", "rank", str(sign)],
+            ["check", "a2", str(sign), "--domain", "exact"],
+            ["solve", "jacobi", str(st), "--rhs", "4,4", "--max-iter", "3"],
+            ["audit", "sign"],
+        ]
+
+        def run(argv):
+            code = run_command(argv)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(run(argv))
+        # the first command builds the parser, and every later one reuses it
+        monkeypatch.setattr(cli, "_PARSER", None)
+        builds = []
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+        reused = [run(argv) for argv in argvs]
+        assert builds == [1]
+        assert reused == fresh
+        codes = [code for code, _, _ in fresh]
+        assert codes == [2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert "usage: pairlin" in fresh[0][2] and "--rhs" in fresh[1][2]
+        assert "pairlin" in fresh[5][1]
 
 
 class TestParsing:
@@ -164,11 +218,50 @@ class TestCommands:
         assert d["x"] == "2,1"
         assert d["mu_verified"] == "true"
 
+    @pytest.mark.parametrize("max_iter", ["-1", "0"])
+    def test_jacobi_max_iter_below_one_exit_2(self, tmp_path, capsys, max_iter):
+        f = tmp_path / "dom.txt"
+        f.write_text(DOMINANT_2X2)
+        argv = ["solve", "jacobi", str(f), "--rhs", "1,2", "--max-iter", max_iter]
+        assert run_command(argv) == 2
+        assert kv(capsys.readouterr().out)["error"] == (
+            f"max_iter must be at least 1, got {max_iter}"
+        )
+
+    @pytest.mark.parametrize("max_iter, code", [("1", 3), ("2", 0)])
+    def test_jacobi_iteration_cap(self, tmp_path, capsys, max_iter, code):
+        # x1 = x2 here, so stabilization needs a second iterate
+        f = tmp_path / "dom.txt"
+        f.write_text(DOMINANT_2X2)
+        argv = ["solve", "jacobi", str(f), "--rhs", "1,2", "--max-iter", max_iter]
+        assert run_command(argv) == code
+        d = kv(capsys.readouterr().out)
+        if code == 3:
+            assert d["error"] == "no stabilization within 1 iterations"
+        else:
+            assert d["stabilized_at"] == "1"
+            assert d["mu_verified"] == "true"
+
     def test_audit(self, capsys):
         assert run_command(["audit", "sign"]) == 0
         d = kv(capsys.readouterr().out)
         assert d["strict_second_kind"] == "true"
         assert d["a0_bipotent"] == "true"
+
+    @pytest.mark.parametrize("spec, elements", [
+        ("sign", 4),  # a closed carrier
+        ("hyper:hex2-c4", 31),  # 25 elements and 6 off-carrier results
+        ("supertropical", 38),  # a sample of 9 and 29 results off it
+    ])
+    def test_audit_ends_with_interned_elements(self, capsys, spec, elements):
+        assert run_command(["audit", spec]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == f"audit_elements: {elements}"
+        assert sum(line.startswith("audit_elements:") for line in lines) == 1
+        assert run_command(["--format", "json-lines", "audit", spec]) == 0
+        recs = [json.loads(x) for x in capsys.readouterr().out.strip().splitlines()]
+        assert recs[-1] == {"key": "audit_elements", "value": str(elements)}
+        assert [f"{r['key']}: {r['value']}" for r in recs] == lines
 
     @pytest.mark.parametrize("spec", ["counting:32", "counting:255", "doubled:krasner:13:3"])
     def test_audit_over_the_carrier_cap_exit_3(self, capsys, spec):

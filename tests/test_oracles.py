@@ -5,11 +5,14 @@ Laplace expansion, submatrix rank and the `det` report on a non-square
 matrix read many minors off one minor layer; Cayley-Hamilton, Cramer and the
 Jacobi mu check multiply embedded factors in base coordinates.  Each
 reference below is the straightforward version: one det_doubled per
-submatrix, or doubled arithmetic on embedded matrices.
+submatrix, or doubled arithmetic on embedded matrices.  The axiom audit runs
+on interned element indices; its reference runs every loop on elements.
 """
 
 import itertools
 import random
+
+import pytest
 
 from pairlin import (
     CapExceeded,
@@ -28,7 +31,20 @@ from pairlin import (
     submatrix_rank,
 )
 from pairlin.cli import format_matrix_text, run_command
-from pairlin.core import El, PairError, balances
+from pairlin import core, instances
+from pairlin.core import (
+    FIRST,
+    SECOND,
+    AuditReport,
+    El,
+    PairAlgebra,
+    PairError,
+    _pairs,
+    _triples,
+    balances,
+    circ,
+    e_elements,
+)
 from pairlin.instances import (
     embed_doubled,
     make_doubled,
@@ -228,6 +244,196 @@ def cases(seed, sizes=range(2, 6), per_size=3):
                 yield alg, rand_matrix(rng, alg, n), rng
 
 
+def audit_ref(alg: PairAlgebra) -> AuditReport:
+    """The axiom audit on elements: every loop calls the descriptor's
+    operations on El values."""
+    rep = AuditReport(alg.id)
+    elems = alg.carrier if alg.carrier is not None else alg.carrier_sample()
+    tang = alg.tangible_sample()
+    rep.sample_only = alg.carrier is None
+    flags = rep.flags
+    wit = rep.witnesses
+
+    def fail(flag, note):
+        flags[flag] = False
+        wit.setdefault(flag, note)
+
+    # admissibility: zero/one placement, T.A0 action, basic semiring laws
+    flags["admissible"] = True
+    if alg.is_tangible(alg.zero) or not alg.is_null(alg.zero):
+        fail("admissible", "zero misplaced")
+    if not alg.is_tangible(alg.one):
+        fail("admissible", "one not tangible")
+    for a in elems:
+        if alg.is_tangible(a) and alg.is_null(a):
+            fail("admissible", f"{a!r} tangible and null")
+        if alg.add(a, alg.zero) != a:
+            fail("admissible", f"zero not neutral at {a!r}")
+        if alg.mul(a, alg.zero) != alg.zero or alg.mul(alg.zero, a) != alg.zero:
+            fail("admissible", f"zero not absorbing at {a!r}")
+        if alg.mul(a, alg.one) != a or alg.mul(alg.one, a) != a:
+            fail("admissible", f"one not neutral at {a!r}")
+    for a, b in _pairs(elems):
+        if alg.add(a, b) != alg.add(b, a):
+            fail("admissible", f"addition not commutative at {a!r},{b!r}")
+    for a, b, c in _triples(elems):
+        if alg.add(alg.add(a, b), c) != alg.add(a, alg.add(b, c)):
+            fail("admissible", f"addition not associative at {a!r},{b!r},{c!r}")
+        if alg.mul(alg.mul(a, b), c) != alg.mul(a, alg.mul(b, c)):
+            fail("admissible", f"multiplication not associative at {a!r},{b!r},{c!r}")
+    for a in tang:
+        for b in elems:
+            if alg.is_null(b):
+                if not alg.is_null(alg.mul(a, b)) or not alg.is_null(alg.mul(b, a)):
+                    fail("admissible", f"T action leaves null layer at {a!r},{b!r}")
+    flags["distributive"] = True
+    for a, b, c in _triples(elems):
+        if alg.mul(a, alg.add(b, c)) != alg.add(alg.mul(a, b), alg.mul(a, c)):
+            fail("distributive", f"{a!r}*({b!r}+{c!r})")
+            break
+    if alg.carrier is not None and alg.tangibles is not None:
+        spanned = {alg.zero}
+        frontier = {alg.zero}
+        while frontier:
+            nxt = {alg.add(s, a) for s in frontier for a in alg.tangibles} - spanned
+            spanned |= nxt
+            frontier = nxt
+        if set(alg.carrier) - spanned:
+            fail("admissible", "carrier not T-spanned")
+
+    # Property N, with the registered canonical dagger
+    if alg.dagger is None:
+        flags["property_n"] = False
+        wit["property_n"] = "no dagger registered"
+    else:
+        flags["property_n"] = True
+        for a in tang:
+            d = alg.dagger(a)
+            if not alg.is_tangible(d) or not alg.is_null(alg.add(a, d)):
+                fail("property_n", f"dagger fails at {a!r}")
+        if flags["property_n"]:
+            e = circ(alg, alg.one)
+            for a, b in _pairs(tang):
+                s = alg.add(a, b)
+                if alg.is_null(s) and s != alg.mul(a, e) and s != alg.mul(b, e):
+                    fail("property_n", f"null sum {a!r}+{b!r} is not a quasi-zero")
+    if alg.tangibles is not None:
+        partners = [
+            b for b in alg.tangibles if alg.is_null(alg.add(alg.one, b))
+        ]
+        wit["dagger_multiplicity"] = str(len(partners))
+
+    # metatangibility ladder
+    flags["weakly_metatangible"] = True
+    for a, b in _pairs(tang):
+        s = alg.add(a, b)
+        if not (alg.is_tangible(s) or alg.is_null(s)):
+            fail("weakly_metatangible", f"{a!r}+{b!r} escapes T u A0")
+            break
+    flags["metatangible"] = flags["weakly_metatangible"] and flags["property_n"]
+    flags["a0_bipotent"] = flags["metatangible"]
+    if flags["metatangible"]:
+        for a, b in _pairs(tang):
+            s = alg.add(a, b)
+            if s != a and s != b and not alg.is_null(s):
+                fail("a0_bipotent", f"{a!r}+{b!r} not bipotent")
+                break
+
+    kind = alg.kind()
+    flags["first_kind"] = kind == FIRST
+    flags["second_kind"] = kind == SECOND
+    warning = alg._memo["kind"][1]  # filled by alg.kind() above
+    if warning:
+        rep.warnings.append(warning)
+
+    # second-kind refinements and balancing hygiene
+    flags["strict_second_kind"] = kind == SECOND
+    if kind == SECOND and alg.tangibles is not None:
+        for a, b in _pairs(alg.tangibles):
+            if balances(alg, a, b) and alg.is_null(alg.add(a, b)):
+                fail("strict_second_kind", f"{a!r} nabla {b!r} with null sum")
+                break
+
+    if alg.dagger is not None and flags["property_n"]:
+        e, e_prime = e_elements(alg)
+        flags["e_idempotent"] = alg.add(e, e) == e
+        flags["two_final"] = e_prime == e
+        flags["circ_reversible"] = True
+        for a, b in _pairs(tang):
+            if circ(alg, a) == circ(alg, b):
+                if a != b and alg.add(a, b) != circ(alg, a):
+                    fail("circ_reversible", f"{a!r},{b!r}")
+                    break
+        flags["tropical_type"] = (
+            flags["a0_bipotent"] and flags["two_final"] and flags["circ_reversible"]
+        )
+        flags["almost_regular"] = True
+        for a1, a2, a3 in _triples(tang):
+            if alg.is_null(alg.sum([a1, a2, a3])) and alg.is_null(
+                alg.sum([alg.dagger(a1), a2, a3])
+            ):
+                if not alg.is_null(alg.add(a2, a3)):
+                    fail("almost_regular", f"{a1!r},{a2!r},{a3!r}")
+                    break
+    else:
+        for k in ("e_idempotent", "two_final", "circ_reversible", "tropical_type",
+                  "almost_regular"):
+            flags[k] = False
+            wit.setdefault(k, "needs Property N")
+
+    flags["n_transitive"] = True
+    limit = 7  # quadruple scan is |T|^4; registered tangible sets are tiny
+    tq = tang[:limit]
+    for a1, a2, a3, a4 in itertools.product(tq, repeat=4):
+        if (
+            alg.is_null(alg.add(a1, a2))
+            and alg.is_null(alg.add(a2, a3))
+            and alg.is_null(alg.add(a3, a4))
+            and not alg.is_null(alg.add(a1, a4))
+        ):
+            fail("n_transitive", f"{a1!r},{a2!r},{a3!r},{a4!r}")
+            break
+
+    flags["uniquely_negated"] = True
+    for a in tang:
+        partners = [b for b in tang if alg.is_null(alg.add(a, b))]
+        if len(partners) != 1:
+            fail("uniquely_negated", f"{a!r} has {len(partners)} negation partners")
+            break
+        if alg.negation is not None and partners[0] != alg.negation(a):
+            fail("uniquely_negated", f"partner of {a!r} differs from declared negation")
+            break
+
+    if alg.negation is not None:
+        flags["negation_involutive"] = all(
+            alg.negation(alg.negation(a)) == a for a in elems
+        )
+
+    flags["tangible_summand"] = True
+    for a, b in _pairs(elems):
+        if alg.is_tangible(alg.add(a, b)) and not (alg.is_tangible(a) or alg.is_tangible(b)):
+            fail("tangible_summand", f"{a!r}+{b!r}")
+            break
+
+    flags["lzs"] = True
+    for a, b in _pairs(tang):
+        if alg.add(a, b) == alg.zero:
+            fail("lzs", f"{a!r}+{b!r} = zero")
+            break
+
+    flags["idempotent_addition"] = all(alg.add(a, a) == a for a in elems)
+
+    if flags["metatangible"] and alg.carrier is not None:
+        # T + A0 must cover a metatangible carrier
+        nulls = [b for b in alg.carrier if alg.is_null(b)]
+        cover = {alg.add(a, b) for a in alg.tangibles for b in nulls}
+        cover |= set(alg.tangibles) | set(nulls)
+        if set(alg.carrier) - cover:
+            rep.warnings.append("T + A0 does not cover the carrier")
+
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -422,3 +628,182 @@ def test_nonsquare_det_report_keeps_the_determinant_cap(tmp_path, capsys, monkey
         assert ref[0] == "raised"
         assert run_command(["det", str(path)]) in (2, 3)
         assert capsys.readouterr().out.splitlines()[3] == f"error: {ref[2]}"
+
+
+# ---------------------------------------------------------------------------
+# the axiom audit on interned indices against the element audit
+
+AUDIT_SPECS = [alg.spec_string for alg in instances.registered_instances()] + [
+    "supertropical",  # sample-only
+    "doubled:supertropical",  # sample-only
+    "doubled:krasner:7:2",  # 25 elements
+    "counting:31",  # exactly AUDIT_CARRIER_CAP elements
+]
+
+
+def fresh_algebra(spec, monkeypatch):
+    """A descriptor built anew, with no kind or audit memoised."""
+    monkeypatch.setattr(instances, "_ALGEBRA_CACHE", {})
+    return make_algebra(spec)
+
+
+@pytest.mark.parametrize("spec", AUDIT_SPECS)
+def test_audit_matches_element_reference(spec, monkeypatch):
+    alg = fresh_algebra(spec, monkeypatch)
+    assert alg.carrier is None or len(alg.carrier) <= core.AUDIT_CARRIER_CAP
+    interned = core._audit(alg)
+    ref_alg = fresh_algebra(spec, monkeypatch)
+    assert interned.lines() == audit_ref(ref_alg).lines()
+    # the audit fills the kind memo as alg.kind() would
+    assert alg._memo["kind"] == ref_alg._memo["kind"]
+
+
+def int_pair(id, add, mul, carrier):
+    """A pair on integer payloads: 0 is the only null, the rest tangible,
+    and dagger and negation are the identity."""
+
+    def el(v):
+        return El(id, v)
+
+    return PairAlgebra(
+        id=id,
+        zero=el(0),
+        one=el(1),
+        add=lambda a, b: el(add(a.payload, b.payload)),
+        mul=lambda a, b: el(mul(a.payload, b.payload)),
+        is_tangible=lambda a: a.payload != 0,
+        is_null=lambda a: a.payload == 0,
+        dagger=lambda a: a,
+        negation=lambda a: a,
+        tangibles=tuple(el(v) for v in carrier if v),
+        carrier=tuple(el(v) for v in carrier),
+    )
+
+
+def _skew_mul(a, b):
+    # 0 absorbs, 1 is neutral, commutative; (2*3)*3 != 2*(3*3)
+    if a == 0 or b == 0:
+        return 0
+    if a == 1 or b == 1:
+        return a * b
+    return 2 + (a * a + b * b) % 3
+
+
+def _max_but(a, b):
+    # max, except 2 + 4 = 2: (2+3)+4 = 4 but 2+(3+4) = 2
+    return 2 if {a, b} == {2, 4} else max(a, b)
+
+
+def _flat_mul(a, b):
+    # 0 absorbs, 1 is neutral, 2*4 = 4 and any other product in {2,3,4} is 2:
+    # (2*3)*4 = 4 but 2*(3*4) = 2, the same first triple as _max_but
+    if a == 0 or b == 0:
+        return 0
+    if a == 1 or b == 1:
+        return a * b
+    return 4 if {a, b} == {2, 4} else 2
+
+
+def _left_mul(a, b):
+    if a == 0 or b == 0:
+        return 0
+    return a * b if a == 1 or b == 1 else a
+
+
+BROKEN_PAIRS = {
+    # both associativity checks fail first at (2, 3, 4): the witness is the
+    # addition's, checked first
+    "nonassoc-both": (int_pair("nonassoc-both", _max_but, _flat_mul, range(5)),
+                      "admissible", "addition not associative at El(nonassoc-both:2),"),
+    # |a - b| is commutative with 0 neutral, but (1+2)+3 != 1+(2+3)
+    "nonassoc-add": (int_pair("nonassoc-add", lambda a, b: abs(a - b),
+                              lambda a, b: a * b % 5, range(5)),
+                     "admissible", "addition not associative at"),
+    "nonassoc-mul": (int_pair("nonassoc-mul", max, _skew_mul, range(5)),
+                     "admissible", "multiplication not associative at"),
+    # products mod 5 over max: 2*max(2,3) = 1, max(2*2, 2*3) = 4
+    "nondistributive": (int_pair("nondistributive", max, lambda a, b: a * b % 5, range(5)),
+                        "distributive", "El(nondistributive:"),
+    # a*b = a on {2,3,4}: distributive on the left only, which is what the
+    # audit checks, so a table read transposed would fail it
+    "left-projection": (int_pair("left-projection", max, _left_mul, range(5)),
+                        "distributive", None),
+    # 2*3 = 6 and the triples' 2*2*3 = 12 leave the carrier {0..3}
+    "offcarrier": (int_pair("offcarrier", max, lambda a, b: a * b, range(4)),
+                   "distributive", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_PAIRS))
+def test_audit_matches_element_reference_on_broken_pairs(name):
+    alg, flag, witness = BROKEN_PAIRS[name]
+    interned = core._audit(alg)
+    assert interned.lines() == audit_ref(alg).lines()
+    assert interned.flags[flag] == (witness is None)
+    if witness is not None:
+        assert interned.witnesses[flag].startswith(witness)
+
+
+def test_audit_interns_off_carrier_products():
+    alg = BROKEN_PAIRS["offcarrier"][0]
+    # 0..3 and the products of two or three factors off it: 4, 6, 9, 8, 12,
+    # 18, 27
+    assert core._audit(alg).elements == 11
+
+
+def counting_copy(alg, calls, seen):
+    """A descriptor of the same pair whose add and mul count their calls per
+    ordered pair of operands, and which records every element it returns."""
+
+    def counted(name, op):
+        def run(a, b):
+            calls[name, a, b] += 1
+            seen.update((a, b))
+            out = op(a, b)
+            seen.add(out)
+            return out
+
+        return run
+
+    def recorded(op):
+        if op is None:
+            return None
+
+        def run(a):
+            out = op(a)
+            seen.update((a, out))
+            return out
+
+        return run
+
+    return PairAlgebra(
+        id=alg.id,
+        zero=alg.zero,
+        one=alg.one,
+        add=counted("add", alg._add),
+        mul=counted("mul", alg._mul),
+        is_tangible=alg._is_tangible,
+        is_null=alg._is_null,
+        dagger=recorded(alg.dagger),
+        negation=recorded(alg.negation),
+        negation_unique=alg.negation_unique,
+        tangibles=alg.tangibles,
+        carrier=alg.carrier,
+        declared_kind=alg.declared_kind,
+        sample=alg.sample,
+    )
+
+
+@pytest.mark.parametrize("spec", ["hyper:hex2-c4", "supertropical", "doubled:boolean", None])
+def test_audit_reaches_each_ordered_pair_once(spec):
+    import collections
+
+    alg = BROKEN_PAIRS["offcarrier"][0] if spec is None else make_algebra(spec)
+    calls, seen = collections.Counter(), set()
+    rep = core.axiom_audit(counting_copy(alg, calls, seen))
+    assert calls and max(calls.values()) == 1
+    assert rep.lines() == audit_ref(alg).lines()
+    seen |= {alg.zero, alg.one} | set(alg.carrier_sample())
+    assert rep.elements == len(seen)
+    if alg.carrier is not None:
+        assert rep.elements > len(alg.carrier) or spec == "doubled:boolean"
