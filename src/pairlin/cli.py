@@ -18,9 +18,9 @@ from .instances import BadSpecifier, SPECIFIER_HELP, make_algebra
 from .matrices import (
     CapExceeded,
     Matrix,
+    _check_n,
     _coded,
     _column_layers,
-    det_cap,
     det_doubled,
     det_method,
     matrix,
@@ -143,8 +143,7 @@ def cmd_det(args, rep):
         rep.emit("det_products", str(d.products))
         return 0
     k = min(a.rows, a.cols)
-    if k > det_cap():
-        raise CapExceeded(f"determinant cap exceeded at n = {k}")
+    _check_n("determinant", k)
     count = math.comb(a.rows, k) * math.comb(a.cols, k)
     if count > DET_MINOR_CAP:
         raise CapExceeded(

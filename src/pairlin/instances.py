@@ -400,6 +400,9 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
     negation map even over second-kind bases; for first-kind bases this is
     exactly the b1+b2-null rule.  Built once per base descriptor.
     """
+    if base.carrier is not None:
+        # the doubled carrier holds |base|^2 elements
+        _check_size(base.spec_string, len(base.carrier))
     did = f"doubled:{base.id}"
 
     def pack(p, n):
@@ -702,6 +705,7 @@ def _closure_pair(
     canonical dagger.
     """
     k = len(atom_names)
+    _check_size(spec_string or id, k)  # the carrier holds every atom
 
     # atom-by-atom tables, k^2 entries each: sets combine atomwise through
     # them, and a product or sum of two atoms is one lookup

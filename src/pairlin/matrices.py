@@ -63,6 +63,12 @@ def det_cap():
     return int(raw)
 
 
+def _check_n(what, n, limit=None):
+    """Raise CapExceeded when n is above limit, det_cap() by default."""
+    if n > (det_cap() if limit is None else limit):
+        raise CapExceeded(f"{what} cap exceeded at n = {n}")
+
+
 @dataclass(frozen=True)
 class Matrix:
     alg: PairAlgebra
@@ -237,16 +243,14 @@ def _perms(n):
         yield perm, sum(code) & 1
 
 
-def _det_size(a: Matrix, cap) -> int:
+def _det_size(a: Matrix) -> int:
     if not a.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.rows
-    if n > (cap if cap is not None else det_cap()):
-        raise CapExceeded(f"determinant cap exceeded at n = {n}")
-    return n
+    _check_n("determinant", a.rows)
+    return a.rows
 
 
-def det_tracks(a: Matrix, cap=None) -> DoubledDet:
+def det_tracks(a: Matrix) -> DoubledDet:
     """Reference parity-split expansion: each of the n! tracks multiplied out
     on its own and folded into its parity's sum, in lexicographic order of
     the permutations.
@@ -254,7 +258,7 @@ def det_tracks(a: Matrix, cap=None) -> DoubledDet:
     Assumes no algebraic law and runs on elements; det_doubled is tested
     against it.
     """
-    n = _det_size(a, cap)
+    n = _det_size(a)
     alg = a.alg
     plus = alg.zero
     minus = alg.zero
@@ -273,7 +277,7 @@ def det_method(alg: PairAlgebra) -> str:
     return "dp" if alg.distributive else "tracks"
 
 
-def det_doubled(a: Matrix, cap=None) -> DoubledDet:
+def det_doubled(a: Matrix) -> DoubledDet:
     """Exact parity-split determinant (det_plus, det_minus), equal to
     det_tracks.
 
@@ -281,7 +285,7 @@ def det_doubled(a: Matrix, cap=None) -> DoubledDet:
     other pair takes the grouped track walk, which needs only that addition
     is commutative and associative.
     """
-    n = _det_size(a, cap)
+    n = _det_size(a)
     coding, codes = _coded(a)
     layer, products = _minor_layer(a.alg, codes, range(n), coding)
     p, q = layer[(1 << n) - 1]
@@ -404,10 +408,9 @@ def _column_layers(a: Matrix, coding, codes, k):
         yield cols, {s: (dec(p), dec(q)) for s, (p, q) in layer.items()}
 
 
-def permanent(a: Matrix, cap=None) -> El:
+def permanent(a: Matrix) -> El:
     """Sum of all tracks regardless of parity (= det_plus + det_minus)."""
-    d = det_doubled(a, cap=cap)
-    return d.total()
+    return det_doubled(a).total()
 
 
 def is_singular(a: Matrix) -> bool:
@@ -429,13 +432,11 @@ def det_signed(a: Matrix) -> El:
 # adjoint and Laplace
 
 
-def _adjoint_size(a: Matrix, cap) -> int:
+def _adjoint_size(a: Matrix):
     if not a.is_square:
         raise DimensionMismatch("adjoint of a non-square matrix")
-    n = a.rows
-    if n > 1 and n - 1 > (cap if cap is not None else det_cap()):
-        raise CapExceeded(f"determinant cap exceeded at n = {n - 1}")
-    return n
+    if a.rows > 1:
+        _check_n("determinant", a.rows - 1)
 
 
 def _adjoint_codes(alg, codes, coding) -> tuple:
@@ -455,13 +456,13 @@ def _adjoint_codes(alg, codes, coding) -> tuple:
     return out, layer
 
 
-def adjoint(a: Matrix, cap=None) -> Matrix:
+def adjoint(a: Matrix) -> Matrix:
     """Doubled adjoint: entry (i,j) is the (j,i) minor's doubled determinant,
     switch-adjusted by the parity of i+j.
 
     Row i comes from one minor layer over every column but i.
     """
-    _adjoint_size(a, cap)
+    _adjoint_size(a)
     dalg = make_doubled(a.alg)
     coding, codes = _coded(a)
     dec = coding.decode
@@ -471,7 +472,7 @@ def adjoint(a: Matrix, cap=None) -> Matrix:
     ))
 
 
-def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
+def laplace_expand(a: Matrix, row_set) -> DoubledDet:
     """Generalized Laplace expansion along a set of rows.
 
     Contract: equals det_doubled(a) exactly, as a doubled element.
@@ -487,8 +488,7 @@ def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
     rows = tuple(sorted(row_set))
     if not rows or len(rows) >= n:
         raise DimensionMismatch("row set must be nonempty and proper")
-    if n > (cap if cap is not None else det_cap()):
-        raise CapExceeded(f"laplace cap exceeded at n = {n}")
+    _check_n("laplace", n)
     alg = a.alg
     coding, codes = _coded(a)
     add, mul = coding.add, coding.mul
@@ -515,17 +515,17 @@ def laplace_expand(a: Matrix, row_set, cap=None) -> DoubledDet:
 # Cayley-Hamilton
 
 
-def char_poly_doubled(a: Matrix, cap=None):
+def char_poly_doubled(a: Matrix):
     """Characteristic polynomial coefficients of lambda*I (-) A in the doubled
     pair: coefficient of lambda^(n-k) is switch^k of the sum of the k x k
     principal minors' doubled determinants."""
     dalg = make_doubled(a.alg)
     coding, codes = _coded(a)
     dec = coding.decode
-    return [El(dalg.id, (dec(p), dec(q))) for p, q in _char_poly_codes(a, codes, coding, cap)]
+    return [El(dalg.id, (dec(p), dec(q))) for p, q in _char_poly_codes(a, codes, coding)]
 
 
-def _char_poly_codes(a: Matrix, codes, coding, cap=None) -> list:
+def _char_poly_codes(a: Matrix, codes, coding) -> list:
     """char_poly_doubled's coefficients as coded (plus, minus) pairs, for
     a's codes."""
     if not a.is_square:
@@ -535,8 +535,7 @@ def _char_poly_codes(a: Matrix, codes, coding, cap=None) -> list:
     add = coding.add
     coeffs = [(coding.one, coding.zero)]
     for k in range(1, n + 1):
-        if k > (cap if cap is not None else det_cap()):
-            raise CapExceeded(f"determinant cap exceeded at n = {k}")
+        _check_n("determinant", k)
         plus = minus = coding.zero
         for subset in itertools.combinations(range(n), k):
             sub = [[codes[i][j] for j in subset] for i in subset]
@@ -547,12 +546,11 @@ def _char_poly_codes(a: Matrix, codes, coding, cap=None) -> list:
     return coeffs
 
 
-def cayley_hamilton_check(a: Matrix, cap=CAYLEY_HAMILTON_CAP) -> bool:
+def cayley_hamilton_check(a: Matrix) -> bool:
     """f(A) entrywise null in the doubled pair, for f the characteristic
     polynomial of A."""
     n = a.rows
-    if n > cap:
-        raise CapExceeded(f"cayley-hamilton cap exceeded at n = {n}")
+    _check_n("cayley-hamilton", n, CAYLEY_HAMILTON_CAP)
     dalg = make_doubled(a.alg)
     # the coefficients are sums of products of entries, so the coding of A
     # covers them
@@ -643,7 +641,7 @@ def quasi_inverse(a: Matrix) -> QuasiInverse:
 # Krasner determinants
 
 
-def krasner_det_contains_zero(a: Matrix, cap=KRASNER_CAP) -> bool:
+def krasner_det_contains_zero(a: Matrix) -> bool:
     """Whether some choice of coset representatives makes the classical
     field determinant vanish.  Exhaustive over representative choices."""
     alg = a.alg
@@ -652,8 +650,7 @@ def krasner_det_contains_zero(a: Matrix, cap=KRASNER_CAP) -> bool:
     if not a.is_square:
         raise DimensionMismatch("krasner determinant of a non-square matrix")
     n = a.rows
-    if n > cap:
-        raise CapExceeded(f"krasner enumeration cap exceeded at n = {n}")
+    _check_n("krasner enumeration", n, KRASNER_CAP)
     p = alg.krasner_field
     cosets = alg.krasner_cosets
     reps = []
@@ -665,7 +662,7 @@ def krasner_det_contains_zero(a: Matrix, cap=KRASNER_CAP) -> bool:
                 raise PairError("krasner determinant needs tangible-or-zero entries")
             rrow.append(sorted(cosets[idx]))
         reps.append(rrow)
-    perms = tuple(_perms(n))  # n <= cap, so at most cap! entries, for this call only
+    perms = tuple(_perms(n))  # at most KRASNER_CAP! entries, for this call only
     for choice in itertools.product(
         *[reps[i][j] for i in range(n) for j in range(n)]
     ):

@@ -13,13 +13,14 @@ witness returned.  A domain's `candidates` tuple of tangible elements, which
 the other searches iterate, is built from the integers on first access.
 
 Its reference is a lexicographic scan of the domain, which costs |D|^(k-2)
-for a support of k vectors.  A null combination of tangible vectors attains
-every column's maximum twice, so supports of size 2 are solved from those
-ties, and supports of size 3 and 4 from patterns of ties, one per column,
-when the patterns reach every witness the scan accepts: size 3 when the
-domain holds every tie value (v_p - v_q in one column), size 4 when also no
-row has a ghost entry.  Every other support scans (see `_super_search`).  `find_dependence` counts the supports
-it tries and those that scanned.
+for a support of k vectors; at size 2, with no middle coefficient, it tries
+1 and the two rows' tie values.  A null combination of tangible vectors
+attains every column's maximum twice, so supports of size 3 and 4 are
+solved from patterns of ties, one per column, when the patterns reach every
+witness the scan accepts: size 3 when the domain holds every tie value
+(v_p - v_q in one column), size 4 when also no row has a ghost entry.  Every
+other support scans (see `_super_search`).  `find_dependence` counts the
+supports it tries and those of 3 or more vectors that scanned.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional
 
 from .core import PairAlgebra, PairError, balances, surpasses0
 from .instances import st_tan, st_value
-from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, _coded, _column_layers, det_cap
+from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, _check_n, _coded, _column_layers
 
 
 class DomainEmpty(PairError):
@@ -85,8 +86,8 @@ class EntryRatioDomain:
     """The supertropical entry-ratio domain as a set of integers.
 
     The integer x in `scaled` stands for the tangible coefficient of value
-    x / scale.  The search reads only `scale`, `scaled`, `ordered` and `key`;
-    `candidates`, the tuple of tangible elements, is built on first access.
+    x / scale.  The search reads only `scale` and `positions`; `candidates`,
+    the tuple of tangible elements, is built on first access.
     """
 
     scale: int
@@ -103,34 +104,28 @@ class EntryRatioDomain:
         v = Fraction(v)
         return self.scale % v.denominator == 0 and _times(v, self.scale) in self.scaled
 
-    @staticmethod
-    def key(x):
-        """Position of a member in domain order, which is ascending value."""
-        return x
-
     @cached_property
-    def ordered(self):
-        return sorted(self.scaled)
+    def positions(self):
+        """Each member's position in domain order, which is ascending value."""
+        return {x: i for i, x in enumerate(sorted(self.scaled))}
 
     @cached_property
     def candidates(self):
-        return tuple(st_tan(Fraction(x, self.scale)) for x in self.ordered)
+        return tuple(st_tan(Fraction(x, self.scale)) for x in self.positions)
 
 
-class _ListedView:
-    """Integer view of a supertropical domain given as a candidate tuple:
-    the same members as an `EntryRatioDomain`, in tuple order."""
-
-    def __init__(self, candidates):
-        vals = [st_value(c) for c in candidates]
-        self.scale = math.lcm(*(v.denominator for v in vals))
-        self.scaled = {}
-        for v in vals:
-            self.scaled.setdefault(_times(v, self.scale), len(self.scaled))
-        self.ordered = list(self.scaled)
-
-    def key(self, x):
-        return self.scaled[x]
+def _positions(domain):
+    """(scale, positions): a supertropical domain's members as integers, x
+    standing for value x / scale, each mapped to its position in domain
+    order."""
+    if isinstance(domain, EntryRatioDomain):
+        return domain.scale, domain.positions
+    vals = [st_value(c) for c in domain.candidates]
+    scale = math.lcm(*(v.denominator for v in vals))
+    positions = {}
+    for v in vals:
+        positions.setdefault(_times(v, scale), len(positions))
+    return scale, positions
 
 
 def exact_domain(alg: PairAlgebra) -> CoefficientDomain:
@@ -279,21 +274,22 @@ def _tie_states(ties, k):
     return states
 
 
-def _super_search(raw, scale, view, support):
+def _super_search(raw, scale, dscale, positions, support):
     """Deterministic first-witness search over one support, supertropical:
     (witness or None, whether the domain scan ran).
 
     `raw` holds the entries as integers, value * scale (see `_super_raw`),
-    and `view` is the domain as integers, member x standing for value
-    x / view.scale; `scale` is a multiple of `view.scale`.  The search works
-    on these integers throughout and builds the tangible coefficients only
-    for the witness it returns.
+    and `positions` maps each domain member, an integer x standing for value
+    x / dscale, to its position in domain order; `scale` is a multiple of
+    `dscale`.  The search works on these integers throughout and builds the
+    tangible coefficients only for the witness it returns.
 
     The leading coefficient is normalized to 1.  The reference is the
     lexicographic domain scan: the middle coefficients run over the domain
     in domain order, and the last over the values that tie it with the
     maximum of the others in some column (and 1); only the coefficients
-    after the leading 1 need be members.  A null combination of
+    after the leading 1 need be members; at size 2, with no middle
+    coefficient, the scan is not counted as one.  A null combination of
     tangible rows has, in every column with a live entry, its maximum
     attained at least twice, so each null point solves one tie pattern: one
     tie u_q - u_p = v_p - v_q per column, merged in a union-find with
@@ -304,10 +300,9 @@ def _super_search(raw, scale, view, support):
     witness on that pair whose coefficient is that pair's tie value, found
     before this support whenever the domain holds the tie values.
 
-    Size 2 takes its candidates from the ties directly.  Sizes 3 and 4 take
-    the tie patterns when the domain holds every tie value; size 4 also
-    needs rows free of ghosts (a ghost can dominate a column alone, which no
-    tie equation sees).  Every other support, and any larger one, scans.
+    Sizes 3 and 4 take the tie patterns when the domain holds every tie
+    value; size 4 also needs rows free of ghosts (a ghost can dominate a
+    column alone, which no tie equation sees).  Every other support scans.
     Size 3 keeps its tie patterns over rows with ghosts, where a miss still
     reports as no witness over the heuristic domain, never as independence.
     The patterns' cost follows their distinct states, not their number; it
@@ -321,13 +316,13 @@ def _super_search(raw, scale, view, support):
     keeps its last row below every maximum, so the other three rows were
     already a size-3 witness.
     """
-    step = scale // view.scale
+    step = scale // dscale
 
     def in_domain(y):
-        return y % step == 0 and y // step in view.scaled
+        return y % step == 0 and y // step in positions
 
     def key(y):
-        return view.key(y // step)
+        return positions[y // step]
 
     def witness(vals):
         return DependenceWitness(
@@ -339,19 +334,6 @@ def _super_search(raw, scale, view, support):
     if k == 1:
         if _super_combo_null(raw, support, [0]):
             return witness([0]), False
-        return None, False
-
-    if k == 2:
-        i1, i2 = support
-        cands = {0}
-        for j in range(n):
-            l1, v1 = raw[i1][j]
-            l2, v2 = raw[i2][j]
-            if l1 is not None and l2 is not None:
-                cands.add(v1 - v2)
-        for a2 in sorted(filter(in_domain, cands), key=key):
-            if _super_combo_null(raw, support, [0, a2]):
-                return witness([0, a2]), False
         return None, False
 
     def candidates_for_last(prefix_vals):
@@ -374,8 +356,8 @@ def _super_search(raw, scale, view, support):
         cands.add(0)
         return sorted(filter(in_domain, cands), key=key)
 
-    members = [x * step for x in view.ordered]
-    if k <= 4:
+    members = [x * step for x in positions] if k > 2 else ()
+    if k in (3, 4):
         ties = _column_ties(raw, support)
         if ties is None:
             return None, False
@@ -388,8 +370,8 @@ def _super_search(raw, scale, view, support):
         for last in candidates_for_last(prefix):
             vals = prefix + [last]
             if _super_combo_null(raw, support, vals):
-                return witness(vals), True
-    return None, True
+                return witness(vals), k > 2
+    return None, k > 2
 
 
 def _ties_decide(raw, support, ties, in_domain):
@@ -445,7 +427,8 @@ def find_dependence(vectors, domain, alg, *, stats=None):
     `stats`, when given, is a dict whose "supports_tried" and
     "supports_scanned" entries are increased by the supports searched and
     by those of them that scanned the coefficient domain (every support of
-    a finite pair; supertropical supports the tie patterns do not decide).
+    a finite pair; supertropical supports of 3 or more vectors that the tie
+    patterns do not decide).
     """
     if not vectors:
         return None
@@ -460,34 +443,25 @@ def find_dependence(vectors, domain, alg, *, stats=None):
             alg.check(e)
     supertrop = alg.max_plus
     if supertrop:
-        view = domain
-        if not isinstance(domain, EntryRatioDomain):
-            view = _ListedView(domain.candidates)
-        scale, raw = _super_raw(vectors, view.scale)
-    normalizable = alg.tangible_inverse is not None or supertrop
+        dscale, positions = _positions(domain)
+        scale, raw = _super_raw(vectors, dscale)
+    else:
+        heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
     tried = scanned = 0
     try:
         for size in range(1, m + 1):
             for support in itertools.combinations(range(m), size):
                 tried += 1
                 if supertrop:
-                    w, scan = _super_search(raw, scale, view, support)
+                    w, scan = _super_search(raw, scale, dscale, positions, support)
                     scanned += scan
                     if w is not None:
                         return w
                     continue
                 scanned += 1
-                if normalizable:
-                    head = (alg.one,)
-                    rest = itertools.product(domain.candidates, repeat=size - 1)
-                    for tail in rest:
-                        coeffs = head + tail
-                        if _combo_null(alg, vectors, support, coeffs):
-                            return DependenceWitness(support, coeffs)
-                else:
-                    for coeffs in itertools.product(domain.candidates, repeat=size):
-                        if _combo_null(alg, vectors, support, coeffs):
-                            return DependenceWitness(support, coeffs)
+                for coeffs in itertools.product(heads, *[domain.candidates] * (size - 1)):
+                    if _combo_null(alg, vectors, support, coeffs):
+                        return DependenceWitness(support, coeffs)
         return None
     finally:
         if stats is not None:
@@ -523,8 +497,7 @@ def submatrix_rank(a: Matrix) -> int:
     alg = a.alg
     coding, codes = _coded(a)
     for k in range(min(a.rows, a.cols), 0, -1):
-        if k > det_cap():
-            raise CapExceeded(f"determinant cap exceeded at n = {k}")
+        _check_n("determinant", k)
         for _, layer in _column_layers(a, coding, codes, k):
             if not all(balances(alg, p, q) for p, q in layer.values()):
                 return k
@@ -550,8 +523,7 @@ def check_condition(a: Matrix, which: str, domain=None, stats=None) -> Condition
     rows = list(a.entries)
     if domain is None:
         domain = default_domain(alg, rows)
-    which = which.lower()
-    if which in ("a2p", "a2'", "a2prime"):
+    if which == "a2p":
         w = find_dependence(rows, domain, alg, stats=stats) if a.rows > a.cols else None
         return _a2prime_verdict(a, w, domain)
     if which not in ("a1", "a2"):

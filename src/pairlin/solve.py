@@ -19,17 +19,16 @@ from .core import El, PairError, balances
 from .instances import make_doubled
 from .matrices import (
     DimensionMismatch,
-    CapExceeded,
     Matrix,
     _adjoint_codes,
     _adjoint_size,
     _coded,
+    _check_n,
     _det_size,
     _dot,
     _dp_step,
     _minor_layer,
     _perms,
-    det_cap,
     det_method,
     mat_vec,
 )
@@ -96,10 +95,10 @@ def cramer_solve(a: Matrix, v) -> CramerResult:
         raise DimensionMismatch("cramer needs a square matrix")
     if len(v) != a.rows:
         raise DimensionMismatch("right-hand side length mismatch")
-    _adjoint_size(a, None)
+    _adjoint_size(a)
     alg = a.alg
     alg.check(*v)
-    _det_size(a, None)
+    _det_size(a)
     dalg = make_doubled(alg)
     coding, codes, vc, (wp, wm), (dp, dm) = _adj_vec(a, v)
     mul, dec = coding.mul, coding.decode
@@ -158,7 +157,7 @@ class DominantReport:
     strictly_nonsingular: bool
 
 
-def dominant_structure(a: Matrix, cap=None) -> DominantReport:
+def dominant_structure(a: Matrix) -> DominantReport:
     """Enumerate all tracks and classify the mu-maximal ones."""
     if not a.is_square:
         raise DimensionMismatch("dominant structure needs a square matrix")
@@ -166,8 +165,7 @@ def dominant_structure(a: Matrix, cap=None) -> DominantReport:
     if alg.modulus is None:
         raise NoModulus(f"{alg.id} has no modulus")
     n = a.rows
-    if n > (cap if cap is not None else det_cap()):
-        raise CapExceeded(f"track enumeration cap exceeded at n = {n}")
+    _check_n("track enumeration", n)
     tracks = []
     for perm, odd in _perms(n):
         val = alg.product(a[perm[c], c] for c in range(n))
@@ -268,7 +266,7 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     ax = mat_vec(a, state.x)
     state.balance_verified = all(balances(alg, l, r) for l, r in zip(ax, v))
     # mu identity, checked exactly
-    _det_size(a, None)
+    _det_size(a)
     coding, _, _, w, (dp, dm) = _adj_vec(a, v)
     dec = coding.decode
     det_mu = alg.modulus(alg.add(dec(dp), dec(dm)))

@@ -2,12 +2,17 @@
 element literals, and the size bounds checked before a pair is built."""
 
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+import pairlin
 from pairlin import core, instances
 from pairlin.core import PairAlgebra, axiom_audit
 from pairlin.instances import (
@@ -143,6 +148,35 @@ class TestSizeBounds:
         with pytest.raises(BadSpecifier, match="elements"):
             make_algebra(spec)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("spec, code, error", [
+        # the base is checked before its doubled carrier is built
+        ("doubled:doubled:krasner:61:1", 2, "doubled:krasner:61:1: more than 256 elements"),
+        (
+            "doubled:doubled:doubled:doubled:doubled:boolean",
+            2,
+            "doubled:doubled:doubled:doubled:boolean: more than 256 elements",
+        ),
+        # the atoms are counted before the k x k atom tables are built
+        ("hyper:hex2-c1000", 2, "hyper:hex2-c1000: more than 256 elements"),
+        ("hyper:hex1-c3000", 2, "hyper:hex1-c3000: more than 256 elements"),
+        # a doubled carrier within the bound still builds; the audit refuses it
+        (
+            "doubled:krasner:13:3",
+            3,
+            "audit cap exceeded: doubled:krasner:13:1,3,9 has 441 elements, more than 32",
+        ),
+    ])
+    def test_oversized_specifiers_exit_as_a_process(self, spec, code, error):
+        src = str(pathlib.Path(pairlin.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairlin.cli", "audit", spec],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, f"error: {error}\n", "")
 
     def test_registered_pairs_within_bound(self):
         for spec in ("krasner:17:1", "krasner:13:3", "krasner:13:12", "hyper:hex1-c6"):

@@ -34,6 +34,7 @@ from pairlin.matrices import (
     project_matrix,
 )
 from pairlin.suites import clipped_counting_matrix, rand_supertropical_matrix
+import pairlin.matrices as matrices_mod
 
 sign = make_algebra("sign")
 st = make_algebra("supertropical")
@@ -282,10 +283,11 @@ class TestDetPaths:
         a = rand_supertropical_matrix(random.Random(15), n, tangible=False)
         assert 0 < det_doubled(a).products <= 2 * n * 2 ** (n - 1)
 
-    def test_reference_keeps_the_cap(self):
+    def test_reference_keeps_the_cap(self, monkeypatch):
         a = matrix(st, [[st_tan(0)] * 3 for _ in range(3)])
+        monkeypatch.setenv("PAIRLIN_CAP_N", "2")
         with pytest.raises(CapExceeded):
-            det_tracks(a, cap=2)
+            det_tracks(a)
 
     def test_perms_keeps_the_old_table_order(self):
         for n in range(7):
@@ -386,12 +388,11 @@ class TestAdjointAndLaplace:
 
     def test_adjoint_keeps_the_cap(self, monkeypatch):
         a = matrix(st, [[st_tan(0)] * 4 for _ in range(4)])
-        with pytest.raises(CapExceeded):
-            adjoint(a, cap=2)
-        assert adjoint(a, cap=3).rows == 4  # its minors are 3 x 3
         monkeypatch.setenv("PAIRLIN_CAP_N", "2")
         with pytest.raises(CapExceeded):
             adjoint(a)
+        monkeypatch.setenv("PAIRLIN_CAP_N", "3")
+        assert adjoint(a).rows == 4  # its minors are 3 x 3
 
     def test_adjoint_balances_det_times_identity(self):
         # |A| I nabla A adj(A), entrywise in the doubled pair
@@ -434,10 +435,11 @@ class TestCayleyHamilton:
             a = rand_supertropical_matrix(rng, 3, tangible=False)
             assert cayley_hamilton_check(a)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         a = identity(sign, 4)
+        monkeypatch.setattr(matrices_mod, "CAYLEY_HAMILTON_CAP", 3)
         with pytest.raises(CapExceeded):
-            cayley_hamilton_check(a, cap=3)
+            cayley_hamilton_check(a)
 
 
 class TestQuasi:
@@ -506,8 +508,12 @@ class TestKrasnerDet:
             a = matrix(alg, [quad[0:2], quad[2:4]])
             assert krasner_det_contains_zero(a) == is_singular(a)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         alg = make_algebra("krasner:5:4")
         a = identity(alg, 5)
         with pytest.raises(CapExceeded):
-            krasner_det_contains_zero(a, cap=4)
+            krasner_det_contains_zero(a)
+        # the cap is read when the check runs
+        monkeypatch.setattr(matrices_mod, "KRASNER_CAP", 2)
+        with pytest.raises(CapExceeded, match="at n = 3"):
+            krasner_det_contains_zero(identity(alg, 3))

@@ -55,7 +55,6 @@ from pairlin.instances import (
     st_value,
 )
 from pairlin.matrices import (
-    CAYLEY_HAMILTON_CAP,
     DoubledDet,
     Matrix,
     adjoint,
@@ -80,11 +79,11 @@ def _switch_pow(dalg, x, k):
     return x
 
 
-def laplace_ref(a, row_set, cap=None):
+def laplace_ref(a, row_set):
     """Two det_doubled calls per column set, each on its own submatrix."""
     n = a.rows
     rows = tuple(sorted(row_set))
-    if n > (cap if cap is not None else det_cap()):
+    if n > det_cap():
         raise CapExceeded(f"laplace cap exceeded at n = {n}")
     alg = a.alg
     dalg = make_doubled(alg)
@@ -92,8 +91,8 @@ def laplace_ref(a, row_set, cap=None):
     acc = El(dalg.id, (alg.zero, alg.zero))
     for cols in itertools.combinations(range(n), len(rows)):
         comp_cols = tuple(j for j in range(n) if j not in cols)
-        d1 = det_doubled(a.submatrix(rows, cols), cap=cap)
-        d2 = det_doubled(a.submatrix(comp_rows, comp_cols), cap=cap)
+        d1 = det_doubled(a.submatrix(rows, cols))
+        d2 = det_doubled(a.submatrix(comp_rows, comp_cols))
         term = dalg.mul(
             El(dalg.id, (d1.det_plus, d1.det_minus)),
             El(dalg.id, (d2.det_plus, d2.det_minus)),
@@ -110,10 +109,10 @@ def _mat_add(a, b):
     ])
 
 
-def cayley_hamilton_ref(a, cap=CAYLEY_HAMILTON_CAP):
+def cayley_hamilton_ref(a):
     """f(A) summed in the doubled pair from powers of the embedded A."""
     n = a.rows
-    if n > cap:
+    if n > matrices.CAYLEY_HAMILTON_CAP:
         raise CapExceeded(f"cayley-hamilton cap exceeded at n = {n}")
     dalg = make_doubled(a.alg)
     coeffs = matrices.char_poly_doubled(a)
@@ -468,11 +467,13 @@ def test_laplace_matches_per_minor_reference():
             assert got[1] == det_doubled(a), (alg.id, rows)
 
 
-def test_laplace_keeps_its_cap():
+def test_laplace_keeps_its_cap(monkeypatch):
     a = rand_matrix(random.Random(2), st, 4)
-    for cap in (2, 3, 4):
-        assert outcome(laplace_expand, a, (0, 2), cap) == outcome(laplace_ref, a, (0, 2), cap)
-    assert outcome(laplace_expand, a, (1,), 3)[1] is CapExceeded
+    for cap in ("2", "3", "4"):
+        monkeypatch.setenv("PAIRLIN_CAP_N", cap)
+        assert outcome(laplace_expand, a, (0, 2)) == outcome(laplace_ref, a, (0, 2))
+    monkeypatch.setenv("PAIRLIN_CAP_N", "3")
+    assert outcome(laplace_expand, a, (1,))[1] is CapExceeded
 
 
 def test_cayley_hamilton_matches_doubled_powers():
@@ -518,10 +519,11 @@ def test_polynomial_evaluation_matches_doubled_powers(monkeypatch):
     assert nonnull > 20
 
 
-def test_cayley_hamilton_keeps_its_cap():
+def test_cayley_hamilton_keeps_its_cap(monkeypatch):
     a = rand_matrix(random.Random(4), st, 4)
-    assert outcome(cayley_hamilton_check, a, 3) == outcome(cayley_hamilton_ref, a, 3)
-    assert outcome(cayley_hamilton_check, a, 3)[1] is CapExceeded
+    monkeypatch.setattr(matrices, "CAYLEY_HAMILTON_CAP", 3)
+    assert outcome(cayley_hamilton_check, a) == outcome(cayley_hamilton_ref, a)
+    assert outcome(cayley_hamilton_check, a)[1] is CapExceeded
 
 
 def test_cramer_matches_embedded_products():

@@ -1,5 +1,6 @@
 """Dependence search, ranks, conditions, rank defect, surpassing spans."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -358,6 +359,102 @@ class TestFindDependence:
                 found += 1
                 assert_null_witness(rows, w)
         assert found > 0
+
+
+def _ghost_zero_pair(rng, n):
+    """Two supertropical rows of length n with tangible, ghost and zero
+    entries on half-integers."""
+    def entry():
+        r = rng.random()
+        if r < 0.2:
+            return ST_ZERO
+        v = Fraction(rng.randint(-6, 6), 2)
+        return st_ghost(v) if r < 0.5 else st_tan(v)
+
+    return [tuple(entry() for _ in range(n)) for _ in range(2)]
+
+
+def brute_force_witness(alg, vectors):
+    """Reference search over T^k: supports by size then lexicographically,
+    coefficient tuples in lexicographic order of the tangible tuple."""
+    m = len(vectors)
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            for coeffs in itertools.product(alg.tangibles, repeat=size):
+                if _combo_null(alg, vectors, support, coeffs):
+                    return DependenceWitness(support, coeffs)
+    return None
+
+
+class TestSearchOracles:
+    """The size-2 supertropical search and the finite search without
+    tangible inverses against plain references."""
+
+    def test_size2_supports_with_ghosts_and_zeros(self):
+        # Over two rows a null combination's coefficient lies in a closed
+        # interval whose ends are tie values v1 - v2; the search tries 0 and
+        # the tie values in domain order.  That is the naive scan over the
+        # domain cut to those values, and over the ascending entry-ratio
+        # domain the naive scan itself: its first member in the interval
+        # is the lower end, a tie value.
+        rng = random.Random(41)
+        found = ghost_found = 0
+        for t in range(150):
+            rows = _ghost_zero_pair(rng, 1 + t % 4)
+            dom = entry_ratio_domain(st, rows, 1 + t % 2)
+            shuffled = list(dom.candidates)
+            rng.shuffle(shuffled)
+            listed = CoefficientDomain(tuple(shuffled), "heuristic")
+            no_one = CoefficientDomain(
+                tuple(c for c in shuffled if c != st.one), "heuristic"
+            )
+            ties = {0} | {
+                st_value(x) - st_value(y)
+                for x, y in zip(*rows)
+                if x.payload is not None and y.payload is not None
+            }
+            for d in (dom, listed, no_one) if len(no_one) else (dom, listed):
+                w, tried, scanned = search_stats(rows, d)
+                supports = [(0,), (1,), (0, 1)]
+                assert (tried, scanned) == (supports.index(w.support) + 1 if w else 3, 0)
+                cut = CoefficientDomain(
+                    tuple(c for c in d.candidates if st_value(c) in ties), "heuristic"
+                )
+                assert w == naive_first_witness(st, rows, cut), (rows, d)
+                assert (w is None) == (naive_first_witness(st, rows, d) is None), rows
+                if d is dom:
+                    assert w == naive_first_witness(st, rows, d), rows
+                if w is not None:
+                    assert_null_witness(rows, w)
+                    found += len(w.support) == 2
+                    ghost_found += len(w.support) == 2 and any(
+                        e.payload is not None and e.payload[0] == "g"
+                        for row in rows for e in row
+                    )
+        assert found > 50 and ghost_found > 20
+
+    def test_weaksign_search_equals_brute_force(self):
+        # hyper:weaksign-c2 is the one registered finite pair whose
+        # tangibles have no inverses, so no coefficient is normalized
+        from pairlin import registered_instances
+
+        finite = [a for a in registered_instances() if a.tangibles is not None]
+        assert [a.spec_string for a in finite if a.tangible_inverse is None] == [
+            "hyper:weaksign-c2"
+        ]
+        alg = make_algebra("hyper:weaksign-c2")
+        rng = random.Random(43)
+        pool = (alg.zero,) + alg.tangibles * 3 + alg.carrier
+        sizes = collections.Counter()
+        for t in range(80):
+            m, n = 2 + t % 3, 1 + t % 4
+            rows = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(m)]
+            stats = {"supports_tried": 0, "supports_scanned": 0}
+            w = find_dependence(rows, exact_domain(alg), alg, stats=stats)
+            assert w == brute_force_witness(alg, rows), rows
+            assert stats["supports_tried"] == stats["supports_scanned"]
+            sizes[w and len(w.support)] += 1
+        assert sizes[None] > 5 and sizes[2] > 5 and sizes[3] > 5, sizes
 
 
 class TestEntryRatioDomain:
