@@ -23,46 +23,48 @@ import pytest
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_transcripts.json")
 
+# name -> (matrix file, right-hand side for `solve cramer` or None)
 FILES = {
-    "sign_gap": "pair sign\nrows 3\ncols 4\n1 1 -1 1\n1 -1 1 1\n-1 1 1 1\n",
+    "sign_gap": ("pair sign\nrows 3\ncols 4\n1 1 -1 1\n1 -1 1 1\n-1 1 1 1\n", None),
     # two rows with ghosts and zeros: every support has at most 2 vectors
-    "st_ghost_pair": "pair supertropical\nrows 2\ncols 3\n0 5g -inf\n0g 0 -inf\n",
-    "st_ghost_3x2": "pair supertropical\nrows 3\ncols 2\n1/2g -3/2\n-2 -2g\n-inf 1\n",
-    "st_ghost_4x3": "pair supertropical\nrows 4\ncols 3\n-6 3 4\n-4 0 4\n1g 6 5\n2 -1 2\n",
-    "st_a2p_4x3": "pair supertropical\nrows 4\ncols 3\n-8 -3 -10\n-3 3 -7/2\n1 -2 6\n11/2 7 -11\n",
-    "st_4x4": "pair supertropical\nrows 4\ncols 4\n3 0 1 -1\n0 4 -2 1\n2 1 5 0\n-1 2 0 6\n",
-    "st_dominant_3x3": "pair supertropical\nrows 3\ncols 3\n9 1 2\n0 8 -1\n3 2 10\n",
-    "weaksign_3x2": "pair hyper:weaksign-c2\nrows 3\ncols 2\ng0+ g1-\ng1+ g0-\ng0- g0+\n",
+    "st_ghost_pair": ("pair supertropical\nrows 2\ncols 3\n0 5g -inf\n0g 0 -inf\n", None),
+    "st_ghost_3x2": ("pair supertropical\nrows 3\ncols 2\n1/2g -3/2\n-2 -2g\n-inf 1\n", None),
+    "st_ghost_4x3": (
+        "pair supertropical\nrows 4\ncols 3\n-6 3 4\n-4 0 4\n1g 6 5\n2 -1 2\n", None
+    ),
+    "st_a2p_4x3": (
+        "pair supertropical\nrows 4\ncols 3\n-8 -3 -10\n-3 3 -7/2\n1 -2 6\n11/2 7 -11\n",
+        None,
+    ),
+    "st_4x4": (
+        "pair supertropical\nrows 4\ncols 4\n3 0 1 -1\n0 4 -2 1\n2 1 5 0\n-1 2 0 6\n",
+        "1,0,2,-1",
+    ),
+    "st_dominant_3x3": (
+        "pair supertropical\nrows 3\ncols 3\n9 1 2\n0 8 -1\n3 2 10\n", "1,2,0"
+    ),
+    "weaksign_3x2": (
+        "pair hyper:weaksign-c2\nrows 3\ncols 2\ng0+ g1-\ng1+ g0-\ng0- g0+\n", None
+    ),
     "weaksign_3x3": (
-        "pair hyper:weaksign-c2\nrows 3\ncols 3\ng0+ g1- 0\n{0,g1+,g1-} g0- g1+\ng1- g0+ g0-\n"
+        "pair hyper:weaksign-c2\nrows 3\ncols 3\ng0+ g1- 0\n{0,g1+,g1-} g0- g1+\ng1- g0+ g0-\n",
+        "g0+,g1-,g0-",
     ),
-    "krasner_3x3": "pair krasner:5:4\nrows 3\ncols 3\nc1 c2 0\nc2 c1 c1\n0 {0,c1} c2\n",
+    "krasner_3x3": (
+        "pair krasner:5:4\nrows 3\ncols 3\nc1 c2 0\nc2 c1 c1\n0 {0,c1} c2\n", "c1,c2,c1"
+    ),
     "doubled_boolean_3x3": (
-        "pair doubled:boolean\nrows 3\ncols 3\n1|0 0|1 1|0\n0|1 1|0 0|0\n1|0 1|0 0|1\n"
+        "pair doubled:boolean\nrows 3\ncols 3\n1|0 0|1 1|0\n0|1 1|0 0|0\n1|0 1|0 0|1\n",
+        "1|0,0|1,1|0",
     ),
-    "st_wide_2x3": "pair supertropical\nrows 2\ncols 3\n1 2g 0\n3 -inf 4\n",
-}
-
-RHS = {
-    "sign_gap": None,
-    "st_ghost_pair": None,
-    "st_ghost_3x2": None,
-    "st_ghost_4x3": None,
-    "st_a2p_4x3": None,
-    "st_4x4": "1,0,2,-1",
-    "st_dominant_3x3": "1,2,0",
-    "weaksign_3x2": None,
-    "weaksign_3x3": "g0+,g1-,g0-",
-    "krasner_3x3": "c1,c2,c1",
-    "doubled_boolean_3x3": "1|0,0|1,1|0",
-    "st_wide_2x3": None,
+    "st_wide_2x3": ("pair supertropical\nrows 2\ncols 3\n1 2g 0\n3 -inf 4\n", None),
 }
 
 
 def queries():
     """(name, argv with FILE for the file, PAIRLIN_CAP_N or None)."""
     out = []
-    for name, rhs in RHS.items():
+    for name, (_, rhs) in FILES.items():
         out.append((name, ["det", "FILE"], None))
         out.append((name, ["rank", "FILE"], None))
         for cond in ("a1", "a2", "a2p"):
@@ -97,7 +99,7 @@ def transcript(tmp, name, argv, cap):
     from pairlin.cli import run_command
 
     path = pathlib.Path(tmp) / f"{name}.txt"
-    path.write_text(FILES[name])
+    path.write_text(FILES[name][0])
     argv = [str(path) if a == "FILE" else a for a in argv]
     saved = os.environ.pop("PAIRLIN_CAP_N", None)
     if cap is not None:

@@ -20,6 +20,7 @@ from pairlin import (
     preceq_spans,
     rank_defect,
     rank_report,
+    registered_instances,
     row_rank,
     st_tan,
     submatrix_rank,
@@ -433,11 +434,21 @@ class TestSearchOracles:
                     )
         assert found > 50 and ghost_found > 20
 
+    def test_size2_tries_one_inside_the_interval(self):
+        # the null coefficients of row 2 form [-1, 1], whose ends are tie
+        # values; 1 (value 0) lies inside it and is tried in domain order too
+        rows = parse_rows((("0", "0g"), ("1g", "-1")))
+        listed = CoefficientDomain((st.one, st_tan(-1), st_tan(1)), "heuristic")
+        ascending = entry_ratio_domain(st, rows, 1)
+        for d, expected in ((listed, "0,0"), (ascending, "0,-1")):
+            w, tried, scanned = search_stats(rows, d)
+            assert ",".join(st.format_literal(c) for c in w.coeffs) == expected
+            assert (w.support, tried, scanned) == ((0, 1), 3, 0)
+            assert w == naive_first_witness(st, rows, d)
+
     def test_weaksign_search_equals_brute_force(self):
         # hyper:weaksign-c2 is the one registered finite pair whose
         # tangibles have no inverses, so no coefficient is normalized
-        from pairlin import registered_instances
-
         finite = [a for a in registered_instances() if a.tangibles is not None]
         assert [a.spec_string for a in finite if a.tangible_inverse is None] == [
             "hyper:weaksign-c2"
