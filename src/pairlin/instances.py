@@ -400,9 +400,6 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
     negation map even over second-kind bases; for first-kind bases this is
     exactly the b1+b2-null rule.  Built once per base descriptor.
     """
-    if base.carrier is not None:
-        # the doubled carrier holds |base|^2 elements
-        _check_size(base.spec_string, len(base.carrier))
     did = f"doubled:{base.id}"
 
     def pack(p, n):
@@ -1124,7 +1121,11 @@ def make_algebra(spec: str) -> PairAlgebra:
         elif head == "minimal" and len(parts) == 3:
             alg = make_minimal(parts[1], int(parts[2]))
         elif head == "doubled":
-            alg = make_doubled(make_algebra(spec.split(":", 1)[1]))
+            base = make_algebra(spec.split(":", 1)[1])
+            if base.carrier is not None:
+                # the doubled carrier holds |base|^2 elements
+                _check_size(base.spec_string, len(base.carrier))
+            alg = make_doubled(base)
         elif head == "krasner" and len(parts) == 3:
             alg = make_krasner(int(parts[1]), parts[2].replace("-", ",").split(","))
         elif head == "hyper" and len(parts) == 2:

@@ -356,7 +356,9 @@ def _super_search(raw, scale, dscale, positions, support):
         cands.add(0)
         return sorted(filter(in_domain, cands), key=key)
 
-    members = [x * step for x in positions] if k > 2 else ()
+    # size 2 has no middle coefficient, so its scan is not counted as one
+    scanned = k > 2
+    members = [x * step for x in positions] if scanned else ()
     if k in (3, 4):
         ties = _column_ties(raw, support)
         if ties is None:
@@ -370,8 +372,8 @@ def _super_search(raw, scale, dscale, positions, support):
         for last in candidates_for_last(prefix):
             vals = prefix + [last]
             if _super_combo_null(raw, support, vals):
-                return witness(vals), k > 2
-    return None, k > 2
+                return witness(vals), scanned
+    return None, scanned
 
 
 def _ties_decide(raw, support, ties, in_domain):

@@ -178,6 +178,23 @@ class TestSizeBounds:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, f"error: {error}\n", "")
 
+    def test_cramer_doubles_a_doubled_matrix_pair(self, tmp_path):
+        # the size check guards specifiers only: Cramer's rule doubles the
+        # matrix's pair, here to 441^2 elements, and still answers
+        path = tmp_path / "dk.txt"
+        path.write_text("pair doubled:krasner:13:3\nrows 2\ncols 2\nc1|0 0|c2\nc4|0 c1|c7\n")
+        src = str(pathlib.Path(pairlin.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairlin.cli", "solve", "cramer", str(path), "--rhs", "c1|0,0|c1"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "w: c1|c7|c2|0,0|c1|c4|0\nbalance_verified: true\n", ""
+        )
+
     def test_registered_pairs_within_bound(self):
         for spec in ("krasner:17:1", "krasner:13:3", "krasner:13:12", "hyper:hex1-c6"):
             assert len(make_algebra(spec).carrier) <= CARRIER_CAP
