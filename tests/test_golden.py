@@ -5,7 +5,11 @@ ones in golden_transcripts.json.
 The files cover size-2 supertropical supports with ghost and zero entries,
 a size-4 support that scans, the hyperpair without tangible inverses
 (hyper:weaksign-c2), a heuristic domain flag, and the determinant cap set
-by PAIRLIN_CAP_N.  To record the transcripts of the current code, run
+by PAIRLIN_CAP_N.  The finite-pair files pin the dependence search's
+witnesses and its supports_tried / supports_scanned counts: 4 x 3 files
+over krasner:17:1, hyper:weaksign-c2 (every candidate leads), sign (with a
+zero row) and doubled:boolean, and a 3 x 3 hyper:hex1-c3 file with a
+set-valued entry.  To record the transcripts of the current code, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -58,6 +62,24 @@ FILES = {
         "1|0,0|1,1|0",
     ),
     "st_wide_2x3": ("pair supertropical\nrows 2\ncols 3\n1 2g 0\n3 -inf 4\n", None),
+    # finite pairs whose 4 x 3 files reach a search over supports of 4 vectors
+    "krasner17_4x3": (
+        "pair krasner:17:1\nrows 4\ncols 3\nc7 c14 c1\nc8 c12 0\nc1 c14 c4\nc11 c3 c7\n",
+        None,
+    ),
+    "hex1_3x3": (
+        "pair hyper:hex1-c3\nrows 3\ncols 3\ng0 g1 {g0,g1}\ng2 0 g1\ng1 g2 g0\n", None
+    ),
+    "weaksign_4x3": (
+        "pair hyper:weaksign-c2\nrows 4\ncols 3\n"
+        "g0+ g1- g0-\ng1+ g0- g1+\ng0- g0+ g1-\ng1- g1+ g0+\n",
+        None,
+    ),
+    "sign_zero_row_4x3": ("pair sign\nrows 4\ncols 3\n1 -1 1\n0 0 0\n-1 1 inf\n1 1 -1\n", None),
+    "doubled_boolean_4x3": (
+        "pair doubled:boolean\nrows 4\ncols 3\n1|0 0|1 1|0\n0|1 1|0 0|0\n1|0 1|0 0|1\n1|1 0|1 1|0\n",
+        None,
+    ),
 }
 
 
