@@ -21,6 +21,14 @@ witness the scan accepts: size 3 when the domain holds every tie value
 (v_p - v_q in one column), size 4 when also no row has a ghost entry.  Every
 other support scans (see `_super_search`).  `find_dependence` counts the
 supports it tries and those of 3 or more vectors that scanned.
+
+Over every other pair the search runs on the pair's codes (`_coded_search`):
+the vectors and coefficients are encoded once, coefficient tuples are walked
+lexicographically with one row of partial column sums per depth, nullity is
+tested on codes through a memo, and only the witness holds elements.  Its
+worst case, the sum over supports of k vectors of |heads| * |D|^(k-1)
+tuples, is checked against SEARCH_WORK_CAP before any work, and a larger
+search raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -44,6 +52,13 @@ class DomainEmpty(PairError):
 class UndecidableSurpassing(PairError):
     pass
 
+
+# The most coefficient tuples a non-max-plus dependence search may walk in
+# its worst case (see `find_dependence`).  The coded search walks about 1.3
+# million tuples a second on a 2-core VM, so a search at the cap takes about
+# 1.5 s; a full-rank 6 x 6 krasner:17:1 rank (1.51 million per search) is
+# admitted, a 7 x 7 one (25.6 million) refused.
+SEARCH_WORK_CAP = 2_000_000
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -419,12 +434,105 @@ def _tie_solve(raw, support, ties, members, in_domain, key):
     return None
 
 
+class _NullCodes(dict):
+    """code -> whether the element it decodes to is null, filled on first
+    lookup."""
+
+    __slots__ = ("is_null", "decode")
+
+    def __init__(self, is_null, decode):
+        super().__init__()
+        self.is_null, self.decode = is_null, decode
+
+    def __missing__(self, code):
+        null = self[code] = self.is_null(self.decode(code))
+        return null
+
+
+def _null_codes(alg, coding):
+    """The null test on `coding`'s codes: one memo per pair, or one per
+    call for a rebinding codec, whose codes depend on the call's scale."""
+    if coding.rebind is not None:
+        return _NullCodes(alg._is_null, coding.decode)
+    memo = alg._memo
+    if "null_codes" not in memo:
+        memo["null_codes"] = _NullCodes(alg._is_null, coding.decode)
+    return memo["null_codes"]
+
+
+def _search_work(m, heads, candidates):
+    """Coefficient tuples in the worst case of a non-max-plus search over m
+    vectors: each support of k vectors walks heads * candidates^(k-1)."""
+    return sum(math.comb(m, k) * heads * candidates ** (k - 1) for k in range(1, m + 1))
+
+
+def _coded_search(alg, vectors, heads, candidates):
+    """The first-witness search over one support of a non-max-plus pair,
+    run on the pair's codes: a function from a support to its witness or
+    None.
+
+    The codec is bound to the entries and the coefficients, and each is
+    encoded once.  Coefficient tuples are walked in the order of
+    `itertools.product(heads, candidates, ...)`, keeping one row of partial
+    column sums per depth, so a tuple costs one product and one sum per
+    column at its last coefficient.  The sums are `_combo_null`'s, in its
+    order (((0 + c0 v0) + c1 v1) + ...), so set-valued sums agree with it.
+    A leaf stops at its first column that is not null; the witness's
+    coefficients are the given elements, never decoded.
+    """
+    coding = alg.coding(itertools.chain(heads, candidates, *vectors))
+    enc, add, mul = coding.encode, coding.add, coding.mul
+    rows = [[enc(e) for e in vec] for vec in vectors]
+    head_codes = [enc(c) for c in heads]
+    cand_codes = [enc(c) for c in candidates]
+    null = _null_codes(alg, coding)
+    zero_row = [coding.zero] * len(rows[0])
+
+    def search(support):
+        last = len(support) - 1
+        picks = [0] * len(support)
+
+        def walk(depth, sums):
+            vec = rows[support[depth]]
+            codes = cand_codes if depth else head_codes
+            if depth == last:
+                # the coefficients whose tuple is null, filtered column by
+                # column: each keeps its sums until its first non-null column
+                alive = range(len(codes))
+                for s, x in zip(sums, vec):
+                    alive = [i for i in alive if null[add(s, mul(codes[i], x))]]
+                    if not alive:
+                        return False
+                picks[depth] = alive[0]
+                return True
+            for i, c in enumerate(codes):
+                if walk(depth + 1, [add(s, mul(c, x)) for s, x in zip(sums, vec)]):
+                    picks[depth] = i
+                    return True
+            return False
+
+        if not walk(0, zero_row):
+            return None
+        return DependenceWitness(
+            support, (heads[picks[0]], *(candidates[i] for i in picks[1:]))
+        )
+
+    return search
+
+
 def find_dependence(vectors, domain, alg, *, stats=None):
     """First dependence witness, or None (definitive only for exact domains).
 
     Supports are enumerated by size then lexicographically; coefficient
     tuples lexicographically in domain order, with the leading coefficient
     normalized to 1 whenever the tangibles form a group.
+
+    Over a max-plus pair each support takes `_super_search`.  Over any other
+    pair every support walks its coefficient tuples on the pair's codes
+    (`_coded_search`).  That search's worst case, the sum over supports of
+    k vectors of |heads| * |domain|^(k-1) tuples (|heads| is 1 when the
+    leading coefficient is 1, |domain| otherwise), is checked against
+    SEARCH_WORK_CAP before any work, and CapExceeded raised above it.
 
     `stats`, when given, is a dict whose "supports_tried" and
     "supports_scanned" entries are increased by the supports searched and
@@ -449,6 +557,13 @@ def find_dependence(vectors, domain, alg, *, stats=None):
         scale, raw = _super_raw(vectors, dscale)
     else:
         heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
+        work = _search_work(m, len(heads), len(domain))
+        if work > SEARCH_WORK_CAP:
+            raise CapExceeded(
+                f"dependence search cap exceeded: {m} vectors need up to {work} "
+                f"coefficient tuples, more than {SEARCH_WORK_CAP}"
+            )
+        search = _coded_search(alg, vectors, heads, domain.candidates)
     tried = scanned = 0
     try:
         for size in range(1, m + 1):
@@ -461,9 +576,9 @@ def find_dependence(vectors, domain, alg, *, stats=None):
                         return w
                     continue
                 scanned += 1
-                for coeffs in itertools.product(heads, *[domain.candidates] * (size - 1)):
-                    if _combo_null(alg, vectors, support, coeffs):
-                        return DependenceWitness(support, coeffs)
+                w = search(support)
+                if w is not None:
+                    return w
         return None
     finally:
         if stats is not None:

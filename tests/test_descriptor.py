@@ -195,6 +195,27 @@ class TestSizeBounds:
             0, "w: c1|c7|c2|0,0|c1|c4|0\nbalance_verified: true\n", ""
         )
 
+    def test_cramer_refuses_a_doubling_beyond_the_cap(self, tmp_path):
+        # doubling doubled:krasner:61:1 would build 3721^2 elements
+        path = tmp_path / "dk.txt"
+        path.write_text("pair doubled:krasner:61:1\nrows 2\ncols 2\nc1|0 0|c2\nc4|0 c1|c7\n")
+        src = str(pathlib.Path(pairlin.__file__).resolve().parent.parent)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairlin.cli", "solve", "cramer", str(path), "--rhs", "c1|0,0|c1"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3,
+            "error: doubling cap exceeded: doubled:doubled:krasner:61:1 has 13845841 "
+            "elements, more than 262144\n",
+            "",
+        )
+
     def test_registered_pairs_within_bound(self):
         for spec in ("krasner:17:1", "krasner:13:3", "krasner:13:12", "hyper:hex1-c6"):
             assert len(make_algebra(spec).carrier) <= CARRIER_CAP

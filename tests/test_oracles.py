@@ -6,7 +6,9 @@ matrix read many minors off one minor layer; Cayley-Hamilton, Cramer and the
 Jacobi mu check multiply embedded factors in base coordinates.  Each
 reference below is the straightforward version: one det_doubled per
 submatrix, or doubled arithmetic on embedded matrices.  The axiom audit runs
-on interned element indices; its reference runs every loop on elements.
+on interned element indices; its reference runs every loop on elements.  The
+dependence search over non-max-plus pairs runs on codes with partial column
+sums; its reference sums every coefficient tuple on elements.
 """
 
 import itertools
@@ -61,6 +63,14 @@ from pairlin.matrices import (
     det_cap,
     embed_matrix,
     scalar_mat,
+)
+from pairlin.rank import (
+    CoefficientDomain,
+    DependenceWitness,
+    DomainEmpty,
+    _combo_null,
+    default_domain,
+    find_dependence,
 )
 from pairlin.solve import CramerResult
 from pairlin.suites import rand_dominant_diagonal_supertropical, rand_supertropical_matrix
@@ -809,3 +819,106 @@ def test_audit_reaches_each_ordered_pair_once(spec):
     assert rep.elements == len(seen)
     if alg.carrier is not None:
         assert rep.elements > len(alg.carrier) or spec == "doubled:boolean"
+
+
+# ---------------------------------------------------------------------------
+# the dependence search over non-max-plus pairs: codes against elements
+
+
+def find_dependence_ref(vectors, domain, alg, *, stats=None):
+    """The dependence search as an element loop: every coefficient tuple's
+    combination summed column by column with `_combo_null`.  For a
+    non-max-plus pair this is `find_dependence` before its search ran on
+    codes, without the work bound."""
+    if not vectors:
+        return None
+    if len(domain) == 0:
+        raise DomainEmpty("empty coefficient domain")
+    m = len(vectors)
+    n = len(vectors[0])
+    for vec in vectors:
+        if len(vec) != n:
+            raise PairError("vectors must have equal length")
+        for e in vec:
+            alg.check(e)
+    assert not alg.max_plus
+    heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
+    tried = scanned = 0
+    try:
+        for size in range(1, m + 1):
+            for support in itertools.combinations(range(m), size):
+                tried += 1
+                scanned += 1
+                for coeffs in itertools.product(heads, *[domain.candidates] * (size - 1)):
+                    if _combo_null(alg, vectors, support, coeffs):
+                        return DependenceWitness(support, coeffs)
+        return None
+    finally:
+        if stats is not None:
+            stats["supports_tried"] += tried
+            stats["supports_scanned"] += scanned
+
+
+DOUBLED_ST = make_algebra("doubled:supertropical")
+SEARCH_PAIRS = [alg for alg in registered_instances()] + [DOUBLED_ST]
+
+
+def _draw_entry(rng, alg, tangible):
+    """An entry from anywhere in the carrier, or a tangible or zero one;
+    over doubled:supertropical a pair of supertropical entries with ghosts,
+    zeros and halves."""
+    if alg is DOUBLED_ST:
+        p, q = _draw(rng, st), _draw(rng, st)
+        if tangible:
+            p, q = rng.choice([(st.tangible_lift(p), st.zero), (st.zero, st.tangible_lift(q))])
+        return El(alg.id, (p, q))
+    return rng.choice((alg.zero, *alg.tangibles) if tangible else alg.carrier)
+
+
+def searched(search, rows, domain, alg):
+    """(witness or what was raised, supports_tried, supports_scanned)."""
+    stats = {"supports_tried": 0, "supports_scanned": 0}
+    got = outcome(lambda: search(rows, domain, alg, stats=stats))
+    return got, stats["supports_tried"], stats["supports_scanned"]
+
+
+@pytest.mark.parametrize("alg", SEARCH_PAIRS, ids=lambda alg: alg.id)
+def test_dependence_search_matches_the_element_loop(alg):
+    rng = random.Random(f"dependence:{alg.id}")
+    found = 0
+    for m in range(1, 5):
+        for n in range(1, 4):
+            for tangible in (False, False, True, True, True):
+                rows = [[_draw_entry(rng, alg, tangible) for _ in range(n)] for _ in range(m)]
+                domains = [default_domain(alg, rows)]
+                if alg is DOUBLED_ST:
+                    # a heuristic domain past the coefficient 1, whose
+                    # denominators rebind the codec's scale
+                    picks = [rng.choice(st.sample[1:6]) for _ in range(3)]
+                    domains.append(CoefficientDomain(
+                        tuple(El(alg.id, (p, st.zero)) for p in picks), "heuristic"
+                    ))
+                for domain in domains:
+                    got = searched(find_dependence, rows, domain, alg)
+                    assert got == searched(find_dependence_ref, rows, domain, alg), (rows, domain)
+                    found += got[0][1] is not None
+    assert found  # some draws are dependent
+
+
+@pytest.mark.parametrize("spec", ["sign", "krasner:5:4", "hyper:hex1-c3", "doubled:boolean"])
+def test_dependence_search_leads_with_one_outside_the_domain(spec):
+    alg = make_algebra(spec)
+    assert alg.tangible_inverse is not None
+    domain = CoefficientDomain(tuple(t for t in alg.tangibles if t != alg.one), "exact")
+    rng = random.Random(f"no-one:{spec}")
+    leads = 0
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 3)
+        rows = [[rng.choice(alg.carrier) for _ in range(n)] for _ in range(m)]
+        got = searched(find_dependence, rows, domain, alg)
+        assert got == searched(find_dependence_ref, rows, domain, alg)
+        w = got[0][1]
+        if w is not None:
+            assert w.coeffs[0] == alg.one
+            leads += 1
+    assert leads

@@ -2,7 +2,12 @@
 
 import collections
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -466,6 +471,90 @@ class TestSearchOracles:
             assert stats["supports_tried"] == stats["supports_scanned"]
             sizes[w and len(w.support)] += 1
         assert sizes[None] > 5 and sizes[2] > 5 and sizes[3] > 5, sizes
+
+
+# full-rank files over krasner:17:1 on either side of SEARCH_WORK_CAP
+K6 = """pair krasner:17:1
+rows 6
+cols 6
+c7 c14 c1 c8 c15 c16
+c8 c12 c8 c8 c15 c10
+c1 c14 c4 c6 c10 c4
+c11 c14 c7 c10 c10 c16
+c13 c2 c16 c8 c13 c14
+c6 c12 c12 c3 c15 c4
+"""
+
+K7 = """pair krasner:17:1
+rows 7
+cols 7
+c7 c14 c1 c8 c15 c16 c3
+c8 c12 c8 c8 c15 c10 c5
+c1 c14 c4 c6 c10 c4 c9
+c11 c14 c7 c10 c10 c16 c2
+c13 c2 c16 c8 c13 c14 c11
+c6 c12 c12 c3 c15 c4 c1
+c5 c9 c2 c13 c7 c11 c6
+"""
+
+
+def run_pairlin(*argv):
+    src = str(pathlib.Path(rank_mod.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "pairlin.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+class TestSearchWorkBound:
+    def test_work_counts_every_coefficient_tuple(self):
+        # 6 and 7 vectors over the 16 tangibles of krasner:17:1, leading 1
+        assert rank_mod._search_work(6, 1, 16) == (17**6 - 1) // 16 == 1_508_598
+        assert rank_mod._search_work(7, 1, 16) == (17**7 - 1) // 16 == 25_646_167
+        # weaksign's 4 tangibles have no inverses: 4^k tuples per support
+        assert rank_mod._search_work(4, 4, 4) == 5**4 - 1
+        assert rank_mod.SEARCH_WORK_CAP == 2_000_000
+
+    def test_search_above_the_bound_raises_before_any_work(self, monkeypatch):
+        alg = make_algebra("sign")
+        rows = [[alg.zero] * 2] * 4  # a zero row is the first witness
+        stats = {"supports_tried": 0, "supports_scanned": 0}
+        # sum over k of C(4, k) * 2^(k-1) = (3^4 - 1) / 2 = 40 tuples
+        monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", 40)
+        assert find_dependence(rows, exact_domain(alg), alg, stats=stats).support == (0,)
+        monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", 39)
+        with pytest.raises(CapExceeded, match="4 vectors need up to 40 coefficient tuples"):
+            find_dependence(rows, exact_domain(alg), alg, stats=stats)
+        assert stats == {"supports_tried": 1, "supports_scanned": 1}
+
+    def test_full_rank_6x6_krasner_is_admitted(self, tmp_path):
+        path = tmp_path / "k6.txt"
+        path.write_text(K6)
+        proc = run_pairlin("rank", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "pair: krasner:17:1\nrow_rank: 6\ncol_rank: 6\nsubmatrix_rank: 6\n"
+            "a1: HOLDS\na1_detail: submatrix 6 <= min(6,6)\n"
+            "a2: HOLDS\na2_detail: submatrix 6 >= max(6,6)\n"
+            "a2prime: HOLDS\na2prime_detail: m <= n: nothing to check\n"
+            "domain: exact\nsupports_tried: 189\nsupports_scanned: 189\n"
+        )
+
+    def test_7x7_krasner_exits_3_at_once(self, tmp_path):
+        path = tmp_path / "k7.txt"
+        path.write_text(K7)
+        start = time.perf_counter()
+        proc = run_pairlin("rank", str(path))
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3,
+            "error: dependence search cap exceeded: 7 vectors need up to 25646167 "
+            "coefficient tuples, more than 2000000\n",
+            "",
+        )
 
 
 class TestEntryRatioDomain:
