@@ -54,10 +54,10 @@ class UndecidableSurpassing(PairError):
 
 
 # The most coefficient tuples a non-max-plus dependence search may walk in
-# its worst case (see `find_dependence`).  The coded search walks about 1.3
+# its worst case (see `find_dependence`).  The coded search walks about 1.7
 # million tuples a second on a 2-core VM, so a search at the cap takes about
-# 1.5 s; a full-rank 6 x 6 krasner:17:1 rank (1.51 million per search) is
-# admitted, a 7 x 7 one (25.6 million) refused.
+# 1.2 s; a full-rank 6 x 6 krasner:17:1 rank (three searches of 1.51 million)
+# is admitted, a 7 x 7 one (25.6 million) refused.
 SEARCH_WORK_CAP = 2_000_000
 
 HOLDS = "HOLDS"
