@@ -860,7 +860,7 @@ def find_dependence_ref(vectors, domain, alg, *, stats=None):
 
 
 DOUBLED_ST = make_algebra("doubled:supertropical")
-SEARCH_PAIRS = [alg for alg in registered_instances()] + [DOUBLED_ST]
+SEARCH_PAIRS = registered_instances() + [DOUBLED_ST]
 
 
 def _draw_entry(rng, alg, tangible):
