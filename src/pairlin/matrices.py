@@ -11,6 +11,16 @@ of atoms.  One such pass gives the determinants of every minor on the
 columns walked, so an adjoint takes n passes and a Laplace expansion two.
 The desk-scale caps bound n either way.
 
+Which row sets a pass over m rows reaches at column step k, and from which
+sets of the step before, depends only on (m, k).  Each pass therefore walks
+an index plan: for each row set of the next layer, in the order a dict walk
+first reaches it, the (source position, row, parity swap) of every
+extension into it.  Layers are flat lists aligned with the plan, the hot
+loop only multiplies and adds codes in the dict walk's order, and each
+pass builds its dict keyed by row set once, at the end.  Plans of up to
+PLAN_CACHE_ROWS rows are kept, a stated number of extensions; taller ones
+last one call.
+
 The kernels run on codes, not on elements: each public call binds its pair's
 codec (core.Codec) to the elements it was given, encodes each matrix once,
 adds and multiplies codes, and decodes only the values it returns.
@@ -292,56 +302,122 @@ def det_doubled(a: Matrix) -> DoubledDet:
     return DoubledDet(a.alg, coding.decode(p), coding.decode(q), products)
 
 
-def _minor_layer(alg, codes, cols, coding) -> tuple:
+def _minor_layer(alg, codes, cols, coding, plans=None) -> tuple:
     """(layer, products): the layer maps every row set S (a bitmask) with
     |S| = len(cols) to the coded (det_plus, det_minus) of the submatrix on
     rows S and columns cols, and products counts the code products made.
 
-    Both paths walk cols in order and extend each partial track, held under
-    the set S of rows it has taken, by a row i outside S.  That adds one
-    inversion per row of S with a larger index than i, so an odd number of
-    those swaps the track's parity.
+    Both paths walk cols in order on the index plans of len(codes) rows (see
+    _plan_step); plans is their store, from _row_plans, for callers that
+    walk several layers of one height.  The dict is built once, at the end,
+    in the plan's order of the row sets.
     """
-    if det_method(alg) == "dp":
-        return _dp_layer(codes, cols, coding)
-    return _walk_layer(codes, cols, coding)
-
-
-def _dp_layer(codes, cols, coding) -> tuple:
-    """Each S keeps its (even, odd) sums of partial track products.
-    Regrouping the track sum by S needs multiplication to distribute over
-    addition."""
     m = len(codes)
-    layer = {0: (coding.one, coding.zero)}
+    if plans is None:
+        plans = _row_plans(m)
+    if det_method(alg) == "dp":
+        step, layer = _sum_step, [coding.one, coding.zero]
+    else:
+        step, layer = _group_step, [{coding.one: [1, 0]}]
     products = 0
     for k, c in enumerate(cols):
-        products += 2 * (m - k) * len(layer)
-        layer = _dp_step(layer, [row[c] for row in codes], coding)
-    return layer, products
+        layer, made = step(layer, [row[c] for row in codes], _plan(plans, m, k), coding)
+        products += made
+    keys = _plan(plans, m, len(cols) - 1)[0] if cols else (0,)
+    if step is _sum_step:
+        return dict(zip(keys, _pairs(layer))), products
+    return {s: _parity_sums(coding, groups) for s, groups in zip(keys, layer)}, products
 
 
-def _dp_step(layer, col, coding) -> dict:
-    """The DP layer one column further: every S extended by each row i
-    outside it, with the coded entries col[i] of the new column."""
-    add, mul = coding.add, coding.mul
-    nxt = {}
-    for s, (even, odd) in layer.items():
-        for i, e in enumerate(col):
+# Plans of at most this many rows stay in _PLANS once built: m rows take
+# m * 2^(m-1) extensions over all their steps, so the cache holds at most
+# PLAN_CACHE_EXTENSIONS = 45,057 of them, 4.6 MB under CPython 3.11.  Taller
+# plans are built for the call that needs them and dropped with it.
+PLAN_CACHE_ROWS = 12
+PLAN_CACHE_EXTENSIONS = sum(m << (m - 1) for m in range(1, PLAN_CACHE_ROWS + 1))
+_PLANS = {}  # (m, k) -> the plan of column step k over m rows
+
+
+def _row_plans(m) -> dict:
+    """The plan store for m rows: the cache for m <= PLAN_CACHE_ROWS,
+    otherwise a new dict that the caller keeps for its layers."""
+    return _PLANS if m <= PLAN_CACHE_ROWS else {}
+
+
+def _plan(plans, m, k) -> tuple:
+    """The plan of column step k over m rows, built with the steps before it
+    where plans lacks it.  A plan depends only on (m, k), so two threads
+    that build one keep the same."""
+    step = plans.get((m, k))
+    if step is None:
+        keys = _plan(plans, m, k - 1)[0] if k else (0,)
+        step = plans.setdefault((m, k), _plan_step(m, keys))
+    return step
+
+
+def _plan_step(m, keys) -> tuple:
+    """(targets, exts, size): one column step from the row sets keys of m
+    rows, in their layer's order.
+
+    Every S in keys is extended by each row i outside it.  That adds one
+    inversion per row of S with a larger index than i, so an odd number of
+    those swaps the partial track's parity.  targets lists the row sets
+    reached, in the order this loop first reaches them, and exts[t] holds
+    the extensions that reach targets[t], in loop order, as (first, rest).
+    An extension (a, b, i) takes row i from the source at position
+    j = a >> 1: a = 2j and b = 2j + 1 without a swap, the other way round
+    with one, so a and b index the source's even and odd sums in a flat
+    layer.  size counts the extensions.
+    """
+    index = {}
+    exts = []
+    ints = list(range(2 * len(keys)))  # one int object per index, shared
+    for j, s in enumerate(keys):
+        for i in range(m):
             if s >> i & 1:
                 continue
-            x = mul(even, e)
-            y = mul(odd, e)
-            if (s >> i).bit_count() & 1:
-                x, y = y, x
+            swap = (s >> i).bit_count() & 1
             t = s | 1 << i
-            prev = nxt.get(t)
-            nxt[t] = (x, y) if prev is None else (add(prev[0], x), add(prev[1], y))
-    return nxt
+            pos = index.get(t)
+            if pos is None:
+                pos = index[t] = len(exts)
+                exts.append([])
+            exts[pos].append((ints[2 * j + swap], ints[2 * j + 1 - swap], i))
+    size = sum(map(len, exts))
+    return tuple(index), tuple((ext[0], tuple(ext[1:])) for ext in exts), size
 
 
-def _walk_layer(codes, cols, coding) -> tuple:
-    """Each S keeps its distinct partial products, each with the number of
-    even and of odd partial tracks that reach it.
+def _sum_step(layer, col, step, coding) -> tuple:
+    """(next layer, products) where multiplication distributes over
+    addition: a flat layer holds each row set's even and odd sums of partial
+    track products, and the step extends them by the coded entries col of
+    the new column.  Each row set's sums fold its extensions in plan order,
+    the first setting them and every later one adding to them."""
+    add, mul = coding.add, coding.mul
+    nxt = []
+    put = nxt.append
+    for (a, b, i), rest in step[1]:
+        e = col[i]
+        x = mul(layer[a], e)
+        y = mul(layer[b], e)
+        for a, b, i in rest:
+            e = col[i]
+            x = add(x, mul(layer[a], e))
+            y = add(y, mul(layer[b], e))
+        put(x)
+        put(y)
+    return nxt, 2 * step[2]
+
+
+def _pairs(flat) -> zip:
+    it = iter(flat)
+    return zip(it, it)
+
+
+def _group_step(layer, col, step, coding) -> tuple:
+    """(next layer, products) for any pair: each row set keeps its distinct
+    partial products, each with the number of even and of odd partial tracks
+    that reach it.
 
     Tracks with equal prefixes have equal continuations, since the next
     prefix is mul(prefix, entry), so the grouping is exact for any pair and
@@ -349,31 +425,25 @@ def _walk_layer(codes, cols, coding) -> tuple:
     the sum over its distinct products x of k * x, for k tracks.
     """
     mul = coding.mul
-    m = len(codes)
-    layer = {0: {coding.one: [1, 0]}}
     products = 0
-    for c in cols:
-        nxt = {}
-        for s, prefixes in layer.items():
-            for i in range(m):
-                if s >> i & 1:
-                    continue
-                e = codes[i][c]
-                swap = (s >> i).bit_count() & 1
-                out = nxt.setdefault(s | 1 << i, {})
-                products += len(prefixes)
-                for x, (even, odd) in prefixes.items():
-                    y = mul(x, e)
-                    if swap:
-                        even, odd = odd, even
-                    counts = out.get(y)
-                    if counts is None:
-                        out[y] = [even, odd]
-                    else:
-                        counts[0] += even
-                        counts[1] += odd
-        layer = nxt
-    return {s: _parity_sums(coding, prefixes) for s, prefixes in layer.items()}, products
+    nxt = []
+    for first, rest in step[1]:
+        out = {}
+        for a, b, i in (first, *rest):
+            e = col[i]
+            prefixes = layer[a >> 1]
+            products += len(prefixes)
+            p, q = a & 1, b & 1
+            for x, counts in prefixes.items():
+                y = mul(x, e)
+                counts_y = out.get(y)
+                if counts_y is None:
+                    out[y] = [counts[p], counts[q]]
+                else:
+                    counts_y[0] += counts[p]
+                    counts_y[1] += counts[q]
+        nxt.append(out)
+    return nxt, products
 
 
 def _parity_sums(coding, prefixes) -> tuple:
@@ -403,8 +473,9 @@ def _column_layers(a: Matrix, coding, codes, k):
     layer maps each set of k rows (a bitmask) to the doubled determinant of
     the submatrix on those rows and columns, decoded."""
     dec = coding.decode
+    plans = _row_plans(a.rows)
     for cols in itertools.combinations(range(a.cols), k):
-        layer, _ = _minor_layer(a.alg, codes, cols, coding)
+        layer, _ = _minor_layer(a.alg, codes, cols, coding, plans)
         yield cols, {s: (dec(p), dec(q)) for s, (p, q) in layer.items()}
 
 
@@ -439,15 +510,15 @@ def _adjoint_size(a: Matrix):
         _check_n("determinant", a.rows - 1)
 
 
-def _adjoint_codes(alg, codes, coding) -> tuple:
+def _adjoint_codes(alg, codes, coding, plans) -> tuple:
     """(rows, layer): adjoint(a) as rows of coded (plus, minus) pairs, for
     a's codes, and the last row's minor layer, over every column but the
-    last."""
+    last, all walked on plans, the plans of n rows."""
     n = len(codes)
     full = (1 << n) - 1
     out = []
     for i in range(n):
-        layer, _ = _minor_layer(alg, codes, [c for c in range(n) if c != i], coding)
+        layer, _ = _minor_layer(alg, codes, [c for c in range(n) if c != i], coding, plans)
         row = []
         for j in range(n):
             p, q = layer[full ^ 1 << j]
@@ -468,7 +539,7 @@ def adjoint(a: Matrix) -> Matrix:
     dec = coding.decode
     return Matrix(dalg, tuple(
         tuple(El(dalg.id, (dec(p), dec(q))) for p, q in row)
-        for row in _adjoint_codes(a.alg, codes, coding)[0]
+        for row in _adjoint_codes(a.alg, codes, coding, _row_plans(a.rows))[0]
     ))
 
 
@@ -494,8 +565,9 @@ def laplace_expand(a: Matrix, row_set) -> DoubledDet:
     add, mul = coding.add, coding.mul
     comp_rows = tuple(i for i in range(n) if i not in rows)
     at = [list(col) for col in zip(*codes)]
-    top, made = _minor_layer(alg, at, rows, coding)
-    bottom, more = _minor_layer(alg, at, comp_rows, coding)
+    plans = _row_plans(n)
+    top, made = _minor_layer(alg, at, rows, coding, plans)
+    bottom, more = _minor_layer(alg, at, comp_rows, coding, plans)
     full = (1 << n) - 1
     plus = minus = coding.zero
     for cols in itertools.combinations(range(n), len(rows)):
@@ -531,15 +603,16 @@ def _char_poly_codes(a: Matrix, codes, coding) -> list:
     if not a.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n = a.rows
+    _check_n("determinant", n)
     alg = a.alg
     add = coding.add
     coeffs = [(coding.one, coding.zero)]
     for k in range(1, n + 1):
-        _check_n("determinant", k)
         plus = minus = coding.zero
+        plans = _row_plans(k)
         for subset in itertools.combinations(range(n), k):
             sub = [[codes[i][j] for j in subset] for i in subset]
-            layer, _ = _minor_layer(alg, sub, range(k), coding)
+            layer, _ = _minor_layer(alg, sub, range(k), coding, plans)
             p, q = layer[(1 << k) - 1]
             plus, minus = add(plus, p), add(minus, q)
         coeffs.append((minus, plus) if k & 1 else (plus, minus))

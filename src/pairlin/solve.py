@@ -26,9 +26,12 @@ from .matrices import (
     _check_n,
     _det_size,
     _dot,
-    _dp_step,
     _minor_layer,
+    _pairs,
     _perms,
+    _plan,
+    _row_plans,
+    _sum_step,
     det_method,
     mat_vec,
 )
@@ -71,20 +74,24 @@ def _adj_vec(a: Matrix, v) -> tuple:
     under one coding of A and v.
 
     On the DP path |A| is the adjoint's last layer, over every column but
-    the last, extended by the last column: 2n products instead of a layer.
-    The walk's layer holds summed values, which a product need not
-    distribute over, so it takes its own layer.
+    the last, extended by the last column with the last plan step: 2n
+    products instead of a layer.  The walk's layer holds summed values,
+    which a product need not distribute over, so it takes its own layer.
     """
     alg, n = a.alg, a.rows
     coding, codes = _coded(a, v)
     vc = [coding.encode(e) for e in v]
-    adj, last = _adjoint_codes(alg, codes, coding)
+    plans = _row_plans(n)
+    adj, last = _adjoint_codes(alg, codes, coding, plans)
     w = tuple([_dot(coding, (e[side] for e in row), vc) for row in adj] for side in (0, 1))
     if det_method(alg) == "dp":
-        layer = _dp_step(last, [row[n - 1] for row in codes], coding)
+        flat = [x for pq in last.values() for x in pq]
+        col = [row[n - 1] for row in codes]
+        (det,) = _pairs(_sum_step(flat, col, _plan(plans, n, n - 1), coding)[0])
     else:
-        layer, _ = _minor_layer(alg, codes, range(n), coding)
-    return coding, codes, vc, w, layer[(1 << n) - 1]
+        layer, _ = _minor_layer(alg, codes, range(n), coding, plans)
+        det = layer[(1 << n) - 1]
+    return coding, codes, vc, w, det
 
 
 def cramer_solve(a: Matrix, v) -> CramerResult:

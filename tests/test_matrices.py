@@ -300,6 +300,94 @@ class TestDetPaths:
             assert list(perms) == table, n
 
 
+class TestPlanCache:
+    """The index plans the minor layers walk, and the bound on those kept."""
+
+    def test_twelve_rows_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(matrices_mod, "_PLANS", {})
+        monkeypatch.setenv("PAIRLIN_CAP_N", "12")
+        a = rand_supertropical_matrix(random.Random(16), 12, tangible=False)
+        d = det_doubled(a)
+        plans = matrices_mod._PLANS
+        assert sorted(plans) == [(12, k) for k in range(12)]
+        kept = sum(step[2] for step in plans.values())
+        assert kept == 12 * 2 ** 11 <= matrices_mod.PLAN_CACHE_EXTENSIONS
+        assert d.products == 2 * kept
+        steps = list(map(id, plans.values()))
+        assert det_doubled(a) == d
+        assert list(map(id, plans.values())) == steps  # reused, not rebuilt
+
+    def test_every_kept_height_stays_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(matrices_mod, "_PLANS", {})
+        rows = matrices_mod.PLAN_CACHE_ROWS
+        for m in range(1, rows + 2):
+            matrices_mod._plan(matrices_mod._row_plans(m), m, m - 1)
+        plans = matrices_mod._PLANS
+        assert sorted(plans) == [(m, k) for m in range(1, rows + 1) for k in range(m)]
+        kept = sum(step[2] for step in plans.values())
+        assert kept == matrices_mod.PLAN_CACHE_EXTENSIONS
+
+    def test_taller_plans_last_one_call(self, monkeypatch):
+        monkeypatch.setattr(matrices_mod, "_PLANS", {})
+        monkeypatch.setattr(matrices_mod, "PLAN_CACHE_ROWS", 3)
+        rng = random.Random(17)
+        for n in (3, 4, 5):
+            a = rand_supertropical_matrix(rng, n, tangible=False)
+            assert det_doubled(a) == det_tracks(a)
+            assert laplace_expand(a, (0,)) == det_doubled(a)
+        assert sorted(matrices_mod._PLANS) == [(3, 0), (3, 1), (3, 2)]
+
+    def test_threads_building_plans_keep_equal_steps(self, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr(matrices_mod, "_PLANS", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: [
+                    matrices_mod._plan(matrices_mod._PLANS, m, m - 1) for m in range(1, 10)
+                ])
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        built = matrices_mod._PLANS
+        fresh = {}
+        assert sorted(built) == [(m, k) for m in range(1, 10) for k in range(m)]
+        for m, k in built:
+            assert built[m, k] == matrices_mod._plan(fresh, m, k), (m, k)
+
+    def test_steps_follow_the_dict_walk(self):
+        # the row sets of each step in the order a dict walk first reaches
+        # them (lexicographic in their sorted rows), each reached from its
+        # sets without one row, in walk order, swapped past an odd number
+        # of larger rows
+        for m in range(1, 7):
+            plans = matrices_mod._row_plans(m)
+            keys = (0,)
+            for k in range(m):
+                targets, exts, size = matrices_mod._plan(plans, m, k)
+                assert targets == tuple(
+                    sum(1 << i for i in t) for t in itertools.combinations(range(m), k + 1)
+                )
+                assert size == len(keys) * (m - k)
+                for t, (first, rest) in zip(targets, exts):
+                    got = [(keys[a >> 1], i, a & 1, b ^ a) for a, b, i in (first, *rest)]
+                    want = [
+                        (t ^ 1 << i, i, (t >> i + 1).bit_count() & 1, 1)
+                        for i in sorted((i for i in range(m) if t >> i & 1), reverse=True)
+                    ]
+                    assert got == want, (m, k, t)
+                keys = targets
+
+
 def adjoint_by_minors(a):
     """The adjoint entry by entry: det_tracks of the (j,i) minor, its parts
     exchanged when i+j is odd."""
@@ -440,6 +528,21 @@ class TestCayleyHamilton:
         monkeypatch.setattr(matrices_mod, "CAYLEY_HAMILTON_CAP", 3)
         with pytest.raises(CapExceeded):
             cayley_hamilton_check(a)
+
+    def test_char_poly_refuses_before_any_layer(self, monkeypatch):
+        layers = []
+        walk = matrices_mod._minor_layer
+        monkeypatch.setattr(
+            matrices_mod, "_minor_layer", lambda *args: layers.append(1) or walk(*args)
+        )
+        a = rand_supertropical_matrix(random.Random(8), 12, tangible=False)
+        with pytest.raises(CapExceeded, match="determinant cap exceeded at n = 12"):
+            matrices_mod.char_poly_doubled(a)
+        assert layers == []
+        monkeypatch.setenv("PAIRLIN_CAP_N", "12")
+        b = rand_supertropical_matrix(random.Random(8), 4, tangible=False)
+        assert len(matrices_mod.char_poly_doubled(b)) == 5
+        assert len(layers) == 2 ** 4 - 1  # one layer per principal submatrix
 
 
 class TestQuasi:

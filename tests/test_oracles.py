@@ -922,3 +922,187 @@ def test_dependence_search_leads_with_one_outside_the_domain(spec):
             assert w.coeffs[0] == alg.one
             leads += 1
     assert leads
+
+
+# ---------------------------------------------------------------------------
+# minor layers on index plans against the dict walk
+
+
+def dp_layer_ref(codes, cols, coding) -> tuple:
+    """Each S keeps its (even, odd) sums of partial track products.
+    Regrouping the track sum by S needs multiplication to distribute over
+    addition."""
+    m = len(codes)
+    layer = {0: (coding.one, coding.zero)}
+    products = 0
+    for k, c in enumerate(cols):
+        products += 2 * (m - k) * len(layer)
+        layer = dp_step_ref(layer, [row[c] for row in codes], coding)
+    return layer, products
+
+
+def dp_step_ref(layer, col, coding) -> dict:
+    """The DP layer one column further: every S extended by each row i
+    outside it, with the coded entries col[i] of the new column."""
+    add, mul = coding.add, coding.mul
+    nxt = {}
+    for s, (even, odd) in layer.items():
+        for i, e in enumerate(col):
+            if s >> i & 1:
+                continue
+            x = mul(even, e)
+            y = mul(odd, e)
+            if (s >> i).bit_count() & 1:
+                x, y = y, x
+            t = s | 1 << i
+            prev = nxt.get(t)
+            nxt[t] = (x, y) if prev is None else (add(prev[0], x), add(prev[1], y))
+    return nxt
+
+
+def walk_layer_ref(codes, cols, coding) -> tuple:
+    """Each S keeps its distinct partial products, each with the number of
+    even and of odd partial tracks that reach it.
+
+    Tracks with equal prefixes have equal continuations, since the next
+    prefix is mul(prefix, entry), so the grouping is exact for any pair and
+    a group costs one multiplication per extension.  A parity's sum is then
+    the sum over its distinct products x of k * x, for k tracks.
+    """
+    mul = coding.mul
+    m = len(codes)
+    layer = {0: {coding.one: [1, 0]}}
+    products = 0
+    for c in cols:
+        nxt = {}
+        for s, prefixes in layer.items():
+            for i in range(m):
+                if s >> i & 1:
+                    continue
+                e = codes[i][c]
+                swap = (s >> i).bit_count() & 1
+                out = nxt.setdefault(s | 1 << i, {})
+                products += len(prefixes)
+                for x, (even, odd) in prefixes.items():
+                    y = mul(x, e)
+                    if swap:
+                        even, odd = odd, even
+                    counts = out.get(y)
+                    if counts is None:
+                        out[y] = [even, odd]
+                    else:
+                        counts[0] += even
+                        counts[1] += odd
+        layer = nxt
+    return {s: matrices._parity_sums(coding, prefixes) for s, prefixes in layer.items()}, products
+
+
+def minor_layer_ref(alg, codes, cols, coding):
+    """`_minor_layer` as a dict walk, before it ran on index plans."""
+    if matrices.det_method(alg) == "dp":
+        return dp_layer_ref(codes, cols, coding)
+    return walk_layer_ref(codes, cols, coding)
+
+
+HYPERPAIRS = [alg for alg in registered_instances() if alg.id.startswith(("hyper:", "krasner:"))]
+LAYER_PAIRS = PAIRS + [DOUBLED_ST]
+
+
+def _set_valued(rng, alg):
+    """A hyperpair entry off the carrier: a set of atoms no sum reaches."""
+    atoms = len(alg.tangibles) + 1
+    carrier = {e.payload for e in alg.carrier}
+    return El(alg.id, rng.choice([s for s in range(1, 1 << atoms) if s not in carrier]
+                                 or range(1, 1 << atoms)))
+
+
+def _layer_entry(rng, alg):
+    if alg is DOUBLED_ST:
+        return _draw_entry(rng, alg, False)
+    if alg in HYPERPAIRS and rng.random() < 0.3:
+        return _set_valued(rng, alg)
+    return _draw(rng, alg)
+
+
+def _column_tuples(rng, width, k):
+    """The column tuples of k columns out of width that the kernels pass:
+    contiguous from the first column or elsewhere, and any sorted choice."""
+    j = rng.randrange(width - k + 1)
+    return {tuple(range(k)), tuple(range(j, j + k)), tuple(sorted(rng.sample(range(width), k)))}
+
+
+@pytest.mark.parametrize("alg", LAYER_PAIRS, ids=lambda alg: alg.id)
+def test_minor_layers_match_the_dict_walk(alg):
+    # values, key order and products, on the codes as given and transposed
+    # (Laplace walks the transpose), for empty to full column tuples
+    rng = random.Random(f"layers:{alg.id}")
+    compared = 0
+    for m in (*range(1, 8), *range(1, 8)):
+        a = matrix(alg, [[_layer_entry(rng, alg) for _ in range(m + 1)] for _ in range(m)])
+        coding, codes = matrices._coded(a)
+        at = [list(col) for col in zip(*codes)]
+        for rows, width in ((codes, m + 1), (at, m)):
+            for k in range(min(len(rows), width) + 1):
+                for cols in sorted(_column_tuples(rng, width, k)):
+                    got, made = matrices._minor_layer(alg, rows, cols, coding)
+                    want, want_made = minor_layer_ref(alg, rows, cols, coding)
+                    assert list(got.items()) == list(want.items()), (m, cols, a.entries)
+                    assert made == want_made, (m, cols)
+                    compared += 1
+    assert compared > 100
+
+
+@pytest.mark.parametrize("alg", [alg for alg in LAYER_PAIRS if matrices.det_method(alg) == "dp"],
+                         ids=lambda alg: alg.id)
+def test_cramer_determinant_step_matches_a_full_layer(alg):
+    # _adj_vec extends the adjoint's last layer by the last column with the
+    # plan's last step instead of walking a layer of its own
+    from pairlin.solve import _adj_vec
+
+    rng = random.Random(f"adj-step:{alg.id}")
+    for n in range(1, 7):
+        for _ in range(2):
+            a = matrix(alg, [[_layer_entry(rng, alg) for _ in range(n)] for _ in range(n)])
+            v = [_layer_entry(rng, alg) for _ in range(n)]
+            coding, codes, _, _, det = _adj_vec(a, v)
+            layer, _ = dp_layer_ref(codes, range(n), coding)
+            assert det == layer[(1 << n) - 1], (n, a.entries)
+
+
+def free_codec():
+    """Codes as terms: every add and mul builds its own node, so two walks
+    give equal values only if they make the same operations on the same
+    arguments in the same order."""
+    return core.Codec(
+        zero=("0",), one=("1",),
+        add=lambda x, y: ("+", x, y), mul=lambda x, y: ("*", x, y),
+        encode=None, decode=None,
+    )
+
+
+@pytest.mark.parametrize("spec", ["sign", "hyper:hex1-c3"], ids=["dp", "tracks"])
+def test_minor_layers_keep_the_dict_walks_order_of_operations(spec):
+    alg = make_algebra(spec)
+    coding = free_codec()
+    rng = random.Random(f"terms:{spec}")
+    for m in range(1, 7):
+        codes = [[("e", i, j) for j in range(m + 1)] for i in range(m)]
+        for k in range(m + 1):
+            for cols in sorted(_column_tuples(rng, m + 1, k)):
+                got = matrices._minor_layer(alg, codes, cols, coding)
+                want = minor_layer_ref(alg, codes, cols, coding)
+                assert list(got[0].items()) == list(want[0].items()), (m, cols)
+                assert got[1] == want[1]
+
+
+def test_cramer_determinant_step_keeps_the_order_of_operations(monkeypatch):
+    from pairlin import solve
+
+    sign = make_algebra("sign")
+    coding = free_codec()
+    coding.encode = lambda e: ("v", e)
+    for n in range(1, 6):
+        codes = [[("e", i, j) for j in range(n)] for i in range(n)]
+        monkeypatch.setattr(solve, "_coded", lambda a, v: (coding, codes))
+        det = solve._adj_vec(identity(sign, n), [sign.one] * n)[4]
+        assert det == dp_layer_ref(codes, range(n), coding)[0][(1 << n) - 1], n
