@@ -371,7 +371,7 @@ def _plan_step(m, keys) -> tuple:
     """
     index = {}
     exts = []
-    ints = list(range(2 * len(keys)))  # one int object per index, shared
+    ints = list(range(2 * len(keys)))  # shared int objects keep cached plans small
     for j, s in enumerate(keys):
         for i in range(m):
             if s >> i & 1:
@@ -410,6 +410,7 @@ def _sum_step(layer, col, step, coding) -> tuple:
 
 
 def _pairs(flat) -> zip:
+    """The (even, odd) sums of each row set in a flat layer."""
     it = iter(flat)
     return zip(it, it)
 

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -338,9 +340,6 @@ class TestPlanCache:
         assert sorted(matrices_mod._PLANS) == [(3, 0), (3, 1), (3, 2)]
 
     def test_threads_building_plans_keep_equal_steps(self, monkeypatch):
-        import sys
-        import threading
-
         monkeypatch.setattr(matrices_mod, "_PLANS", {})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

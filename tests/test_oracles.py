@@ -8,7 +8,9 @@ reference below is the straightforward version: one det_doubled per
 submatrix, or doubled arithmetic on embedded matrices.  The axiom audit runs
 on interned element indices; its reference runs every loop on elements.  The
 dependence search over non-max-plus pairs runs on codes with partial column
-sums; its reference sums every coefficient tuple on elements.
+sums; its reference sums every coefficient tuple on elements.  The minor
+layers walk precomputed index plans; their reference is the dict walk, which
+tests bits and probes a dict for every row set and row.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from pairlin import (
     submatrix_rank,
 )
 from pairlin.cli import format_matrix_text, run_command
-from pairlin import core, instances
+from pairlin import core, instances, solve
 from pairlin.core import (
     FIRST,
     SECOND,
@@ -1057,14 +1059,12 @@ def test_minor_layers_match_the_dict_walk(alg):
 def test_cramer_determinant_step_matches_a_full_layer(alg):
     # _adj_vec extends the adjoint's last layer by the last column with the
     # plan's last step instead of walking a layer of its own
-    from pairlin.solve import _adj_vec
-
     rng = random.Random(f"adj-step:{alg.id}")
     for n in range(1, 7):
         for _ in range(2):
             a = matrix(alg, [[_layer_entry(rng, alg) for _ in range(n)] for _ in range(n)])
             v = [_layer_entry(rng, alg) for _ in range(n)]
-            coding, codes, _, _, det = _adj_vec(a, v)
+            coding, codes, _, _, det = solve._adj_vec(a, v)
             layer, _ = dp_layer_ref(codes, range(n), coding)
             assert det == layer[(1 << n) - 1], (n, a.entries)
 
@@ -1096,8 +1096,6 @@ def test_minor_layers_keep_the_dict_walks_order_of_operations(spec):
 
 
 def test_cramer_determinant_step_keeps_the_order_of_operations(monkeypatch):
-    from pairlin import solve
-
     sign = make_algebra("sign")
     coding = free_codec()
     coding.encode = lambda e: ("v", e)
