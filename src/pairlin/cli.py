@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 from .core import PairError, Undecidable, axiom_audit, balances
@@ -267,11 +268,126 @@ def cmd_example(args, rep):
     return 0 if res.passed else 1
 
 
+def _fork_suite_worker(pull, inherited):
+    """Fork a child that runs `pull` and pickles each (index, result) it is
+    handed onto a pipe of its own; returns (pid, read end of that pipe).  The
+    child first closes the `inherited` read ends of earlier children's pipes,
+    and it never returns."""
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    try:
+        for fd in (r, *inherited):
+            os.close(fd)
+        with open(w, "wb") as out:
+
+            def send(i, res):
+                try:
+                    data = pickle.dumps((i, res))
+                except Exception:  # an exception that will not pickle: rerun
+                    return
+                out.write(data)
+                out.flush()
+
+            pull(send)
+    finally:
+        os._exit(0)
+
+
+def _suite_results(seed):
+    """Run every suite of ALL_SUITES once, here and on forked workers (see
+    cmd_verify); returns {index: SuiteResult or the exception raised} for
+    every suite whose result came back."""
+
+    def pull(done):
+        while index := os.read(queue, 1):
+            try:
+                res = ALL_SUITES[index[0]](seed=seed)
+            except Exception as exc:
+                res = exc
+            done(index[0], res)
+
+    # a forked child holds only the forking thread, and a lock another
+    # thread held at the fork stays held in it: no fork beside other threads
+    threading = sys.modules.get("threading")
+    workers = 1
+    if (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and (threading is None or threading.active_count() == 1)
+    ):
+        workers = min(len(ALL_SUITES), len(os.sched_getaffinity(0)))
+    results = {}
+    children = []
+    queue, w = os.pipe()
+    try:
+        os.write(w, bytes(range(len(ALL_SUITES))))
+    finally:
+        os.close(w)
+    try:
+        for _ in range(workers - 1):
+            try:
+                children.append(_fork_suite_worker(pull, [r for _, r in children]))
+            except OSError:  # no more processes: the ones started take the rest
+                break
+        pull(results.__setitem__)
+    except BaseException:
+        while os.read(queue, 64):  # leave the children nothing more to start
+            pass
+        raise
+    finally:
+        os.close(queue)
+        for pid, r in children:
+            import pickle
+
+            try:
+                with open(r, "rb") as f:
+                    while True:
+                        try:
+                            i, res = pickle.load(f)
+                        except Exception:  # the end, a record cut short, or
+                            break  # one that will not unpickle: the rest rerun
+                        results[i] = res
+            finally:
+                os.waitpid(pid, 0)
+    return results
+
+
 def cmd_verify(args, rep):
+    """Run every suite of ALL_SUITES and report them in its order.
+
+    The suites run at once on every CPU this process may use: the process
+    forks one worker per further CPU, and every process takes the index of
+    its next suite from one pipe, one byte per suite written before the
+    fork, until the pipe is empty.  A 1-byte read is atomic, so each suite
+    runs once, and a process that finishes early takes the next suite.  Each
+    child pickles its results onto a pipe of its own; this process reads
+    them, reaps every child on every path, and reruns here any suite whose
+    result did not come back (a child that died, or an exception that would
+    not pickle).  A suite's exception is raised again at its place in the
+    order, so the lines before it and the exit code are those of a serial
+    run.  Children end with os._exit: they never return into the caller
+    (a test runner, a benchmark's in-process run), never flush stdout
+    buffered before the fork, and exit if their result pipe breaks.  With
+    one CPU, without os.fork, or beside other threads of this process,
+    everything runs here with no child.
+    """
     rep.emit("seed", str(args.seed))
+    results = _suite_results(args.seed)
     failures = 0
-    for suite in ALL_SUITES:
-        res = suite(seed=args.seed)
+    for i, suite in enumerate(ALL_SUITES):
+        res = results[i] if i in results else suite(seed=args.seed)
+        if isinstance(res, Exception):
+            raise res
         rep.emit(res.name, "PASS" if res.passed else "FAIL")
         if not res.passed:
             failures += 1

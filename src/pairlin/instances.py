@@ -720,9 +720,18 @@ def _closure_pair(
     _check_size(spec_string or id, k)  # the carrier holds every atom
 
     # atom-by-atom tables, k^2 entries each: sets combine atomwise through
-    # them, and a product or sum of two atoms is one lookup
-    add_atoms = [[sum(1 << x for x in hyperadd(i, j)) for j in range(k)] for i in range(k)]
+    # them, and a product or sum of two atoms is one lookup.  The closure
+    # below fills the rows of sums it reaches, the rest once the carrier is
+    # accepted, so a carrier over the cap is refused after a few rows of
+    # large sets (hyper:hex2-c255 fills two of its 256 rows of 256 sums)
+    add_atoms = [None] * k
     mul_atoms = [[1 << atom_mul(i, j) for j in range(k)] for i in range(k)]
+
+    def fill_sums(atoms):
+        for i in atoms:
+            if add_atoms[i] is None:
+                add_atoms[i] = [sum(1 << x for x in hyperadd(i, j)) for j in range(k)]
+
     neg_atoms = [1 << j for j in negation]
     atom_of = {1 << i: i for i in range(k)}
 
@@ -782,6 +791,7 @@ def _closure_pair(
     while frontier:
         nxt = []
         for m1 in frontier:
+            fill_sums(bits(m1))
             for m2 in sorted(seen):
                 cand = [combine(add_atoms, m1, m2)]
                 if m2 in singles:
@@ -792,6 +802,7 @@ def _closure_pair(
                         nxt.append(m)
             _check_size(spec_string or id, len(seen))
         frontier = nxt
+    fill_sums(range(k))
     carrier_masks = sorted(seen)
 
     def name_of(mask):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,6 +15,9 @@ from pairlin.cli import (
     parse_matrix_text,
     run_command,
 )
+from pairlin.core import PairError
+from pairlin.instances import BadSpecifier
+from pairlin.matrices import CapExceeded
 from pairlin.rank import rank_report
 
 RANK_GAP = """\
@@ -433,3 +439,232 @@ class TestDoubledLiterals:
         assert run_command(["det", str(f)]) == 0
         d = kv(capsys.readouterr().out)
         assert d["singular"] == "true"
+
+
+def serial_verify(args, rep):
+    """`cmd_verify` as it was before the suites ran in parallel: the oracle."""
+    from pairlin import cli
+
+    rep.emit("seed", str(args.seed))
+    failures = 0
+    for suite in cli.ALL_SUITES:
+        res = suite(seed=args.seed)
+        rep.emit(res.name, "PASS" if res.passed else "FAIL")
+        if not res.passed:
+            failures += 1
+            for line in res.detail:
+                rep.emit(f"{res.name}_detail", line)
+    rep.emit("failures", str(failures))
+    return 0 if failures == 0 else 1
+
+
+class TwoPartError(PairError):
+    """Pickles, but will not unpickle: its arguments are not its message's."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+# the suites that take milliseconds, in ALL_SUITES order
+QUICK_SUITES = (
+    "suite_sign_counterexample",
+    "suite_doubled_boolean",
+    "suite_truncated",
+    "suite_powerset_symdiff",
+    "suite_a1_dependent_implies_singular",
+    "suite_krasner",
+    "suite_structure",
+)
+
+
+class TestParallelVerify:
+    """`verify all` on forked workers against the serial loop."""
+
+    @pytest.fixture(autouse=True)
+    def setup(self, monkeypatch, capsys, tmp_path):
+        from pairlin import cli
+
+        self.cli, self.monkeypatch, self.capsys = cli, monkeypatch, capsys
+        self.marker = tmp_path / "child"
+        self.parent = os.getpid()
+
+    def run(self, argv):
+        code = run_command(argv)
+        out = self.capsys.readouterr().out
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+        return code, out
+
+    def both(self, argv):
+        """(parallel run, serial oracle) of `argv`, each (exit code, stdout)."""
+        parallel = self.run(argv)
+        with self.monkeypatch.context() as m:
+            m.setitem(self.cli.COMMANDS, "verify", serial_verify)
+            serial = self.run(argv)
+        return parallel, serial
+
+    def quick(self, workers=2):
+        """Run the quick suites, on `workers` processes whatever the CPUs."""
+        from pairlin import suites as suites_mod
+
+        self.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        suites = [getattr(suites_mod, name) for name in QUICK_SUITES]
+        assert all(s in suites_mod.ALL_SUITES for s in suites)
+        self.monkeypatch.setattr(self.cli, "ALL_SUITES", suites)
+        return suites
+
+    def taken_by(self, side, index, body):
+        """Replace quick suite `index` by one that records its process and
+        then runs `body(seed)`.  After the fork, the other side ("parent" or
+        "child") waits until `side` has started it, so `side` takes it."""
+        suites = self.quick()
+
+        def suite(seed):
+            try:  # the first process to run it, not the oracle or a rerun
+                with open(self.marker, "x") as f:
+                    f.write(str(os.getpid()))
+            except FileExistsError:
+                pass
+            return body(seed)
+
+        suites[index] = suite
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            deadline = time.monotonic() + 60
+            waits = (pid != 0) == (side == "child")
+            while waits and not self.marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.002)
+            return pid
+
+        self.monkeypatch.setattr(os, "fork", fork)
+        return suites
+
+    def ran_in(self):
+        return "parent" if int(self.marker.read_text()) == self.parent else "child"
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+    def test_every_suite_byte_identical(self, seed):
+        results = {}  # the oracle runs each suite once for both formats
+
+        def remembered(suite):
+            def run(seed):
+                if suite not in results:
+                    results[suite] = suite(seed=seed)
+                return results[suite]
+
+            return run
+
+        for fmt in ("kv", "json-lines"):
+            argv = ["--format", fmt, *seed, "verify", "all"]
+            parallel = self.run(argv)
+            with self.monkeypatch.context() as m:
+                m.setitem(self.cli.COMMANDS, "verify", serial_verify)
+                m.setattr(self.cli, "ALL_SUITES", [remembered(s) for s in self.cli.ALL_SUITES])
+                serial = self.run(argv)
+            assert parallel == serial
+            assert parallel[0] == 0 and len(parallel[1].splitlines()) == 15
+
+    def test_failed_suite_reports_as_serial(self):
+        from pairlin.suites import SuiteResult
+
+        def failing(seed):
+            return SuiteResult("doubled-boolean-a2", False, ["note", "FAIL: a claim"])
+
+        self.taken_by("child", 1, failing)
+        parallel, serial = self.both(["verify", "all"])
+        assert self.ran_in() == "child"
+        assert parallel == serial
+        assert parallel[0] == 1
+        assert "doubled-boolean-a2_detail: FAIL: a claim" in parallel[1]
+        assert parallel[1].endswith("failures: 1\n")
+
+    @pytest.mark.parametrize("side", ["child", "parent"])
+    @pytest.mark.parametrize("exc, code", [(CapExceeded, 3), (BadSpecifier, 2)])
+    def test_raising_suite_reports_as_serial(self, side, exc, code):
+        def raising(seed):
+            raise exc("a test")
+
+        self.taken_by(side, 4, raising)
+        parallel, serial = self.both(["verify", "all"])
+        assert self.ran_in() == side
+        assert parallel == serial
+        lines = parallel[1].splitlines()
+        assert parallel[0] == code and len(lines) == 6
+        assert lines[-1] == "error: a test"
+
+    @pytest.mark.parametrize("kind", ["will not pickle", "will not unpickle"])
+    def test_exception_that_does_not_come_back_reruns(self, kind):
+        class Local(TwoPartError):  # pickle names a class by its import path,
+            pass  # and a local class has none
+
+        exc = Local if kind == "will not pickle" else TwoPartError
+        reruns = []
+
+        def raising(seed):
+            reruns.append(os.getpid())
+            raise exc("one", "two")
+
+        self.taken_by("child", 2, raising)
+        parallel = self.run(["verify", "all"])
+        assert self.ran_in() == "child"
+        assert reruns == [self.parent]  # the child's run left no trace here
+        assert parallel[0] == 2
+        assert parallel[1].splitlines()[-1] == "error: one and two"
+
+    def test_child_that_dies_is_rerun(self):
+        real = self.quick()[3]
+
+        def dying(seed):
+            if os.getpid() != self.parent:
+                os._exit(9)
+            return real(seed=seed)
+
+        self.taken_by("child", 3, dying)
+        parallel, serial = self.both(["verify", "all"])
+        assert self.ran_in() == "child"
+        assert parallel == serial
+        assert parallel[0] == 0
+
+    def test_one_cpu_never_forks(self):
+        self.quick(workers=1)
+
+        self.monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        parallel, serial = self.both(["verify", "all"])
+        assert parallel == serial
+        assert parallel[0] == 0
+
+    def test_other_threads_never_fork(self):
+        import threading
+
+        self.quick()
+        self.monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            parallel, serial = self.both(["verify", "all"])
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert parallel == serial
+
+    def test_more_workers_than_cpus_asked_for(self):
+        self.quick(workers=64)  # one process per suite at most
+        forks = []
+        real_fork = os.fork
+        self.monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        parallel, serial = self.both(["verify", "all"])
+        assert parallel == serial
+        assert len(forks) == len(QUICK_SUITES) - 1
+
+    def test_import_leaves_pickle_out(self):
+        src = os.path.dirname(os.path.dirname(self.cli.__file__))
+        probe = "import sys, pairlin.cli; print('pickle' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == "False\n"

@@ -178,6 +178,43 @@ class TestSizeBounds:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, f"error: {error}\n", "")
 
+    @pytest.mark.parametrize("n", [21, 255])
+    def test_hex2_over_the_cap_refused_after_a_few_atom_rows(self, n):
+        # 256 atoms pass the atom count; the closure refuses the carrier
+        # after filling two rows of the 256 x 256 sum table
+        spec = f"hyper:hex2-c{n}"
+        src = str(pathlib.Path(pairlin.__file__).resolve().parent.parent)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairlin.cli", "audit", spec],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, f"error: {spec}: more than 256 elements\n", ""
+        )
+        assert elapsed < 0.3
+
+    def test_hex2_largest_carrier_under_the_cap_fills_every_row(self):
+        # hex2 over C_20 has 252 elements, the largest hex2 carrier under the
+        # cap; its sums and products of atoms follow the definition
+        alg = make_algebra("hyper:hex2-c20")
+        assert len(alg.carrier) == 252
+        atoms = [alg.zero, *alg.tangibles]
+        full = (1 << len(atoms)) - 1
+        for i, a in enumerate(atoms):
+            for j, b in enumerate(atoms):
+                if 0 in (i, j):
+                    total, product = 1 << (i + j), 1
+                elif i == j:
+                    total, product = 1 | 1 << i, 1 << 1 + (2 * i - 2) % 20
+                else:
+                    total, product = full & ~(1 | 1 << i | 1 << j), 1 << 1 + (i + j - 2) % 20
+                assert (alg.add(a, b).payload, alg.mul(a, b).payload) == (total, product)
+
     def test_cramer_doubles_a_doubled_matrix_pair(self, tmp_path):
         # the size check guards specifiers only: Cramer's rule doubles the
         # matrix's pair, here to 441^2 elements, and still answers
