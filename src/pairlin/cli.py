@@ -14,11 +14,11 @@ import math
 import os
 import sys
 
-from .core import PairError, Undecidable, axiom_audit, balances
+from .core import PairError, Undecidable, axiom_audit
 from .instances import BadSpecifier, SPECIFIER_HELP, make_algebra
 from .matrices import (
     CapExceeded,
-    Matrix,
+    _balance_codes,
     _check_n,
     _coded,
     _column_layers,
@@ -84,14 +84,6 @@ def parse_matrix_text(text: str):
     return alg, matrix(alg, rows)
 
 
-def format_matrix_text(a: Matrix) -> str:
-    alg = a.alg
-    out = [f"pair {alg.spec_string}", f"rows {a.rows}", f"cols {a.cols}"]
-    for row in a.entries:
-        out.append(" ".join(alg.format_literal(e) for e in row))
-    return "\n".join(out) + "\n"
-
-
 def parse_vector(alg, text: str):
     return tuple(alg.parse_literal(t.strip()) for t in text.split(","))
 
@@ -152,9 +144,10 @@ def cmd_det(args, rep):
         )
     singular = {}
     coding, codes = _coded(a)
+    balanced = _balance_codes(alg, coding)
     for ci, layer in _column_layers(a, coding, codes, k):
-        for s, (p, q) in layer.items():
-            singular[s, ci] = balances(alg, p, q)
+        for s, pq in layer.items():
+            singular[s, ci] = balanced[pq]
     for ri in itertools.combinations(range(a.rows), k):
         s = sum(1 << i for i in ri)
         for ci in itertools.combinations(range(a.cols), k):
@@ -303,6 +296,18 @@ def _fork_suite_worker(pull, inherited):
         os._exit(0)
 
 
+def _queue_order(suites) -> list:
+    """The indices of suites in the order `verify all` starts them: by
+    declared cost (suites.costs), largest first, then every suite that
+    declares none; equal costs keep their list order."""
+
+    def key(i):
+        cost = getattr(suites[i], "cost", None)
+        return cost is None, -(cost or 0)
+
+    return sorted(range(len(suites)), key=key)
+
+
 def _suite_results(seed):
     """Run every suite of ALL_SUITES once, here and on forked workers (see
     cmd_verify); returns {index: SuiteResult or the exception raised} for
@@ -330,7 +335,7 @@ def _suite_results(seed):
     children = []
     queue, w = os.pipe()
     try:
-        os.write(w, bytes(range(len(ALL_SUITES))))
+        os.write(w, bytes(_queue_order(ALL_SUITES)))
     finally:
         os.close(w)
     try:
@@ -368,8 +373,10 @@ def cmd_verify(args, rep):
     The suites run at once on every CPU this process may use: the process
     forks one worker per further CPU, and every process takes the index of
     its next suite from one pipe, one byte per suite written before the
-    fork, until the pipe is empty.  A 1-byte read is atomic, so each suite
-    runs once, and a process that finishes early takes the next suite.  Each
+    fork in _queue_order, costliest first, until the pipe is empty.  The
+    costliest start first so that no process is left running a long suite
+    alone at the end.  A 1-byte read is atomic, so each suite runs once,
+    and a process that finishes early takes the next suite.  Each
     child pickles its results onto a pipe of its own; this process reads
     them, reaps every child on every path, and reruns here any suite whose
     result did not come back (a child that died, or an exception that would

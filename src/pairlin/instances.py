@@ -291,12 +291,17 @@ def _st_format(a):
     return text + ("g" if layer == "g" else "")
 
 
+@functools.lru_cache(maxsize=64)
 def _st_codec(scale) -> Codec:
     """Supertropical codes: ((v * scale) << 1) | ghost for value v, and
     None for zero.  A call's codec takes for scale the lcm of the
     denominators of its elements, so every code is an integer: a product
     adds codes and ors the ghost bits, a sum keeps the larger value, and
-    equal values sum to their ghost."""
+    equal values sum to their ghost.
+
+    The codecs of the last 64 scales are kept, one object per scale, so a
+    matrix's codes serve its later calls at the same scale (see
+    matrices._coded)."""
 
     def encode(e):
         if e.payload is None:

@@ -23,7 +23,12 @@ last one call.
 
 The kernels run on codes, not on elements: each public call binds its pair's
 codec (core.Codec) to the elements it was given, encodes each matrix once,
-adds and multiplies codes, and decodes only the values it returns.
+adds and multiplies codes, and decodes only the values it returns.  A
+Matrix keeps the codes of its last call with its codec, and a later call
+under the same codec object reuses them, so the Laplace expansions of one
+matrix along each of its row sets encode it once.  Singularity is decided
+on the coded tracks, through one memo per pair from pairs of codes to
+whether they balance.
 
 Doubled products with an embedded factor, b -> (b, 0), are done in base
 coordinates.  Zero is additively neutral and multiplicatively absorbing in
@@ -83,16 +88,18 @@ def _check_n(what, n, limit=None):
 class Matrix:
     alg: PairAlgebra
     entries: tuple
+    # (coding, codes) of the last kernel call on this matrix: see _coded
+    _codes: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries or not self.entries[0]:
             raise DimensionMismatch("matrix dimensions must be positive")
         w = len(self.entries[0])
+        check = self.alg.check
         for row in self.entries:
             if len(row) != w:
                 raise DimensionMismatch("ragged rows")
-            for e in row:
-                self.alg.check(e)
+            check(*row)
 
     @property
     def rows(self):
@@ -189,15 +196,29 @@ def project_matrix(dalg, a: Matrix) -> Matrix:
 
 
 def _encode(coding, rows) -> list:
+    """rows as codes.  A matrix keeps its codes for later calls (see
+    _coded), so no kernel changes the lists it is given."""
     enc = coding.encode
     return [[enc(e) for e in row] for row in rows]
 
 
 def _coded(a: Matrix, *extra) -> tuple:
-    """The codec of one call, bound to a's entries and the extra element
-    iterables, and a's entries as codes."""
+    """(coding, codes): the codec of one call, bound to a's entries and the
+    extra element iterables, and a's entries as codes.
+
+    a keeps the pair of its last call.  Codes are a function of the codec
+    and the entries, so a call whose codec is the same object takes them
+    as they are: every call of a pair with one codec, and every call of a
+    supertropical matrix at the scale of its last one.  A call whose extra
+    elements bring a new denominator gets a codec of a new scale, and
+    encodes a again.
+    """
     coding = a.alg.coding(itertools.chain(*a.entries, *extra))
-    return coding, _encode(coding, a.entries)
+    kept = a._codes
+    if kept is None or kept[0] is not coding:
+        kept = coding, _encode(coding, a.entries)
+        object.__setattr__(a, "_codes", kept)
+    return kept
 
 
 def _dot(coding, xs, ys):
@@ -295,11 +316,16 @@ def det_doubled(a: Matrix) -> DoubledDet:
     other pair takes the grouped track walk, which needs only that addition
     is commutative and associative.
     """
+    coding, (p, q), products = _det_codes(a)
+    return DoubledDet(a.alg, coding.decode(p), coding.decode(q), products)
+
+
+def _det_codes(a: Matrix) -> tuple:
+    """(coding, (plus, minus), products): det_doubled on codes."""
     n = _det_size(a)
     coding, codes = _coded(a)
     layer, products = _minor_layer(a.alg, codes, range(n), coding)
-    p, q = layer[(1 << n) - 1]
-    return DoubledDet(a.alg, coding.decode(p), coding.decode(q), products)
+    return coding, layer[(1 << n) - 1], products
 
 
 def _minor_layer(alg, codes, cols, coding, plans=None) -> tuple:
@@ -471,13 +497,47 @@ def _multiple(add, k, x):
 
 def _column_layers(a: Matrix, coding, codes, k):
     """(cols, layer) for every set of k columns in lexicographic order; the
-    layer maps each set of k rows (a bitmask) to the doubled determinant of
-    the submatrix on those rows and columns, decoded."""
-    dec = coding.decode
+    layer maps each set of k rows (a bitmask) to the coded doubled
+    determinant of the submatrix on those rows and columns."""
     plans = _row_plans(a.rows)
     for cols in itertools.combinations(range(a.cols), k):
-        layer, _ = _minor_layer(a.alg, codes, cols, coding, plans)
-        yield cols, {s: (dec(p), dec(q)) for s, (p, q) in layer.items()}
+        yield cols, _minor_layer(a.alg, codes, cols, coding, plans)[0]
+
+
+class _CodeMemo(dict):
+    """key -> test(key), filled on first lookup."""
+
+    __slots__ = ("test",)
+
+    def __init__(self, test):
+        super().__init__()
+        self.test = test
+
+    def __missing__(self, key):
+        value = self[key] = self.test(key)
+        return value
+
+
+def _code_memo(alg, coding, name, test):
+    """A memo of test over keys made of `coding`'s codes: one per pair, kept
+    on the descriptor under name, or one per call for a rebinding codec,
+    whose codes depend on the call's scale.  A pair's keys are its codes or
+    pairs of them, so its memo holds at most the square of their number."""
+    if coding.rebind is not None:
+        return _CodeMemo(test)
+    memo = alg._memo
+    if name not in memo:
+        memo[name] = _CodeMemo(test)
+    return memo[name]
+
+
+def _balance_codes(alg, coding):
+    """(plus, minus) codes -> whether the elements they decode to balance:
+    a determinant's singularity."""
+    dec = coding.decode
+    return _code_memo(
+        alg, coding, "balance_codes", lambda pq: balances(alg, dec(pq[0]), dec(pq[1]))
+    )
 
 
 def permanent(a: Matrix) -> El:
@@ -486,18 +546,10 @@ def permanent(a: Matrix) -> El:
 
 
 def is_singular(a: Matrix) -> bool:
-    """Singularity per the balancing of the two determinant tracks."""
-    d = det_doubled(a)
-    return d.balanced()
-
-
-def det_signed(a: Matrix) -> El:
-    """det_plus (-) det_minus via the algebra's own negation map."""
-    alg = a.alg
-    if alg.negation is None:
-        raise PairError(f"{alg.id} has no negation map; use det_doubled")
-    d = det_doubled(a)
-    return alg.add(d.det_plus, alg.negation(d.det_minus))
+    """Singularity per the balancing of the two determinant tracks, equal
+    to det_doubled(a).balanced(), decided on their codes."""
+    coding, pq, _ = _det_codes(a)
+    return _balance_codes(a.alg, coding)[pq]
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .core import PairAlgebra, PairError, balances, surpasses0
+from .core import PairAlgebra, PairError, surpasses0
 from .instances import st_tan, st_value
-from .matrices import HEURISTIC_DEPTH_CAP, CapExceeded, Matrix, _check_n, _coded, _column_layers
+from .matrices import (
+    HEURISTIC_DEPTH_CAP,
+    CapExceeded,
+    Matrix,
+    _balance_codes,
+    _check_n,
+    _code_memo,
+    _coded,
+    _column_layers,
+)
 
 
 class DomainEmpty(PairError):
@@ -434,32 +443,6 @@ def _tie_solve(raw, support, ties, members, in_domain, key):
     return None
 
 
-class _NullCodes(dict):
-    """code -> whether the element it decodes to is null, filled on first
-    lookup."""
-
-    __slots__ = ("is_null", "decode")
-
-    def __init__(self, is_null, decode):
-        super().__init__()
-        self.is_null, self.decode = is_null, decode
-
-    def __missing__(self, code):
-        null = self[code] = self.is_null(self.decode(code))
-        return null
-
-
-def _null_codes(alg, coding):
-    """The null test on `coding`'s codes: one memo per pair, or one per
-    call for a rebinding codec, whose codes depend on the call's scale."""
-    if coding.rebind is not None:
-        return _NullCodes(alg._is_null, coding.decode)
-    memo = alg._memo
-    if "null_codes" not in memo:
-        memo["null_codes"] = _NullCodes(alg._is_null, coding.decode)
-    return memo["null_codes"]
-
-
 def _search_work(m, heads, candidates):
     """Coefficient tuples in the worst case of a non-max-plus search over m
     vectors: each support of k vectors walks heads * candidates^(k-1)."""
@@ -485,7 +468,9 @@ def _coded_search(alg, vectors, heads, candidates):
     rows = [[enc(e) for e in vec] for vec in vectors]
     head_codes = [enc(c) for c in heads]
     cand_codes = [enc(c) for c in candidates]
-    null = _null_codes(alg, coding)
+    is_null, dec = alg._is_null, coding.decode
+    # code -> whether the element it decodes to is null
+    null = _code_memo(alg, coding, "null_codes", lambda c: is_null(dec(c)))
     zero_row = [coding.zero] * len(rows[0])
 
     def search(support):
@@ -611,12 +596,12 @@ def submatrix_rank(a: Matrix) -> int:
     One minor layer per column set gives that set's doubled determinants
     against every row set at once.
     """
-    alg = a.alg
     coding, codes = _coded(a)
+    singular = _balance_codes(a.alg, coding)
     for k in range(min(a.rows, a.cols), 0, -1):
         _check_n("determinant", k)
         for _, layer in _column_layers(a, coding, codes, k):
-            if not all(balances(alg, p, q) for p, q in layer.values()):
+            if not all(singular[pq] for pq in layer.values()):
                 return k
     return 0
 

@@ -137,24 +137,6 @@ def cramer_solve(a: Matrix, v) -> CramerResult:
     return CramerResult(w, x, balance_verified, x_verified)
 
 
-def cramer_unique_tangible_solution(a: Matrix, v, x) -> bool:
-    """Exhaustive uniqueness check of A y nabla v over tangible-or-zero y.
-
-    Only meant for small finite pairs (n <= 2): enumerates the whole of
-    T0^n and counts solutions.
-    """
-    alg = a.alg
-    if alg.tangibles is None or a.rows > 2:
-        raise PairError("uniqueness scan needs a finite pair and n <= 2")
-    t0 = (alg.zero,) + tuple(alg.tangibles)
-    solutions = []
-    for y in itertools.product(t0, repeat=a.rows):
-        ay = mat_vec(a, y)
-        if all(balances(alg, l, r) for l, r in zip(ay, v)):
-            solutions.append(y)
-    return solutions == [tuple(x)]
-
-
 @dataclass
 class DominantReport:
     tracks: list  # (permutation, modulus value)

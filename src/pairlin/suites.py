@@ -1,8 +1,10 @@
 """Named desk-scale reproductions and the randomized verification suites.
 
-Each suite returns a SuiteResult; `verify_all` in the CLI runs them all with
+Each suite returns a SuiteResult; `verify all` in the CLI runs them all with
 a fixed seed, and the acceptance tests assert each one passes at its stated
-size.  Randomized draws are deterministic given the seed.
+size.  Randomized draws are deterministic given the seed.  Each suite of
+ALL_SUITES declares its cost, the checks it makes, so that `verify all` can
+start the costliest first.
 """
 
 from __future__ import annotations
@@ -177,6 +179,19 @@ def rand_dominant_diagonal_supertropical(rng, n):
 # acceptance suites (one per criterion)
 
 
+def costs(checks):
+    """Declare a suite's cost: the checks it makes at its default sizes, one
+    per matrix, linear system or vector set, and one per row set of a
+    Laplace expansion.  `verify all` queues the suites by it."""
+
+    def declare(suite):
+        suite.cost = checks
+        return suite
+
+    return declare
+
+
+@costs(1 + 4)  # the rank-gap matrix and its 3x3 minors
 def suite_sign_counterexample(seed=DEFAULT_SEED):
     res = SuiteResult("sign-a2-counterexample", True)
     a = sign_rank_gap_matrix()
@@ -197,6 +212,7 @@ def suite_sign_counterexample(seed=DEFAULT_SEED):
     return res
 
 
+@costs(1)
 def suite_doubled_boolean(seed=DEFAULT_SEED):
     res = SuiteResult("doubled-boolean-a2", True)
     a = two_track_doubled_matrix()
@@ -209,6 +225,7 @@ def suite_doubled_boolean(seed=DEFAULT_SEED):
     return res
 
 
+@costs(1)
 def suite_truncated(seed=DEFAULT_SEED):
     res = SuiteResult("truncated-quasiperiodic", True)
     a = clipped_counting_matrix()
@@ -229,6 +246,7 @@ def suite_truncated(seed=DEFAULT_SEED):
     return res
 
 
+@costs(1)
 def suite_powerset_symdiff(seed=DEFAULT_SEED):
     res = SuiteResult("powerset-symdiff-a2prime", True)
     alg, vecs = symdiff_independent_vectors()
@@ -240,6 +258,7 @@ def suite_powerset_symdiff(seed=DEFAULT_SEED):
     return res
 
 
+@costs(1000 * (4 + 6) + 2 ** 9 * (3 + 3))  # 4x4s and sign 3x3s, along 1 or 2 rows
 def suite_laplace(seed=DEFAULT_SEED, n_random=1000):
     res = SuiteResult("laplace-identity", True)
     rng = random.Random(seed)
@@ -270,6 +289,7 @@ def suite_laplace(seed=DEFAULT_SEED, n_random=1000):
     return res
 
 
+@costs(2 ** 9 + 1000)  # the sign 3x3s of 1 and -1, random 3x3s
 def suite_cayley_hamilton(seed=DEFAULT_SEED, n_random=1000):
     res = SuiteResult("cayley-hamilton", True)
     sign = make_algebra("sign")
@@ -289,6 +309,7 @@ def suite_cayley_hamilton(seed=DEFAULT_SEED, n_random=1000):
     return res
 
 
+@costs(1000 + 4 ** 4 * 4 ** 2)  # random 3x3 systems, every sign 2x2 system
 def suite_cramer(seed=DEFAULT_SEED, n_random=1000):
     res = SuiteResult("cramer-balance", True)
     rng = random.Random(seed)
@@ -318,6 +339,7 @@ def suite_cramer(seed=DEFAULT_SEED, n_random=1000):
     return res
 
 
+@costs(1000)  # dominant-diagonal systems
 def suite_jacobi(seed=DEFAULT_SEED, n_random=1000):
     res = SuiteResult("jacobi-convergence", True)
     rng = random.Random(seed)
@@ -340,6 +362,7 @@ def suite_jacobi(seed=DEFAULT_SEED, n_random=1000):
     return res
 
 
+@costs(3 ** 9 + 500)  # every tangible-or-zero sign 3x3, forced singular 3x3s
 def suite_singular_3x3_dependence(seed=DEFAULT_SEED, n_random=500):
     res = SuiteResult("singular-3x3-dependence", True)
     sign = make_algebra("sign")
@@ -369,6 +392,7 @@ def suite_singular_3x3_dependence(seed=DEFAULT_SEED, n_random=500):
     return res
 
 
+@costs(1000)  # dependent-by-construction matrices
 def suite_a1_dependent_implies_singular(seed=DEFAULT_SEED, n_random=1000):
     res = SuiteResult("a1-dependence-singularity", True)
     rng = random.Random(seed)
@@ -405,6 +429,7 @@ def suite_a1_dependent_implies_singular(seed=DEFAULT_SEED, n_random=1000):
     return res
 
 
+@costs(3 ** 4 + 3 ** 4)  # zero and two cosets, 2x2, in F5 and F7
 def suite_krasner(seed=DEFAULT_SEED):
     res = SuiteResult("krasner-2x2", True)
     alg5 = make_algebra("krasner:5:4")
@@ -441,6 +466,7 @@ def suite_krasner(seed=DEFAULT_SEED):
     return res
 
 
+@costs(16 + 1)  # the registered pairs' audits and the supertropical one
 def suite_structure(seed=DEFAULT_SEED):
     res = SuiteResult("structure-audit", True)
     from .core import axiom_audit
@@ -532,6 +558,7 @@ def suite_structure(seed=DEFAULT_SEED):
     return res
 
 
+@costs(3 ** 6 + 4 ** 6)  # every tangible-or-zero 3x2 over hex1-c2 and hex1-c3
 def suite_hyperfield_a2prime(seed=DEFAULT_SEED):
     res = SuiteResult("hyperfield-a2prime", True)
     for order in (2, 3):

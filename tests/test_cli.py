@@ -11,7 +11,6 @@ import pytest
 
 from pairlin.cli import (
     DET_MINOR_CAP,
-    format_matrix_text,
     parse_matrix_text,
     run_command,
 )
@@ -19,6 +18,16 @@ from pairlin.core import PairError
 from pairlin.instances import BadSpecifier
 from pairlin.matrices import CapExceeded
 from pairlin.rank import rank_report
+
+
+def format_matrix_text(a) -> str:
+    """a in the matrix text format that parse_matrix_text reads."""
+    alg = a.alg
+    out = [f"pair {alg.spec_string}", f"rows {a.rows}", f"cols {a.cols}"]
+    for row in a.entries:
+        out.append(" ".join(alg.format_literal(e) for e in row))
+    return "\n".join(out) + "\n"
+
 
 RANK_GAP = """\
 # sign-pair counterexample fixture
@@ -668,3 +677,64 @@ class TestParallelVerify:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.stdout == "False\n"
+
+
+class TestQueueOrder:
+    """`verify all` starts its suites by their declared cost, largest first."""
+
+    def test_every_suite_declares_a_cost(self):
+        from pairlin.suites import ALL_SUITES
+
+        for suite in ALL_SUITES:
+            assert isinstance(suite.cost, int) and suite.cost > 0, suite.__name__
+
+    def test_the_two_longest_suites_start_first(self):
+        from pairlin.cli import _queue_order
+        from pairlin.suites import ALL_SUITES
+
+        first = [ALL_SUITES[i].__name__ for i in _queue_order(ALL_SUITES)[:2]]
+        assert first == ["suite_singular_3x3_dependence", "suite_laplace"]
+
+    def test_undeclared_suites_follow_in_list_order(self):
+        from pairlin.cli import _queue_order
+        from pairlin.suites import costs
+
+        def undeclared(seed):
+            pass
+
+        suites = [undeclared, costs(5)(lambda seed: None), undeclared,
+                  costs(9)(lambda seed: None), costs(5)(lambda seed: None)]
+        assert _queue_order(suites) == [3, 1, 4, 0, 2]
+
+    def test_one_worker_runs_in_the_declared_order(self, monkeypatch, capsys):
+        import functools
+
+        from pairlin import cli
+        from pairlin.suites import ALL_SUITES, SuiteResult
+
+        ran = []
+
+        def stand_in(suite):
+            # the real suite's name and cost, without its work
+            @functools.wraps(suite)
+            def run(seed):
+                ran.append(suite)
+                return SuiteResult(suite.__name__, True)
+
+            return run
+
+        def undeclared(seed):
+            ran.append(undeclared)
+            return SuiteResult("undeclared", True)
+
+        suites = [stand_in(s) for s in ALL_SUITES]
+        suites.insert(2, undeclared)
+        monkeypatch.setattr(cli, "ALL_SUITES", suites)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        assert run_command(["verify", "all"]) == 0
+        by_cost = sorted(ALL_SUITES, key=lambda s: -s.cost)
+        assert ran == by_cost + [undeclared]
+        lines = capsys.readouterr().out.splitlines()
+        names = [s.__name__ for s in ALL_SUITES]
+        assert lines[1:-1] == [f"{n}: PASS" for n in names[:2] + ["undeclared"] + names[2:]]

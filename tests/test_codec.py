@@ -13,16 +13,19 @@ from fractions import Fraction
 import pytest
 
 from pairlin import (
+    Matrix,
     adjoint,
     cayley_hamilton_check,
     cramer_solve,
     det_doubled,
+    is_singular,
     laplace_expand,
     make_algebra,
     mat_mul,
     matrix,
     st_ghost,
     st_tan,
+    submatrix_rank,
 )
 from pairlin.core import Codec, El, PairAlgebra, PairError, el_codec
 from pairlin.instances import (
@@ -33,6 +36,7 @@ from pairlin.instances import (
 )
 from pairlin.matrices import char_poly_doubled, det_tracks
 from pairlin.solve import _adj_vec
+import pairlin.matrices as matrices_mod
 
 st = make_algebra("supertropical")
 PAIRS = list(registered_instances()) + [
@@ -227,3 +231,130 @@ def test_det_products_count_the_code_products(spec, monkeypatch):
         seen.clear()
         d = det_doubled(a)
         assert d.products == seen[0].calls > 0, (spec, n)
+
+
+# ---------------------------------------------------------------------------
+# singularity on codes, and the codes a matrix keeps
+
+dst = make_doubled(st)
+# every registered pair, the supertropical pair and the doubled pairs above,
+# and the doubled supertropical pair, whose codec rebinds per call
+SINGULAR_PAIRS = PAIRS + [dst]
+
+
+def draw_any(rng, alg):
+    """A carrier element, for hyperpairs also an atom set off the carrier,
+    a supertropical element of ST_ELEMENTS, or a pair of those."""
+    if alg is dst:
+        return alg.el((rng.choice(ST_ELEMENTS), rng.choice(ST_ELEMENTS)))
+    return rng.choice(elements(alg))
+
+
+@pytest.mark.parametrize("alg", SINGULAR_PAIRS, ids=lambda alg: alg.id)
+def test_coded_singularity_is_the_balance_of_the_element_tracks(alg):
+    rng = random.Random(f"singular:{alg.id}")
+    for n in range(1, 5):
+        for _ in range(40):
+            a = matrix(alg, [[draw_any(rng, alg) for _ in range(n)] for _ in range(n)])
+            assert is_singular(a) == det_tracks(a).balanced(), (alg.id, a.entries)
+    for n in (2, 3):  # the identity, its null-row variant and all zeros
+        one, zero = alg.one, alg.zero
+        eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        for rows in (eye, eye[:-1] + [[zero] * n], [[zero] * n] * n):
+            a = matrix(alg, rows)
+            assert is_singular(a) == det_tracks(a).balanced(), (alg.id, rows)
+
+
+def test_the_sign_pair_s_singular_3x3s_are_decided_as_on_elements():
+    sign = make_algebra("sign")
+    t0 = (sign.zero,) + sign.tangibles
+    for bits in itertools.product(t0, repeat=9):
+        a = matrix(sign, [bits[0:3], bits[3:6], bits[6:9]])
+        assert is_singular(a) == det_doubled(a).balanced(), bits
+
+
+def code_count(alg):
+    """How many codes alg's codec can make: carrier indices for table pairs,
+    atom masks for hyperpairs (sets off the carrier too), pairs of base
+    codes for a doubled pair."""
+    if alg.base is not None:
+        return code_count(alg.base) ** 2
+    if is_hyperpair(alg):
+        return 2 ** (len(alg.tangibles) + 1)
+    return len(alg.carrier)
+
+
+@pytest.mark.parametrize("alg", SINGULAR_PAIRS, ids=lambda alg: alg.id)
+def test_the_balance_memo_is_bounded_by_the_codes(alg):
+    rng = random.Random(f"memo:{alg.id}")
+    for n in range(1, 5):
+        for _ in range(30):
+            is_singular(matrix(alg, [[draw_any(rng, alg) for _ in range(n)] for _ in range(n)]))
+    if alg.coding().rebind is not None:  # codes depend on each call's scale
+        assert "balance_codes" not in alg._memo
+        return
+    memo = alg._memo["balance_codes"]
+    assert 0 < len(memo) <= code_count(alg) ** 2
+    if not is_hyperpair(alg) and alg.base is None:
+        assert len(memo) <= len(alg.carrier) ** 2
+
+
+def outcomes(a, v, rows):
+    """kernel_outcomes with singularity and the submatrix rank."""
+    out = kernel_outcomes(a, v, rows)
+    out["singular"] = is_singular(a)
+    out["submatrix_rank"] = submatrix_rank(a)
+    return out
+
+
+@pytest.mark.parametrize("alg", SINGULAR_PAIRS, ids=lambda alg: alg.id)
+def test_kernels_on_one_matrix_twice_agree_with_a_fresh_matrix(alg):
+    rng = random.Random(f"twice:{alg.id}")
+    for n in range(2, 5):
+        a = matrix(alg, [[draw_any(rng, alg) for _ in range(n)] for _ in range(n)])
+        v = tuple(draw_any(rng, alg) for _ in range(n))
+        rows = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
+        first = outcomes(a, v, rows)
+        assert a._codes is not None
+        again = outcomes(a, v, rows)
+        fresh = outcomes(Matrix(alg, a.entries), v, rows)
+        assert first == again == fresh, (alg.id, n, a.entries)
+
+
+@pytest.mark.parametrize("spec", ["sign", "supertropical", "hyper:hex1-c3"])
+def test_laplace_expansions_of_one_matrix_encode_it_once(spec, monkeypatch):
+    alg = make_algebra(spec)
+    rng = random.Random(spec)
+    a = matrix(alg, [[draw(rng, alg) for _ in range(4)] for _ in range(4)])
+    encoded = []
+    inner = matrices_mod._encode
+    monkeypatch.setattr(matrices_mod, "_encode", lambda c, rows: encoded.append(rows) or inner(c, rows))
+    ref = det_tracks(a)
+    for size in (1, 2):
+        for rows in itertools.combinations(range(4), size):
+            assert laplace_expand(a, rows) == ref, (spec, rows)
+    assert is_singular(a) == ref.balanced()
+    assert encoded == [a.entries]
+
+
+def test_cramer_after_a_cached_determinant_binds_the_new_denominator():
+    # a's codes are kept at scale 1; v's 1/7 needs scale 7, so Cramer's rule
+    # must encode a again under the codec of a and v
+    a = matrix(st, [[st_tan(2), st_ghost(0), st.zero],
+                    [st_tan(1), st_tan(3), st_tan(-1)],
+                    [st_tan(0), st_tan(5), st_ghost(4)]])
+    v = (st_tan(Fraction(1, 7)), st_tan(Fraction(-2, 7)), st_ghost(Fraction(3, 7)))
+    d = det_doubled(a)
+    kept = a._codes
+    assert d == det_tracks(a)
+    out = cramer_solve(a, v)
+    assert a._codes[0] is not kept[0]
+    assert out == cramer_solve(Matrix(st, a.entries), v)
+    # w = adj(A) v, folded on elements
+    adj = adjoint(Matrix(st, a.entries))
+    for i in range(3):
+        p = st.sum(st.mul(adj[i, j].payload[0], v[j]) for j in range(3))
+        q = st.sum(st.mul(adj[i, j].payload[1], v[j]) for j in range(3))
+        assert out.w[i] == dst.el((p, q)), i
+    # a later call without v encodes a at its own scale again
+    assert det_doubled(a) == d and a._codes[0].encode(st_tan(2)) == 2 << 1

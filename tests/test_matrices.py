@@ -25,18 +25,27 @@ from pairlin import (
     quasi_inverse,
     st_tan,
 )
-from pairlin.core import El
+from pairlin.core import El, PairError
 from pairlin.instances import make_doubled, registered_instances
 from pairlin.matrices import (
     Matrix,
     _perms,
     det_method,
-    det_signed,
     det_tracks,
     project_matrix,
 )
 from pairlin.suites import clipped_counting_matrix, rand_supertropical_matrix
 import pairlin.matrices as matrices_mod
+
+
+def det_signed(a):
+    """det_plus (-) det_minus via the pair's own negation map."""
+    alg = a.alg
+    if alg.negation is None:
+        raise PairError(f"{alg.id} has no negation map; use det_doubled")
+    d = det_doubled(a)
+    return alg.add(d.det_plus, alg.negation(d.det_minus))
+
 
 sign = make_algebra("sign")
 st = make_algebra("supertropical")

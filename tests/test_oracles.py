@@ -34,7 +34,7 @@ from pairlin import (
     matrix,
     submatrix_rank,
 )
-from pairlin.cli import format_matrix_text, run_command
+from pairlin.cli import run_command
 from pairlin import core, instances, solve
 from pairlin.core import (
     FIRST,
@@ -76,6 +76,7 @@ from pairlin.rank import (
 )
 from pairlin.solve import CramerResult
 from pairlin.suites import rand_dominant_diagonal_supertropical, rand_supertropical_matrix
+from test_cli import format_matrix_text
 
 st = make_algebra("supertropical")
 

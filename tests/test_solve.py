@@ -1,28 +1,40 @@
 """Cramer and Jacobi solvers over pairs with a modulus."""
 
+import itertools
 import random
 
 import pytest
 
 from pairlin import (
+    balances,
     cramer_solve,
     dominant_structure,
     identity,
     jacobi_solve,
     make_algebra,
+    mat_vec,
     matrix,
     st_ghost,
     st_tan,
 )
-from pairlin.solve import (
-    NoModulus,
-    NotDominantDiagonal,
-    cramer_unique_tangible_solution,
-)
+from pairlin.solve import NoModulus, NotDominantDiagonal
 from pairlin.suites import rand_dominant_diagonal_supertropical
 
 st = make_algebra("supertropical")
 sign = make_algebra("sign")
+
+
+def cramer_unique_tangible_solution(a, v, x) -> bool:
+    """Exhaustive uniqueness check of A y nabla v over tangible-or-zero y:
+    enumerates the whole of T0^n, so only for small finite pairs."""
+    alg = a.alg
+    t0 = (alg.zero,) + tuple(alg.tangibles)
+    solutions = []
+    for y in itertools.product(t0, repeat=a.rows):
+        ay = mat_vec(a, y)
+        if all(balances(alg, l, r) for l, r in zip(ay, v)):
+            solutions.append(y)
+    return solutions == [tuple(x)]
 
 
 def st_mat(rows):

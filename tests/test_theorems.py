@@ -19,7 +19,7 @@ from pairlin import (
     surpasses0,
 )
 from pairlin.core import Undecidable, characteristic
-from pairlin.matrices import det_signed
+from test_matrices import det_signed
 from pairlin.suites import rand_supertropical_matrix
 
 sign = make_algebra("sign")
