@@ -160,7 +160,7 @@ class PairAlgebra:
         "dagger", "negation", "negation_unique", "distributive", "tangibles",
         "carrier", "modulus", "declared_kind", "tangible_inverse",
         "tangible_lift", "sample", "parse_literal", "format_literal",
-        "spec_string", "desc", "base", "krasner_field", "krasner_cosets",
+        "spec_string", "base", "krasner_field", "krasner_cosets",
         "surpass_rule", "height_rule", "max_plus", "_codec", "_memo",
     )
 
@@ -187,7 +187,6 @@ class PairAlgebra:
         parse_literal: Optional[Callable[[str], El]] = None,
         format_literal: Optional[Callable[[El], str]] = None,
         spec_string: str = "",
-        desc: str = "",
         base: Optional["PairAlgebra"] = None,
         krasner_field: Optional[int] = None,
         krasner_cosets: Optional[list] = None,
@@ -221,7 +220,6 @@ class PairAlgebra:
             parse_literal=parse_literal,
             format_literal=format_literal,
             spec_string=spec_string or id,
-            desc=desc,
             # the base pair of a doubled pair
             base=base,
             # F_p and the coset of each atom, for a Krasner quotient
@@ -441,9 +439,6 @@ class CharacteristicProfile:
     q: Optional[int] = None
     period: Optional[int] = None
     capped: bool = False
-
-    def as_tuple(self):
-        return (self.p, self.q) if self.kind == "finite" else None
 
 
 def characteristic(alg: PairAlgebra, cap: int = CHARACTERISTIC_CAP) -> CharacteristicProfile:

@@ -103,7 +103,6 @@ def _table_pair(
     modulus_table=None,
     declared_kind="unknown",
     spec_string="",
-    desc="",
 ):
     """Build a PairAlgebra from finite operation tables keyed by atom name."""
     atoms = tuple(atoms)
@@ -166,7 +165,6 @@ def _table_pair(
         parse_literal=parse_literal,
         format_literal=lambda a: str(a.payload),
         spec_string=spec_string or id,
-        desc=desc,
         codec=_carrier_codec,
     )
 
@@ -209,7 +207,6 @@ def make_sign_pair() -> PairAlgebra:
         distributive=True,
         modulus_table={"0": None, "1": Fraction(0), "-1": Fraction(0), "inf": Fraction(0)},
         declared_kind=SECOND,
-        desc="sign semiring pair, A0-bipotent of the strict second kind",
     )
 
 
@@ -378,7 +375,6 @@ def make_supertropical() -> PairAlgebra:
         sample=sample,
         parse_literal=_st_parse,
         format_literal=_st_format,
-        desc="supertropical pair over exact rationals (first kind, tropical type)",
         surpass_rule=_st_surpass,
         height_rule=_st_height,
         max_plus=True,
@@ -536,7 +532,6 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
         if base.format_literal
         else None,
         spec_string=f"doubled:{base.spec_string}",
-        desc=f"doubled pair over {base.id} (switch negation, second kind)",
         base=base,
         codec=lambda dalg: codec(base.coding()),
     )
@@ -568,7 +563,6 @@ def make_boolean() -> PairAlgebra:
         "boolean", atoms, add, mul,
         tangible={"1"}, null={"0"}, zero="0", one="1",
         distributive=True,
-        desc="Boolean semifield pair ({0,1}, A0 = {0})",
     )
 
 
@@ -602,7 +596,6 @@ def make_super_boolean() -> PairAlgebra:
         distributive=True,
         modulus_table={"0": None, "1": Fraction(0), "e": Fraction(0)},
         declared_kind=FIRST,
-        desc="super-Boolean pair {0,1,e}, first kind, characteristic (1,2)",
     )
 
 
@@ -618,7 +611,6 @@ def make_counting(q: int) -> PairAlgebra:
         f"counting:{q}", atoms, add, mul,
         tangible={"1"}, null={"0", str(q)}, zero="0", one="1",
         distributive=True,
-        desc=f"truncated counting pair, {q} = {q}+1, T = {{1}}",
     )
 
 
@@ -639,7 +631,6 @@ def make_npq(p: int, q: int) -> PairAlgebra:
         f"npq:{p}:{q}", atoms, add, mul,
         tangible={"1"}, null={"0"}, zero="0", one="1",
         distributive=True,
-        desc=f"N_{{{p},{q}}} characteristic pair",
     )
 
 
@@ -695,7 +686,6 @@ def make_minimal(kind: str, n: int) -> PairAlgebra:
         distributive=True,
         modulus_table={a: (None if a == "0" else Fraction(0)) for a in atoms},
         declared_kind=kind,
-        desc=f"minimal A0-bipotent pair of the {kind} kind, |T| = {n}",
     )
 
 
@@ -713,7 +703,6 @@ def _closure_pair(
     negation_unique=False,
     inverse=None,  # tangible atom -> atom of its inverse, or None
     spec_string="",
-    desc="",
     **fields,  # further descriptor fields: the Krasner data
 ):
     """Build a pair whose elements are subsets of atoms, closed under + and *.
@@ -865,7 +854,6 @@ def _closure_pair(
         parse_literal=parse_literal,
         format_literal=lambda a: name_of(a.payload),
         spec_string=spec_string or id,
-        desc=desc,
         surpass_rule=_subset_surpass,
         # codes are atom masks: a product of sets that are not atoms can
         # leave the carrier, so carrier indices would not do
@@ -944,7 +932,6 @@ def make_krasner(p: int, generators) -> PairAlgebra:
         negation_unique=True,
         inverse=lambda i: assigned[pow(min(atom_sets[i]), p - 2, p)],
         spec_string=f"krasner:{p}:{'-'.join(str(g) for g in gens)}",
-        desc=f"Krasner quotient hyperpair F_{p}/{sorted(G)}",
         krasner_field=p,
         krasner_cosets=atom_sets,
     )
@@ -991,7 +978,6 @@ def make_hex(variant: int, n: int) -> PairAlgebra:
         negation=range(n + 1),
         inverse=lambda i: 1 + (-(i - 1)) % n,
         spec_string=f"hyper:hex{variant}-c{n}",
-        desc=f"hyperfield hex({'i' * variant}) over C_{n}",
     )
 
 
@@ -1035,7 +1021,6 @@ def make_weak_sign(n: int) -> PairAlgebra:
         # (g, +) <-> (g, -): atoms 2g+1 and 2g+2 trade places
         negation=[0] + [i + 1 if i % 2 else i - 1 for i in range(1, 2 * n + 1)],
         spec_string=f"hyper:weaksign-c{n}",
-        desc=f"signed hyperfield over C_{n}",
     )
 
 
@@ -1103,7 +1088,6 @@ def make_powerset_symdiff(n: int) -> PairAlgebra:
         tangible_inverse=lambda a: El(id, 1 << ((-(a.payload.bit_length() - 1)) % n)),
         parse_literal=parse_literal,
         format_literal=fmt,
-        desc=f"power set of C_{n} under symmetric difference (F2 group algebra)",
         codec=_carrier_codec,
     )
     return alg

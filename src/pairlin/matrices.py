@@ -258,9 +258,6 @@ class DoubledDet:
     def balanced(self) -> bool:
         return balances(self.alg, self.det_plus, self.det_minus)
 
-    def as_doubled_element(self) -> El:
-        return El(make_doubled(self.alg).id, (self.det_plus, self.det_minus))
-
 
 def _perms(n):
     """Yield every permutation of range(n) with its parity, in lexicographic

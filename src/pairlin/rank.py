@@ -29,6 +29,12 @@ tested on codes through a memo, and only the witness holds elements.  Its
 worst case, the sum over supports of k vectors of |heads| * |D|^(k-1)
 tuples, is checked against SEARCH_WORK_CAP before any work, and a larger
 search raises CapExceeded.
+
+`preceq_spans`, the search for coefficients whose combination is surpassed
+by a target, runs on the same coded walk over every pair, the supertropical
+one included: each column's sum is tested against the target's entry in
+place of nullity, and its worst case, the sum over supports of k vectors of
+|D|^k tuples, is bounded by the same cap before any work.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .matrices import (
     Matrix,
     _balance_codes,
     _check_n,
+    _CodeMemo,
     _code_memo,
     _coded,
     _column_layers,
@@ -198,17 +205,6 @@ def default_domain(alg: PairAlgebra, vectors):
     if alg.tangibles is not None:
         return exact_domain(alg)
     return heuristic_domain(alg, vectors, 2)
-
-
-def _combo_null(alg, vectors, support, coeffs) -> bool:
-    n = len(vectors[0])
-    for j in range(n):
-        acc = alg.zero
-        for i, c in zip(support, coeffs):
-            acc = alg.add(acc, alg.mul(c, vectors[i][j]))
-        if not alg.is_null(acc):
-            return False
-    return True
 
 
 def _super_raw(vectors, scale):
@@ -444,34 +440,54 @@ def _tie_solve(raw, support, ties, members, in_domain, key):
 
 
 def _search_work(m, heads, candidates):
-    """Coefficient tuples in the worst case of a non-max-plus search over m
+    """Coefficient tuples in the worst case of a coded search over m
     vectors: each support of k vectors walks heads * candidates^(k-1)."""
     return sum(math.comb(m, k) * heads * candidates ** (k - 1) for k in range(1, m + 1))
 
 
-def _coded_search(alg, vectors, heads, candidates):
-    """The first-witness search over one support of a non-max-plus pair,
-    run on the pair's codes: a function from a support to its witness or
-    None.
+def _check_work(what, m, heads, candidates):
+    """Raise CapExceeded, before any work, when the worst case of a coded
+    search over m vectors (see `_search_work`) passes SEARCH_WORK_CAP."""
+    work = _search_work(m, heads, candidates)
+    if work > SEARCH_WORK_CAP:
+        raise CapExceeded(
+            f"{what} cap exceeded: {m} vectors need up to {work} "
+            f"coefficient tuples, more than {SEARCH_WORK_CAP}"
+        )
+
+
+def _coded_search(alg, vectors, heads, candidates, tests=None):
+    """The first-witness search over one support, run on the pair's codes:
+    a function from a support to its witness or None.
 
     The codec is bound to the entries and the coefficients, and each is
     encoded once.  Coefficient tuples are walked in the order of
     `itertools.product(heads, candidates, ...)`, keeping one row of partial
     column sums per depth, so a tuple costs one product and one sum per
-    column at its last coefficient.  The sums are `_combo_null`'s, in its
-    order (((0 + c0 v0) + c1 v1) + ...), so set-valued sums agree with it.
-    A leaf stops at its first column that is not null; the witness's
-    coefficients are the given elements, never decoded.
+    column at its last coefficient.  The sums are those of elements in the
+    same order, ((0 + c0 v0) + c1 v1) + ..., so set-valued sums agree with
+    an element loop's.  At the last depth the candidates are tried in
+    order, each until its first column whose test fails: an element loop's
+    order, so a test that raises does so at the same tuple and column.  The
+    witness's coefficients are the given elements, never decoded.
+
+    `tests`, when given, holds one test per column, a function of the
+    element a column sum decodes to, memoized on codes for this search; by
+    default every column tests nullity through the pair's memo.
     """
     coding = alg.coding(itertools.chain(heads, candidates, *vectors))
-    enc, add, mul = coding.encode, coding.add, coding.mul
+    enc, add, mul, dec = coding.encode, coding.add, coding.mul, coding.decode
     rows = [[enc(e) for e in vec] for vec in vectors]
     head_codes = [enc(c) for c in heads]
     cand_codes = [enc(c) for c in candidates]
-    is_null, dec = alg._is_null, coding.decode
-    # code -> whether the element it decodes to is null
-    null = _code_memo(alg, coding, "null_codes", lambda c: is_null(dec(c)))
-    zero_row = [coding.zero] * len(rows[0])
+    n = len(rows[0])
+    if tests is None:
+        is_null = alg._is_null
+        # code -> whether the element it decodes to is null
+        tests = [_code_memo(alg, coding, "null_codes", lambda c: is_null(dec(c)))] * n
+    else:
+        tests = [_CodeMemo(lambda c, test=test: test(dec(c))) for test in tests]
+    zero_row = [coding.zero] * n
 
     def search(support):
         last = len(support) - 1
@@ -481,15 +497,15 @@ def _coded_search(alg, vectors, heads, candidates):
             vec = rows[support[depth]]
             codes = cand_codes if depth else head_codes
             if depth == last:
-                # the coefficients whose tuple is null, filtered column by
-                # column: each keeps its sums until its first non-null column
-                alive = range(len(codes))
-                for s, x in zip(sums, vec):
-                    alive = [i for i in alive if null[add(s, mul(codes[i], x))]]
-                    if not alive:
-                        return False
-                picks[depth] = alive[0]
-                return True
+                cols = list(zip(sums, vec, tests))
+                for i, c in enumerate(codes):
+                    for s, x, test in cols:
+                        if not test[add(s, mul(c, x))]:
+                            break
+                    else:
+                        picks[depth] = i
+                        return True
+                return False
             for i, c in enumerate(codes):
                 if walk(depth + 1, [add(s, mul(c, x)) for s, x in zip(sums, vec)]):
                     picks[depth] = i
@@ -542,12 +558,7 @@ def find_dependence(vectors, domain, alg, *, stats=None):
         scale, raw = _super_raw(vectors, dscale)
     else:
         heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
-        work = _search_work(m, len(heads), len(domain))
-        if work > SEARCH_WORK_CAP:
-            raise CapExceeded(
-                f"dependence search cap exceeded: {m} vectors need up to {work} "
-                f"coefficient tuples, more than {SEARCH_WORK_CAP}"
-            )
+        _check_work("dependence search", m, len(heads), len(domain))
         search = _coded_search(alg, vectors, heads, domain.candidates)
     tried = scanned = 0
     try:
@@ -747,42 +758,51 @@ def preceq_spans(vectors, target, domain=None, alg=None):
     Returns (coefficients aligned with vectors, induced_witness) where the
     induced witness exists when Property N holds: target + sum dagger(a_i) v_i
     lands in the null layer.  Returns None when no assignment is found.
+
+    The first assignment in `find_dependence`'s order, none normalized, is
+    found on the pair's codes (`_coded_search`), each column's sum tested
+    against the target's entry; an undecidable surpassing raises
+    UndecidableSurpassing.  Owners and lengths are checked first, then the
+    worst case, sum_k C(m, k) |domain|^k tuples, against SEARCH_WORK_CAP.
     """
     if alg is None:
         raise UndecidableSurpassing("algebra required")
+    n = len(target)
+    for vec in vectors:
+        if len(vec) != n:
+            raise PairError("vectors and target must have equal length")
+        alg.check(*vec)
+    alg.check(*target)
     if domain is None:
         domain = default_domain(alg, list(vectors) + [target])
-    n = len(target)
     m = len(vectors)
-    for size in range(1, m + 1):
-        for support in itertools.combinations(range(m), size):
-            for coeffs in itertools.product(domain.candidates, repeat=size):
-                ok = True
-                for j in range(n):
-                    acc = alg.zero
-                    for i, c in zip(support, coeffs):
-                        acc = alg.add(acc, alg.mul(c, vectors[i][j]))
-                    try:
-                        if not surpasses0(alg, acc, target[j]):
-                            ok = False
-                            break
-                    except PairError as exc:
-                        raise UndecidableSurpassing(str(exc))
-                if ok:
-                    full = [alg.zero] * m
-                    for i, c in zip(support, coeffs):
-                        full[i] = c
-                    witness = None
-                    if alg.dagger is not None:
-                        wit_vecs = [target] + [vectors[i] for i in support]
-                        wit_coeffs = (alg.one,) + tuple(
-                            alg.dagger(c) for c in coeffs
-                        )
-                        if _combo_null(
-                            alg, wit_vecs, tuple(range(len(wit_vecs))), wit_coeffs
-                        ):
-                            witness = DependenceWitness(
-                                tuple(range(len(wit_vecs))), wit_coeffs
-                            )
-                    return tuple(full), witness
-    return None
+    _check_work("span search", m, len(domain), len(domain))
+    if not vectors:
+        return None
+
+    def surpassed_by(t):
+        def test(e):
+            try:
+                return surpasses0(alg, e, t)
+            except PairError as exc:
+                raise UndecidableSurpassing(str(exc))
+
+        return test
+
+    cands = domain.candidates
+    search = _coded_search(alg, vectors, cands, cands, [surpassed_by(t) for t in target])
+    supports = (s for k in range(1, m + 1) for s in itertools.combinations(range(m), k))
+    w = next((w for w in map(search, supports) if w is not None), None)
+    if w is None:
+        return None
+    full = [alg.zero] * m
+    for i, c in zip(w.support, w.coeffs):
+        full[i] = c
+    witness = None
+    if alg.dagger is not None:
+        vecs = [target, *(vectors[i] for i in w.support)]
+        coeffs = (alg.one, *map(alg.dagger, w.coeffs))
+        sums = (alg.sum(alg.mul(c, v[j]) for c, v in zip(coeffs, vecs)) for j in range(n))
+        if all(map(alg.is_null, sums)):
+            witness = DependenceWitness(tuple(range(len(vecs))), coeffs)
+    return tuple(full), witness

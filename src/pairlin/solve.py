@@ -185,8 +185,6 @@ def dominant_structure(a: Matrix) -> DominantReport:
 
 @dataclass
 class JacobiState:
-    d: Matrix
-    n: Matrix
     iterates: list = field(default_factory=list)
     stabilized_at: Optional[int] = None
     x: Optional[tuple] = None
@@ -226,19 +224,13 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     if any(not alg.is_tangible(e) for e in diag) or alg.tangible_inverse is None:
         raise NonInvertibleDiagonal("diagonal entries must be tangible invertible")
     dinv = [alg.tangible_inverse(e) for e in diag]
-    d_mat = Matrix(
-        alg,
-        tuple(
-            tuple(diag[i] if i == j else alg.zero for j in range(n)) for i in range(n)
-        ),
-    )
     n_mat = Matrix(
         alg,
         tuple(
             tuple(alg.zero if i == j else a[i, j] for j in range(n)) for i in range(n)
         ),
     )
-    state = JacobiState(d_mat, n_mat)
+    state = JacobiState()
     x = tuple(alg.zero for _ in range(n))
     for k in range(1, max_iter + 1):
         nx = mat_vec(n_mat, x)

@@ -8,7 +8,8 @@ reference below is the straightforward version: one det_doubled per
 submatrix, or doubled arithmetic on embedded matrices.  The axiom audit runs
 on interned element indices; its reference runs every loop on elements.  The
 dependence search over non-max-plus pairs runs on codes with partial column
-sums; its reference sums every coefficient tuple on elements.  The minor
+sums; its reference sums every coefficient tuple on elements, and so does
+the reference of the surpassing span search, which walks the same codes.  The minor
 layers walk precomputed index plans; their reference is the dict walk, which
 tests bits and probes a dict for every row set and row.
 """
@@ -36,9 +37,11 @@ from pairlin import (
 )
 from pairlin.cli import run_command
 from pairlin import core, instances, solve
+import pairlin.rank as rank_mod
 from pairlin.core import (
     FIRST,
     SECOND,
+    AlgebraMismatch,
     AuditReport,
     El,
     PairAlgebra,
@@ -48,6 +51,7 @@ from pairlin.core import (
     balances,
     circ,
     e_elements,
+    surpasses0,
 )
 from pairlin.instances import (
     embed_doubled,
@@ -70,9 +74,10 @@ from pairlin.rank import (
     CoefficientDomain,
     DependenceWitness,
     DomainEmpty,
-    _combo_null,
+    UndecidableSurpassing,
     default_domain,
     find_dependence,
+    preceq_spans,
 )
 from pairlin.solve import CramerResult
 from pairlin.suites import rand_dominant_diagonal_supertropical, rand_supertropical_matrix
@@ -828,6 +833,19 @@ def test_audit_reaches_each_ordered_pair_once(spec):
 # the dependence search over non-max-plus pairs: codes against elements
 
 
+def _combo_null(alg, vectors, support, coeffs) -> bool:
+    """Whether sum_i coeffs[i] vectors[support[i]] is null in every column,
+    summed on elements as ((0 + c0 v0) + c1 v1) + ..."""
+    n = len(vectors[0])
+    for j in range(n):
+        acc = alg.zero
+        for i, c in zip(support, coeffs):
+            acc = alg.add(acc, alg.mul(c, vectors[i][j]))
+        if not alg.is_null(acc):
+            return False
+    return True
+
+
 def find_dependence_ref(vectors, domain, alg, *, stats=None):
     """The dependence search as an element loop: every coefficient tuple's
     combination summed column by column with `_combo_null`.  For a
@@ -925,6 +943,201 @@ def test_dependence_search_leads_with_one_outside_the_domain(spec):
             assert w.coeffs[0] == alg.one
             leads += 1
     assert leads
+
+
+# ---------------------------------------------------------------------------
+# the surpassing span search: codes against elements
+
+
+def preceq_spans_ref(vectors, target, domain=None, alg=None):
+    """The span search as an element loop: every coefficient tuple's
+    combination summed on elements and tested column by column with
+    `surpasses0`.  This is `preceq_spans` before it ran on codes, without
+    the work bound or the up-front checks of owners and lengths."""
+    if alg is None:
+        raise UndecidableSurpassing("algebra required")
+    if domain is None:
+        domain = default_domain(alg, list(vectors) + [target])
+    n = len(target)
+    m = len(vectors)
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            for coeffs in itertools.product(domain.candidates, repeat=size):
+                ok = True
+                for j in range(n):
+                    acc = alg.zero
+                    for i, c in zip(support, coeffs):
+                        acc = alg.add(acc, alg.mul(c, vectors[i][j]))
+                    try:
+                        if not surpasses0(alg, acc, target[j]):
+                            ok = False
+                            break
+                    except PairError as exc:
+                        raise UndecidableSurpassing(str(exc))
+                if ok:
+                    full = [alg.zero] * m
+                    for i, c in zip(support, coeffs):
+                        full[i] = c
+                    witness = None
+                    if alg.dagger is not None:
+                        wit_vecs = [target] + [vectors[i] for i in support]
+                        wit_coeffs = (alg.one,) + tuple(
+                            alg.dagger(c) for c in coeffs
+                        )
+                        if _combo_null(
+                            alg, wit_vecs, tuple(range(len(wit_vecs))), wit_coeffs
+                        ):
+                            witness = DependenceWitness(
+                                tuple(range(len(wit_vecs))), wit_coeffs
+                            )
+                    return tuple(full), witness
+    return None
+
+
+SPAN_PAIRS = SEARCH_PAIRS + [st]
+
+
+def _span_entry(rng, alg, tangible):
+    if alg is st:
+        return rng.choice(st.sample[:6] if tangible else st.sample)
+    return _draw_entry(rng, alg, tangible)
+
+
+def _span_candidates(rng, alg, k):
+    """k tangible coefficients, repeats allowed."""
+    if alg is st:
+        return [rng.choice(st.sample[1:6]) for _ in range(k)]
+    if alg is DOUBLED_ST:
+        return [El(alg.id, (rng.choice(st.sample[1:6]), st.zero)) for _ in range(k)]
+    return [rng.choice(alg.tangibles) for _ in range(k)]
+
+
+def _nulls(alg):
+    if alg is DOUBLED_ST:
+        pool = [El(alg.id, (p, q)) for p in st.sample for q in st.sample]
+    else:
+        pool = st.sample if alg is st else alg.carrier
+    return [c for c in pool if alg.is_null(c)]
+
+
+def _span_target(rng, alg, rows, n, tangible):
+    """A random vector, or a combination of some of the rows with random
+    coefficients, to which a null element is sometimes added."""
+    if rng.random() < 0.4:
+        return tuple(_span_entry(rng, alg, tangible) for _ in range(n))
+    used = [row for row in rows if rng.random() < 0.7]
+    coeffs = _span_candidates(rng, alg, len(used))
+    target = [alg.sum(alg.mul(c, row[j]) for c, row in zip(coeffs, used)) for j in range(n)]
+    nulls = _nulls(alg)
+    for j in range(n):
+        if rng.random() < 0.3:
+            target[j] = alg.add(target[j], rng.choice(nulls))
+    return tuple(target)
+
+
+@pytest.mark.parametrize("alg", SPAN_PAIRS, ids=lambda alg: alg.id)
+def test_span_search_matches_the_element_loop(alg):
+    rng = random.Random(f"span:{alg.id}")
+    found = 0
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for tangible in (False, False, True, True):
+                rows = [tuple(_span_entry(rng, alg, tangible) for _ in range(n)) for _ in range(m)]
+                target = _span_target(rng, alg, rows, n, tangible)
+                listed = CoefficientDomain(
+                    tuple(_span_candidates(rng, alg, rng.randint(2, 4))), "heuristic"
+                )
+                for domain in (None, listed):
+                    got = outcome(preceq_spans, rows, target, domain, alg)
+                    ref = outcome(preceq_spans_ref, rows, target, domain, alg)
+                    assert got == ref, (rows, target, domain)
+                    found += got[0] == "value" and got[1] is not None
+    assert found  # some draws are spanned
+
+
+def test_span_search_tries_a_leaf_in_tuple_order():
+    """doubled:supertropical has no surpass rule and no finite carrier, so
+    surpassing is undecidable there unless the two sides are equal.  The
+    first candidate spans v in every column; the second's first column is
+    undecidable, and is never tested."""
+    d = DOUBLED_ST
+    lit = d.parse_literal
+    v = (lit("1|-inf"), lit("2|-inf"))
+    dom = CoefficientDomain((lit("0|-inf"), lit("1|-inf")), "heuristic")
+    got = outcome(preceq_spans, [v], v, dom, d)
+    assert got == outcome(preceq_spans_ref, [v], v, dom, d)
+    assert got[0] == "value" and got[1][0] == (d.one,)
+    # the other way round, the first tuple's first column is undecidable
+    dom = CoefficientDomain(dom.candidates[::-1], "heuristic")
+    got = outcome(preceq_spans, [v], v, dom, d)
+    assert got == outcome(preceq_spans_ref, [v], v, dom, d)
+    assert got[:2] == ("raised", UndecidableSurpassing)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the search ran")
+
+
+@pytest.mark.parametrize("spec", ["sign", "hyper:hex2-c4", "supertropical", "doubled:supertropical"])
+def test_span_search_cap_on_both_sides(spec, monkeypatch):
+    alg = make_algebra(spec)
+    rng = random.Random(f"span-cap:{spec}")
+    rows = [tuple(_span_entry(rng, alg, False) for _ in range(2)) for _ in range(3)]
+    target = tuple(_span_entry(rng, alg, False) for _ in range(2))
+    domain = CoefficientDomain(tuple(_span_candidates(rng, alg, 3)), "heuristic")
+    work = 4 ** 3 - 1  # sum over k of C(3, k) 3^k
+    assert rank_mod._search_work(3, 3, 3) == work
+    monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", work)
+    got = outcome(preceq_spans, rows, target, domain, alg)
+    assert got == outcome(preceq_spans_ref, rows, target, domain, alg)
+    monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", work - 1)
+    monkeypatch.setattr(rank_mod, "_coded_search", _forbidden)
+    with pytest.raises(
+        CapExceeded,
+        match=f"^span search cap exceeded: 3 vectors need up to {work} "
+        f"coefficient tuples, more than {work - 1}$",
+    ):
+        preceq_spans(rows, target, domain, alg=alg)
+
+
+def test_span_search_cap_refuses_at_once():
+    """Over krasner:17:1 (16 tangibles) six vectors need 17^6 - 1 tuples,
+    past SEARCH_WORK_CAP; five need 17^5 - 1, within it."""
+    alg = make_algebra("krasner:17:1")
+    domain = default_domain(alg, [])
+    assert len(domain) == 16
+    assert rank_mod._search_work(5, 16, 16) == 17 ** 5 - 1 <= rank_mod.SEARCH_WORK_CAP
+    rows = [(t,) for t in alg.tangibles[:6]]
+    with pytest.raises(CapExceeded, match=f"need up to {17 ** 6 - 1} coefficient tuples"):
+        preceq_spans(rows, (alg.one,), alg=alg)
+
+
+def test_span_search_checks_owners_and_lengths_first(monkeypatch):
+    """Foreign elements and vectors whose length differs from the target's
+    are refused before the cap and before any search, where the element
+    loop found a span, raised from inside its search, or ignored them."""
+    sign = make_algebra("sign")
+    other = make_algebra("boolean").one
+    one = sign.one
+    v = (one, one)
+    monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", 0)
+    monkeypatch.setattr(rank_mod, "_coded_search", _forbidden)
+    cases = [
+        # vectors, target, what the element loop did, what is raised now
+        ([v, (one, other)], v, "value", AlgebraMismatch),
+        ([(other, one)], v, AlgebraMismatch, AlgebraMismatch),
+        ([v], (one, other), UndecidableSurpassing, AlgebraMismatch),
+        ([v, (one,)], v, "value", PairError),
+        ([(one,)], v, IndexError, PairError),
+        ([v + (one,)], v, "value", PairError),
+    ]
+    for vectors, target, before, now in cases:
+        ref = outcome(preceq_spans_ref, vectors, target, None, sign)
+        assert (ref[0] if before == "value" else ref[1]) == before
+        got = outcome(preceq_spans, vectors, target, None, sign)
+        assert got[:2] == ("raised", now)
+        if now is PairError:
+            assert got[2] == "vectors and target must have equal length"
 
 
 # ---------------------------------------------------------------------------

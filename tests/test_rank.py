@@ -33,7 +33,7 @@ from pairlin import (
 from pairlin.instances import ST_ZERO, st_ghost, st_value
 from pairlin.matrices import HEURISTIC_DEPTH_CAP
 import pairlin.rank as rank_mod
-from pairlin.rank import DomainEmpty, CoefficientDomain, DependenceWitness, _combo_null
+from pairlin.rank import DomainEmpty, CoefficientDomain, DependenceWitness
 from pairlin.suites import (
     two_track_doubled_matrix,
     clipped_counting_matrix,
@@ -42,6 +42,7 @@ from pairlin.suites import (
     rand_singular_supertropical,
     rand_supertropical_matrix,
 )
+from test_oracles import _combo_null
 
 sign = make_algebra("sign")
 st = make_algebra("supertropical")
