@@ -18,10 +18,8 @@ from .core import PairError, Undecidable, axiom_audit
 from .instances import BadSpecifier, SPECIFIER_HELP, make_algebra
 from .matrices import (
     CapExceeded,
-    _balance_codes,
     _check_n,
-    _coded,
-    _column_layers,
+    _singular_minors,
     det_doubled,
     det_method,
     matrix,
@@ -142,12 +140,7 @@ def cmd_det(args, rep):
         raise CapExceeded(
             f"minor cap exceeded: {count} minors of size {k}, more than {DET_MINOR_CAP}"
         )
-    singular = {}
-    coding, codes = _coded(a)
-    balanced = _balance_codes(alg, coding)
-    for ci, layer in _column_layers(a, coding, codes, k):
-        for s, pq in layer.items():
-            singular[s, ci] = balanced[pq]
+    singular = dict(_singular_minors(a, k))
     for ri in itertools.combinations(range(a.rows), k):
         s = sum(1 << i for i in ri)
         for ci in itertools.combinations(range(a.cols), k):
@@ -155,7 +148,7 @@ def cmd_det(args, rep):
                 "rows=[" + ",".join(str(i + 1) for i in ri) + "]"
                 " cols=[" + ",".join(str(j + 1) for j in ci) + "]"
             )
-            rep.emit(f"minor {label} singular", str(singular[s, ci]).lower())
+            rep.emit(f"minor {label} singular", str(singular[ci][s]).lower())
     return 0
 
 

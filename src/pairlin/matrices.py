@@ -11,6 +11,10 @@ of atoms.  One such pass gives the determinants of every minor on the
 columns walked, so an adjoint takes n passes and a Laplace expansion two.
 The desk-scale caps bound n either way.
 
+Only this module reads the layers: other modules take adj(A) and |A| from
+one pass (_adjugate) and the singularity of the minors on each column set
+from one walk (_singular_minors).
+
 Which row sets a pass over m rows reaches at column step k, and from which
 sets of the step before, depends only on (m, k).  Each pass therefore walks
 an index plan: for each row set of the next layer, in the order a dict walk
@@ -492,15 +496,6 @@ def _multiple(add, k, x):
         x = add(x, x)
 
 
-def _column_layers(a: Matrix, coding, codes, k):
-    """(cols, layer) for every set of k columns in lexicographic order; the
-    layer maps each set of k rows (a bitmask) to the coded doubled
-    determinant of the submatrix on those rows and columns."""
-    plans = _row_plans(a.rows)
-    for cols in itertools.combinations(range(a.cols), k):
-        yield cols, _minor_layer(a.alg, codes, cols, coding, plans)[0]
-
-
 class _CodeMemo(dict):
     """key -> test(key), filled on first lookup."""
 
@@ -549,6 +544,19 @@ def is_singular(a: Matrix) -> bool:
     return _balance_codes(a.alg, coding)[pq]
 
 
+def _singular_minors(a: Matrix, k):
+    """(cols, singular) for every set of k columns in lexicographic order,
+    from one minor layer each: singular maps each set of k rows (a bitmask)
+    to whether that minor's coded tracks balance."""
+    alg = a.alg
+    coding, codes = _coded(a)
+    balanced = _balance_codes(alg, coding)
+    plans = _row_plans(a.rows)
+    for cols in itertools.combinations(range(a.cols), k):
+        layer, _ = _minor_layer(alg, codes, cols, coding, plans)
+        yield cols, {s: balanced[pq] for s, pq in layer.items()}
+
+
 # ---------------------------------------------------------------------------
 # adjoint and Laplace
 
@@ -560,37 +568,50 @@ def _adjoint_size(a: Matrix):
         _check_n("determinant", a.rows - 1)
 
 
-def _adjoint_codes(alg, codes, coding, plans) -> tuple:
-    """(rows, layer): adjoint(a) as rows of coded (plus, minus) pairs, for
-    a's codes, and the last row's minor layer, over every column but the
-    last, all walked on plans, the plans of n rows."""
-    n = len(codes)
+def _adjugate(a: Matrix, *extra, det=True) -> tuple:
+    """(coding, codes, rows, det): the coding of a and extra (see _coded),
+    a's codes, adjoint(a) as rows of coded (plus, minus) pairs, and |A| as
+    one, or None without det.  The callers check the sizes.
+
+    Row i is one minor layer over every column but i.  On the DP path |A|
+    extends the last row's layer by the last column with the last plan
+    step: 2n products instead of a layer.  The walk's layer holds summed
+    values, which a product need not distribute over, so it takes its own.
+    """
+    alg, n = a.alg, a.rows
+    coding, codes = _coded(a, *extra)
+    plans = _row_plans(n)
     full = (1 << n) - 1
-    out = []
+    rows = []
     for i in range(n):
         layer, _ = _minor_layer(alg, codes, [c for c in range(n) if c != i], coding, plans)
         row = []
         for j in range(n):
             p, q = layer[full ^ 1 << j]
             row.append((q, p) if (i + j) & 1 else (p, q))
-        out.append(row)
-    return out, layer
+        rows.append(row)
+    if not det:
+        pq = None
+    elif det_method(alg) == "dp":
+        flat = [x for pq in layer.values() for x in pq]
+        col = [row[n - 1] for row in codes]
+        (pq,) = _pairs(_sum_step(flat, col, _plan(plans, n, n - 1), coding)[0])
+    else:
+        pq = _minor_layer(alg, codes, range(n), coding, plans)[0][full]
+    return coding, codes, rows, pq
+
+
+def _adjoint_matrix(dalg, coding, rows) -> Matrix:
+    dec = coding.decode
+    return Matrix(dalg, tuple(tuple(El(dalg.id, (dec(p), dec(q))) for p, q in row) for row in rows))
 
 
 def adjoint(a: Matrix) -> Matrix:
     """Doubled adjoint: entry (i,j) is the (j,i) minor's doubled determinant,
-    switch-adjusted by the parity of i+j.
-
-    Row i comes from one minor layer over every column but i.
-    """
+    switch-adjusted by the parity of i+j."""
     _adjoint_size(a)
-    dalg = make_doubled(a.alg)
-    coding, codes = _coded(a)
-    dec = coding.decode
-    return Matrix(dalg, tuple(
-        tuple(El(dalg.id, (dec(p), dec(q))) for p, q in row)
-        for row in _adjoint_codes(a.alg, codes, coding, _row_plans(a.rows))[0]
-    ))
+    coding, _, rows, _ = _adjugate(a, det=False)
+    return _adjoint_matrix(make_doubled(a.alg), coding, rows)
 
 
 def laplace_expand(a: Matrix, row_set) -> DoubledDet:
@@ -725,17 +746,20 @@ class QuasiInverse:
 
 def quasi_inverse(a: Matrix) -> QuasiInverse:
     """A' = |A|^{-1} adj A, projected to the base where a negation map exists,
-    together with the quasi-identity verification and A~ = A'AA'."""
+    together with the quasi-identity verification and A~ = A'AA'.  adj A
+    and |A| come from one adjugate pass."""
     if not a.is_square:
         raise DimensionMismatch("quasi-inverse of a non-square matrix")
+    _det_size(a)
     alg = a.alg
-    d = det_doubled(a)
-    if d.balanced():
+    coding, _, rows, (p, q) = _adjugate(a)
+    det_plus, det_minus = coding.decode(p), coding.decode(q)
+    if balances(alg, det_plus, det_minus):
         raise SingularInput("matrix is singular")
-    adj = adjoint(a)
+    dalg = make_doubled(alg)
+    adj = _adjoint_matrix(dalg, coding, rows)
     if alg.negation is not None:
-        dalg = adj.alg
-        det = alg.add(d.det_plus, alg.negation(d.det_minus))
+        det = alg.add(det_plus, alg.negation(det_minus))
         if not alg.is_tangible(det):
             raise NonInvertibleDeterminant(f"determinant {det!r} is not tangible")
         if alg.tangible_inverse is None:
@@ -744,8 +768,7 @@ def quasi_inverse(a: Matrix) -> QuasiInverse:
         a_prime = scalar_mat(alg, inv, project_matrix(dalg, adj))
         work = a
     else:
-        dalg = adj.alg
-        det = El(dalg.id, (d.det_plus, d.det_minus))
+        det = El(dalg.id, (det_plus, det_minus))
         if not dalg.is_tangible(det):
             raise NonInvertibleDeterminant("doubled determinant is not tangible")
         if dalg.tangible_inverse is None:

@@ -52,12 +52,10 @@ from .matrices import (
     HEURISTIC_DEPTH_CAP,
     CapExceeded,
     Matrix,
-    _balance_codes,
     _check_n,
     _CodeMemo,
     _code_memo,
-    _coded,
-    _column_layers,
+    _singular_minors,
 )
 
 
@@ -604,15 +602,13 @@ def _rank_of(alg, vectors, domain, stats=None):
 def submatrix_rank(a: Matrix) -> int:
     """Largest size of a nonsingular square submatrix.
 
-    One minor layer per column set gives that set's doubled determinants
-    against every row set at once.
+    One minor layer per column set decides that set's minors against every
+    row set at once (`matrices._singular_minors`).
     """
-    coding, codes = _coded(a)
-    singular = _balance_codes(a.alg, coding)
     for k in range(min(a.rows, a.cols), 0, -1):
         _check_n("determinant", k)
-        for _, layer in _column_layers(a, coding, codes, k):
-            if not all(singular[pq] for pq in layer.values()):
+        for _, singular in _singular_minors(a, k):
+            if not all(singular.values()):
                 return k
     return 0
 

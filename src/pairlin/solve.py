@@ -5,8 +5,9 @@ Both work on the doubled pair only where a factor is embedded, b -> (b, 0).
 Zero is additively neutral and multiplicatively absorbing in every pair, so
 (p, n)(x, 0) = (px, nx) and (x, 0)(p, n) = (xp, xn) exactly: adj(A) v, A w and
 |A| v are each two folds in the base, one per coordinate, and no embedded
-vector or matrix is built.  Those folds run on the codes of one coding of A
-and v (see matrices), and only w and |A| are decoded.
+vector or matrix is built.  adj(A) and |A| come coded from one adjugate pass
+over one coding of A and v (matrices._adjugate), the folds run on those
+codes, and only w and |A| are decoded.
 """
 
 from __future__ import annotations
@@ -20,19 +21,12 @@ from .instances import make_doubled
 from .matrices import (
     DimensionMismatch,
     Matrix,
-    _adjoint_codes,
     _adjoint_size,
-    _coded,
+    _adjugate,
     _check_n,
     _det_size,
     _dot,
-    _minor_layer,
-    _pairs,
     _perms,
-    _plan,
-    _row_plans,
-    _sum_step,
-    det_method,
     mat_vec,
 )
 
@@ -71,26 +65,10 @@ def _doubled_balance(dalg, lhs, rhs) -> bool:
 def _adj_vec(a: Matrix, v) -> tuple:
     """(coding, codes of A, codes of v, w, det): adj(A) (v, 0) as its two
     base coordinate vectors w = (w+, w-) and |A| = (det+, det-), all coded
-    under one coding of A and v.
-
-    On the DP path |A| is the adjoint's last layer, over every column but
-    the last, extended by the last column with the last plan step: 2n
-    products instead of a layer.  The walk's layer holds summed values,
-    which a product need not distribute over, so it takes its own layer.
-    """
-    alg, n = a.alg, a.rows
-    coding, codes = _coded(a, v)
+    under one coding of A and v, from one adjugate pass (see matrices)."""
+    coding, codes, adj, det = _adjugate(a, v)
     vc = [coding.encode(e) for e in v]
-    plans = _row_plans(n)
-    adj, last = _adjoint_codes(alg, codes, coding, plans)
     w = tuple([_dot(coding, (e[side] for e in row), vc) for row in adj] for side in (0, 1))
-    if det_method(alg) == "dp":
-        flat = [x for pq in last.values() for x in pq]
-        col = [row[n - 1] for row in codes]
-        (det,) = _pairs(_sum_step(flat, col, _plan(plans, n, n - 1), coding)[0])
-    else:
-        layer, _ = _minor_layer(alg, codes, range(n), coding, plans)
-        det = layer[(1 << n) - 1]
     return coding, codes, vc, w, det
 
 

@@ -1,7 +1,9 @@
 """Determinants, adjoints, Laplace expansion, Cayley-Hamilton, quasi-inverses."""
 
+import ast
 import itertools
 import math
+import os
 import random
 import sys
 import threading
@@ -633,3 +635,51 @@ class TestKrasnerDet:
         monkeypatch.setattr(matrices_mod, "KRASNER_CAP", 2)
         with pytest.raises(CapExceeded, match="at n = 3"):
             krasner_det_contains_zero(identity(alg, 3))
+
+
+# The coded minor layers, their plans and the coded (plus, minus) pairs:
+# the other modules reach them only through matrices._adjugate and
+# matrices._singular_minors.
+LAYER_INTERNALS = {
+    "_minor_layer", "_plan", "_row_plans", "_sum_step", "_pairs",
+    "_column_layers", "_balance_codes", "_coded", "_adjoint_codes",
+}
+
+
+def _matrices_names(tree):
+    """The names a module takes from matrices: imported from it, or read
+    as attributes of a name it binds to the module."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module, node.level) in (("matrices", 1), ("pairlin.matrices", 0)):
+                names |= {alias.name for alias in node.names}
+            elif (node.module, node.level) in ((None, 1), ("pairlin", 0)):
+                aliases |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "matrices"}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names
+                        if alias.name == "pairlin.matrices" and alias.asname}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", ["solve", "rank", "cli"])
+def test_only_matrices_reads_the_minor_layers(module):
+    path = os.path.join(os.path.dirname(matrices_mod.__file__), f"{module}.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    assert not _matrices_names(tree) & LAYER_INTERNALS
+
+
+def test_the_interface_check_sees_each_way_of_reaching_matrices():
+    for source in (
+        "from .matrices import _coded",
+        "from pairlin.matrices import Matrix, _plan",
+        "from . import matrices\nmatrices._minor_layer",
+        "import pairlin.matrices as m\nm._balance_codes",
+    ):
+        assert _matrices_names(ast.parse(source)) & LAYER_INTERNALS, source

@@ -11,7 +11,9 @@ dependence search over non-max-plus pairs runs on codes with partial column
 sums; its reference sums every coefficient tuple on elements, and so does
 the reference of the surpassing span search, which walks the same codes.  The minor
 layers walk precomputed index plans; their reference is the dict walk, which
-tests bits and probes a dict for every row set and row.
+tests bits and probes a dict for every row set and row.  The quasi-inverse
+takes adj(A) and |A| from one adjugate pass; its reference takes det_doubled
+and then adjoint.
 """
 
 import itertools
@@ -1315,6 +1317,151 @@ def test_cramer_determinant_step_keeps_the_order_of_operations(monkeypatch):
     coding.encode = lambda e: ("v", e)
     for n in range(1, 6):
         codes = [[("e", i, j) for j in range(n)] for i in range(n)]
-        monkeypatch.setattr(solve, "_coded", lambda a, v: (coding, codes))
+        monkeypatch.setattr(matrices, "_coded", lambda a, v: (coding, codes))
         det = solve._adj_vec(identity(sign, n), [sign.one] * n)[4]
         assert det == dp_layer_ref(codes, range(n), coding)[0][(1 << n) - 1], n
+
+
+# ---------------------------------------------------------------------------
+# the quasi-inverse: one adjugate pass against det_doubled then adjoint
+
+
+def quasi_inverse_ref(a):
+    """The quasi-inverse from two passes: det_doubled, then adjoint."""
+    if not a.is_square:
+        raise matrices.DimensionMismatch("quasi-inverse of a non-square matrix")
+    alg = a.alg
+    d = det_doubled(a)
+    if d.balanced():
+        raise matrices.SingularInput("matrix is singular")
+    adj = adjoint(a)
+    if alg.negation is not None:
+        dalg = adj.alg
+        det = alg.add(d.det_plus, alg.negation(d.det_minus))
+        if not alg.is_tangible(det):
+            raise matrices.NonInvertibleDeterminant(f"determinant {det!r} is not tangible")
+        if alg.tangible_inverse is None:
+            raise matrices.NonInvertibleDeterminant(f"{alg.id} has no tangible inverses")
+        inv = alg.tangible_inverse(det)
+        a_prime = scalar_mat(alg, inv, matrices.project_matrix(dalg, adj))
+        work = a
+    else:
+        dalg = adj.alg
+        det = El(dalg.id, (d.det_plus, d.det_minus))
+        if not dalg.is_tangible(det):
+            raise matrices.NonInvertibleDeterminant("doubled determinant is not tangible")
+        if dalg.tangible_inverse is None:
+            raise matrices.NonInvertibleDeterminant(f"{dalg.id} has no tangible inverses")
+        inv = dalg.tangible_inverse(det)
+        a_prime = scalar_mat(dalg, inv, adj)
+        work = embed_matrix(dalg, a)
+    left = mat_mul(work, a_prime)
+    right = mat_mul(a_prime, work)
+    verified = matrices.quasi_identity_check(left) and matrices.quasi_identity_check(right)
+    a_tilde = mat_mul(mat_mul(a_prime, work), a_prime)
+    return matrices.QuasiInverse(a_prime, a_tilde, left, right, verified)
+
+
+def _qi_entry(rng, alg, tangible):
+    if alg is st:
+        return rand_supertropical_matrix(rng, 1, tangible=tangible)[0, 0]
+    if tangible:
+        return rng.choice((*alg.tangible_sample(), alg.zero))
+    return rng.choice(alg.carrier)
+
+
+def _qi_fields(got):
+    """outcome() of a quasi-inverse with its five fields spelled out."""
+    if got[0] == "raised":
+        return got
+    q = got[1]
+    return ("value", q.a_prime, q.a_tilde, q.left_identity, q.right_identity, q.verified)
+
+
+def test_quasi_inverse_matches_two_passes():
+    seen = set()
+    for alg in PAIRS:
+        rng = random.Random(f"quasi-inverse:{alg.id}")
+        for n in range(1, 5):
+            for tangible in (True, False):
+                for _ in range(8):
+                    a = matrix(alg, [[_qi_entry(rng, alg, tangible) for _ in range(n)]
+                                     for _ in range(n)])
+                    got = _qi_fields(outcome(matrices.quasi_inverse, a))
+                    assert got == _qi_fields(outcome(quasi_inverse_ref, a)), (alg.id, a.entries)
+                    seen.add(got[1] if got[0] == "raised" else got[-1])
+    # both verdicts and the errors after the determinant are reached
+    assert {True, False, matrices.SingularInput, matrices.NonInvertibleDeterminant} <= seen, seen
+
+
+@pytest.mark.parametrize("spec", ["sign", "hyper:hex1-c3", "supertropical"])
+def test_quasi_inverse_keeps_the_cap(spec, monkeypatch):
+    alg = make_algebra(spec)
+    rng = random.Random(f"quasi-inverse-cap:{spec}")
+    a = matrix(alg, [[_qi_entry(rng, alg, True) for _ in range(3)] for _ in range(3)])
+    for cap, raised in (("2", True), ("3", False)):
+        monkeypatch.setenv("PAIRLIN_CAP_N", cap)
+        got = outcome(matrices.quasi_inverse, a)
+        assert (got[1] is CapExceeded) == raised, got
+        assert _qi_fields(got) == _qi_fields(outcome(quasi_inverse_ref, a))
+
+
+def counting_coded(monkeypatch):
+    """Make every kernel call count its code products: matrices._coded
+    hands out the pair's codec with a counting mul.  Returns the count."""
+    made = [0]
+    real = matrices._coded
+
+    def coded(a, *extra):
+        coding, codes = real(a, *extra)
+        mul = coding.mul
+
+        def counted(x, y):
+            made[0] += 1
+            return mul(x, y)
+
+        return core.Codec(coding.zero, coding.one, coding.add, counted,
+                          coding.encode, coding.decode), codes
+
+    monkeypatch.setattr(matrices, "_coded", coded)
+    return made
+
+
+def _products_of(made, fn, *args):
+    before = made[0]
+    outcome(fn, *args)
+    return made[0] - before
+
+
+@pytest.mark.parametrize("spec", ["sign", "hyper:hex1-c3"], ids=["dp", "tracks"])
+def test_adjugate_pass_product_counts(spec, monkeypatch):
+    alg = make_algebra(spec)
+    rng = random.Random(f"adjugate-products:{spec}")
+    compared = 0
+    for n in range(1, 6):
+        for _ in range(8):
+            a = matrix(alg, [[_qi_entry(rng, alg, True) for _ in range(n)] for _ in range(n)])
+            coding, codes = matrices._coded(a)
+            plans = matrices._row_plans(n)
+            layers = sum(
+                matrices._minor_layer(alg, codes, [c for c in range(n) if c != i], coding, plans)[1]
+                for i in range(n)
+            )
+            det = det_doubled(a).products
+            with monkeypatch.context() as mp:
+                made = counting_coded(mp)
+                # the adjoint walks its n layers and nothing more
+                assert _products_of(made, adjoint, a) == layers, (n, a.entries)
+                if is_singular(a):
+                    continue
+                ref = _products_of(made, quasi_inverse_ref, a)
+                got = _products_of(made, matrices.quasi_inverse, a)
+            if matrices.det_method(alg) == "dp":
+                # |A| extends the last adjoint layer by one column step: a
+                # determinant layer fewer, 2n products more
+                assert ref - got == det - 2 * n, (n, a.entries)
+            else:
+                # the walk's |A| takes its own layer, in place of det_doubled's
+                assert ref == got, (n, a.entries)
+            compared += 1
+    assert compared > 10
