@@ -82,6 +82,13 @@ def parse_matrix_text(text: str):
     return alg, matrix(alg, rows)
 
 
+def _read_matrix(path):
+    """(pair, matrix) from the matrix file at path, closed once read."""
+    with open(path) as f:
+        text = f.read()
+    return parse_matrix_text(text)
+
+
 def parse_vector(alg, text: str):
     return tuple(alg.parse_literal(t.strip()) for t in text.split(","))
 
@@ -120,7 +127,7 @@ def cmd_pairs(args, rep):
 
 
 def cmd_det(args, rep):
-    alg, a = parse_matrix_text(open(args.file).read())
+    alg, a = _read_matrix(args.file)
     rep.emit("pair", alg.spec_string)
     rep.emit("rows", str(a.rows))
     rep.emit("cols", str(a.cols))
@@ -164,7 +171,7 @@ def _emit_stats(rep, stats):
 
 
 def cmd_rank(args, rep):
-    alg, a = parse_matrix_text(open(args.file).read())
+    alg, a = _read_matrix(args.file)
     dom = _domain_from_flag(alg, list(a.entries), args.domain)
     stats = _search_stats()
     r = rank_report(a, dom, stats)
@@ -176,7 +183,7 @@ def cmd_rank(args, rep):
 
 
 def cmd_check(args, rep):
-    alg, a = parse_matrix_text(open(args.file).read())
+    alg, a = _read_matrix(args.file)
     dom = _domain_from_flag(alg, list(a.entries), args.domain)
     stats = _search_stats()
     v = check_condition(a, args.condition, dom, stats)
@@ -194,7 +201,7 @@ def cmd_check(args, rep):
 
 
 def cmd_solve(args, rep):
-    alg, a = parse_matrix_text(open(args.file).read())
+    alg, a = _read_matrix(args.file)
     v = parse_vector(alg, args.rhs)
     if args.method == "cramer":
         out = cramer_solve(a, v)

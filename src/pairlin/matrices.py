@@ -120,9 +120,6 @@ class Matrix:
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
 
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.entries)
 
@@ -139,12 +136,6 @@ class Matrix:
         ri = [r for r in range(self.rows) if r != i]
         ci = [c for c in range(self.cols) if c != j]
         return self.submatrix(ri, ci)
-
-    def is_tangible(self):
-        alg = self.alg
-        return all(
-            alg.is_tangible(e) or e == alg.zero for row in self.entries for e in row
-        )
 
 
 def matrix(alg, rows) -> Matrix:

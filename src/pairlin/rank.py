@@ -6,29 +6,28 @@ and verdicts are definitive; for the supertropical pair the default domain is
 the entry-ratio heuristic, and a missing witness yields Unknown rather than
 an independence claim.
 
-The supertropical search runs on integers: entry values and domain members
-are multiplied by a common denominator, the entry-ratio domain is held as a
-set of such integers, and `Fraction` coefficients are built only for the
-witness returned.  A domain's `candidates` tuple of tangible elements, which
-the other searches iterate, is built from the integers on first access.
+Every pair's search runs on the pair's codes through one walk (`_walk`): the
+vectors and coefficients are encoded once, coefficient tuples are walked
+lexicographically with one row of partial column sums per depth, and only
+the witness holds elements.  Over a finite pair every support walks its
+whole product (`_coded_search`); its worst case, the sum over supports of k
+vectors of |heads| * |D|^(k-1) tuples, is checked against SEARCH_WORK_CAP
+before any work, and a larger search raises CapExceeded.
 
-Its reference is a lexicographic scan of the domain, which costs |D|^(k-2)
-for a support of k vectors; at size 2, with no middle coefficient, it tries
-1 and the two rows' tie values.  A null combination of tangible vectors
-attains every column's maximum twice, so supports of size 3 and 4 are
-solved from patterns of ties, one per column, when the patterns reach every
-witness the scan accepts: size 3 when the domain holds every tie value
-(v_p - v_q in one column), size 4 when also no row has a ghost entry.  Every
-other support scans (see `_super_search`).  `find_dependence` counts the
-supports it tries and those of 3 or more vectors that scanned.
-
-Over every other pair the search runs on the pair's codes (`_coded_search`):
-the vectors and coefficients are encoded once, coefficient tuples are walked
-lexicographically with one row of partial column sums per depth, nullity is
-tested on codes through a memo, and only the witness holds elements.  Its
-worst case, the sum over supports of k vectors of |heads| * |D|^(k-1)
-tuples, is checked against SEARCH_WORK_CAP before any work, and a larger
-search raises CapExceeded.
+Over the supertropical pair (`_super_search`) the codes are ((v * S) << 1)
+| ghost, None for zero, S a scale that every entry's and member's
+denominator divides, and the search reads values and ghost bits from them.
+The entry-ratio domain holds its members as such codes in ascending value
+and builds its `candidates`, the tangible elements, on first access.  The
+walk's scan costs |D|^(k-2) for a support of k vectors: the leading
+coefficient is 1, and the last is tried only at 1 and at the values that
+tie its row with some column's partial sum.  A null combination of tangible
+vectors attains every column's maximum twice, so supports of size 3 and 4
+are solved from patterns of ties, one per column, when the patterns reach
+every witness the scan accepts: size 3 when the domain holds every tie
+value (v_p - v_q in one column), size 4 when also no row has a ghost entry.
+Every other support of 3 or more vectors scans.  `find_dependence` counts
+the supports it tries and those of 3 or more vectors that scanned.
 
 `preceq_spans`, the search for coefficients whose combination is surpassed
 by a target, runs on the same coded walk over every pair, the supertropical
@@ -42,12 +41,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
-from .core import PairAlgebra, PairError, surpasses0
-from .instances import st_tan, st_value
+from .core import Codec, PairAlgebra, PairError, surpasses0
+from .instances import st_tan
 from .matrices import (
     HEURISTIC_DEPTH_CAP,
     CapExceeded,
@@ -91,11 +89,6 @@ class DependenceWitness:
         return f"support={sup} coeffs=[{','.join(formatter(c) for c in self.coeffs)}]"
 
 
-def _times(v, scale):
-    """The integer v * scale, for a Fraction v whose denominator divides it."""
-    return v.numerator * (scale // v.denominator)
-
-
 @dataclass(frozen=True)
 class CoefficientDomain:
     candidates: tuple
@@ -112,49 +105,41 @@ class CoefficientDomain:
 
 @dataclass(frozen=True)
 class EntryRatioDomain:
-    """The supertropical entry-ratio domain as a set of integers.
+    """The supertropical entry-ratio domain as codes: `coding` is the codec
+    of the vectors it was built from, and `members` holds each member's
+    code in domain order, which is ascending value.  The search reads codes
+    only; `candidates`, the tangible elements, is built on first access."""
 
-    The integer x in `scaled` stands for the tangible coefficient of value
-    x / scale.  The search reads only `scale` and `positions`; `candidates`,
-    the tuple of tangible elements, is built on first access.
-    """
-
-    scale: int
-    scaled: frozenset
+    coding: Codec
+    members: tuple
     depth: Optional[int] = None
     completeness = "heuristic"
     exact = False
 
     def __len__(self):
-        return len(self.scaled)
+        return len(self.members)
 
     def __contains__(self, v):
         """Whether the rational v is the value of a candidate."""
-        v = Fraction(v)
-        return self.scale % v.denominator == 0 and _times(v, self.scale) in self.scaled
+        try:
+            return self.coding.encode(st_tan(v)) in self.positions
+        except PairError:  # v is no multiple of 1 / scale
+            return False
 
     @cached_property
     def positions(self):
-        """Each member's position in domain order, which is ascending value."""
-        return {x: i for i, x in enumerate(sorted(self.scaled))}
+        """Each member code's position in domain order."""
+        return {c: i for i, c in enumerate(self.members)}
+
+    @cached_property
+    def unit(self):
+        """(1 / scale,), code 2: a codec bound to it has a scale the
+        members' denominators divide."""
+        return (self.coding.decode(2),)
 
     @cached_property
     def candidates(self):
-        return tuple(st_tan(Fraction(x, self.scale)) for x in self.positions)
-
-
-def _positions(domain):
-    """(scale, positions): a supertropical domain's members as integers, x
-    standing for value x / scale, each mapped to its position in domain
-    order."""
-    if isinstance(domain, EntryRatioDomain):
-        return domain.scale, domain.positions
-    vals = [st_value(c) for c in domain.candidates]
-    scale = math.lcm(*(v.denominator for v in vals))
-    positions = {}
-    for v in vals:
-        positions.setdefault(_times(v, scale), len(positions))
-    return scale, positions
+        return tuple(map(self.coding.decode, self.members))
 
 
 def exact_domain(alg: PairAlgebra) -> CoefficientDomain:
@@ -171,24 +156,25 @@ def entry_ratio_domain(alg, vectors, depth: int = 2) -> EntryRatioDomain:
     ratios (proportional rows) and cofactor ratios (ratios of two-entry
     products), all of which live at depth 2.
 
-    In the max-plus values a product is a sum and a ratio a difference.
-    Every entry value is multiplied by S, the lcm of the entry denominators,
-    so the sum set is built over integers; it is in bijection with the set
-    of rational sums, and `candidates` lists the latter in ascending order.
-    A depth above HEURISTIC_DEPTH_CAP raises CapExceeded before any work.
+    In the max-plus values a product is a sum and a ratio a difference, and
+    so are they on the codes of tangibles, value * S shifted past the ghost
+    bit, S the lcm of the entry denominators.  The sum set is built on the
+    codes of the entries' values; it is in bijection with the set of
+    rational sums, and `candidates` lists the latter in ascending order.  A
+    depth above HEURISTIC_DEPTH_CAP raises CapExceeded before any work.
     """
     if depth > HEURISTIC_DEPTH_CAP:
         raise CapExceeded(f"heuristic depth {depth} exceeds the cap {HEURISTIC_DEPTH_CAP}")
-    vals = {st_value(e) for vec in vectors for e in vec if e.payload is not None}
-    scale = math.lcm(*(v.denominator for v in vals))
-    ints = {_times(v, scale) for v in vals}
-    gen = {0} | ints | {a - b for a in ints for b in ints}
+    coding = alg.coding(itertools.chain(*vectors))
+    # ~1 clears the ghost bit: the code of the entry's value as a tangible
+    codes = {c & ~1 for vec in vectors for c in map(coding.encode, vec) if c is not None}
+    gen = {0} | codes | {a - b for a in codes for b in codes}
     out = set(gen)
     current = gen
     for _ in range(depth - 1):
         current = {a + b for a in current for b in gen}
         out |= current
-    return EntryRatioDomain(scale, frozenset(out), depth)
+    return EntryRatioDomain(coding, tuple(sorted(out)), depth)
 
 
 def heuristic_domain(alg: PairAlgebra, vectors, depth: int):
@@ -205,55 +191,116 @@ def default_domain(alg: PairAlgebra, vectors):
     return heuristic_domain(alg, vectors, 2)
 
 
-def _super_raw(vectors, scale):
-    """(L, grid): L is the lcm of `scale` and the entry denominators, and the
-    grid holds (layer, value * L) for each entry, (None, None) for zero."""
-    live = [e.payload for vec in vectors for e in vec if e.payload is not None]
-    big = math.lcm(scale, *(v.denominator for _, v in live))
+class _Walk:
+    """What one coded search walks (see `_walk`): the codec, the vectors'
+    code rows, the head and member codes, one test per column, and a hook
+    `last` with the member codes' `positions`."""
 
-    def cell(p):
-        return (None, None) if p is None else (p[0], _times(p[1], big))
+    __slots__ = ("coding", "add", "mul", "rows", "heads", "members", "tests", "last", "positions")
 
-    return big, [[cell(e.payload) for e in vec] for vec in vectors]
-
-
-def _super_combo_null(raw, support, values):
-    # values: coefficient values aligned with support; rows tangible or not
-    n = len(raw[0])
-    for j in range(n):
-        best = None
-        best_layer = None
-        count = 0
-        for i, cv in zip(support, values):
-            layer, v = raw[i][j]
-            if layer is None:
-                continue
-            t = cv + v
-            if best is None or t > best:
-                best, best_layer, count = t, layer, 1
-            elif t == best:
-                count += 1
-                best_layer = "g"
-        if best is None:
-            continue
-        if count == 1 and best_layer == "t":
-            return False
-    return True
+    def __init__(self, coding, rows, heads, members, tests, last=None, positions=None):
+        self.coding, self.add, self.mul = coding, coding.add, coding.mul
+        self.rows, self.heads, self.members = rows, heads, members
+        self.tests, self.last, self.positions = tests, last, positions
 
 
-def _column_ties(raw, support):
+def _walk(w, support, depth, sums, picks):
+    """Whether some coefficient tuple for the support's rows from `depth` on
+    makes every column pass its test, `sums` being the partial column sums
+    of the coefficients before `depth`; the first such tuple's picks,
+    indices into the head codes (depth 0) or the member codes, are left in
+    `picks`.
+
+    Tuples are walked in the order of `itertools.product(heads, members,
+    ...)`, keeping one row of partial column sums per depth, so a tuple
+    costs one product and one sum per column at its last coefficient.  The
+    sums are those of elements in the same order, ((0 + c0 v0) + c1 v1) +
+    ..., so set-valued sums agree with an element loop's.  At the last depth
+    the candidates are tried in order, each until its first column whose
+    test fails: an element loop's order, so a test that raises does so at
+    the same tuple and column.  Past depth 0, `w.last`, when set, picks the
+    last depth's candidates as (position, code) pairs.
+    """
+    add, mul = w.add, w.mul
+    vec = w.rows[support[depth]]
+    codes = w.members if depth else w.heads
+    if depth == len(support) - 1:
+        cols = list(zip(sums, vec, w.tests))
+        for i, c in w.last(w, sums, vec) if depth and w.last else enumerate(codes):
+            for s, x, test in cols:
+                if not test[add(s, mul(c, x))]:
+                    break
+            else:
+                picks[depth] = i
+                return True
+        return False
+    for i, c in enumerate(codes):
+        if _walk(w, support, depth + 1, [add(s, mul(c, x)) for s, x in zip(sums, vec)], picks):
+            picks[depth] = i
+            return True
+    return False
+
+
+class _NullCode:
+    """Supertropical nullity as a column test: zero (None) or a ghost (odd)."""
+
+    __getitem__ = staticmethod(lambda c: c is None or c & 1 == 1)
+
+
+_NULL_CODE = _NullCode()
+
+
+def _super_walk(alg, vectors, domain) -> _Walk:
+    """The walk of a supertropical search.  Its codec is bound to the
+    vectors and to the entry-ratio domain's `unit` or a listed domain's
+    candidates; the members are codes at its scale in domain order, each
+    value at its first position."""
+    if isinstance(domain, EntryRatioDomain):
+        unit = domain.unit
+        coding = alg.coding(itertools.chain(unit, *vectors))
+        step = coding.encode(unit[0]) >> 1  # the scale over the domain's
+        if step == 1:
+            members, positions = domain.members, domain.positions
+        else:
+            members = [c * step for c in domain.members]
+            positions = {c: i for i, c in enumerate(members)}
+    else:
+        coding = alg.coding(itertools.chain(domain.candidates, *vectors))
+        members = list(dict.fromkeys(map(coding.encode, domain.candidates)))
+        positions = {c: i for i, c in enumerate(members)}
+    rows = [list(map(coding.encode, vec)) for vec in vectors]
+    tests = [_NULL_CODE] * len(rows[0])
+    return _Walk(coding, rows, (coding.one,), members, tests, _tie_candidates, positions)
+
+
+def _tie_candidates(w, sums, vec):
+    """The last coefficient's candidates over a max-plus pair, as (position,
+    code) in domain order: the members equal to 1 (code 0) or to a value
+    that ties the last row's entry x with some column's partial sum s.  A
+    code with its ghost bit cleared is its value's tangible code, and
+    tangible codes subtract as values do, so that value's code is
+    (s & ~1) - (x & ~1)."""
+    pos = w.positions
+    ties = {(s & ~1) - (x & ~1) for s, x in zip(sums, vec) if s is not None and x is not None}
+    ties.add(0)
+    return sorted((pos[c], c) for c in ties if c in pos)
+
+
+def _column_ties(rows, support):
     """Per column, the ties (p, q, d) that two live entries of the support
     could make at the column's maximum: u_p + v_p = u_q + v_q, that is
-    u_q - u_p = d = v_p - v_q, for support positions p < q.  None when some
-    column's only live entry is tangible, which no combination makes null."""
+    u_q - u_p = v_p - v_q, with d its code (see `_tie_candidates`), for
+    support positions p < q.
+    None when some column's only live entry is tangible, which no
+    combination makes null."""
     out = []
-    for j in range(len(raw[0])):
-        live = [(p, raw[i][j]) for p, i in enumerate(support) if raw[i][j][0] is not None]
-        if len(live) == 1 and live[0][1][0] == "t":
+    for col in zip(*(rows[i] for i in support)):
+        live = [(p, c) for p, c in enumerate(col) if c is not None]
+        if len(live) == 1 and not live[0][1] & 1:
             return None
         out.append([
-            (p, q, vp - vq)
-            for (p, (_, vp)), (q, (_, vq)) in itertools.combinations(live, 2)
+            (p, q, (cp & ~1) - (cq & ~1))
+            for (p, cp), (q, cq) in itertools.combinations(live, 2)
         ])
     return out
 
@@ -292,31 +339,38 @@ def _tie_states(ties, k):
     return states
 
 
-def _super_search(raw, scale, dscale, positions, support):
+def _super_search(w, support):
     """Deterministic first-witness search over one support, supertropical:
     (witness or None, whether the domain scan ran).
 
-    `raw` holds the entries as integers, value * scale (see `_super_raw`),
-    and `positions` maps each domain member, an integer x standing for value
-    x / dscale, to its position in domain order; `scale` is a multiple of
-    `dscale`.  The search works on these integers throughout and builds the
-    tangible coefficients only for the witness it returns.
+    `w` is `_super_walk`'s: entries and members are codes at one scale,
+    and a tangible coefficient's code is even, so the search runs on codes
+    and decodes only the witness.  The leading coefficient is normalized to
+    1, code 0, whose product and sum with zero leave a row's codes as they
+    are: a single row is a witness when its codes are null, and the walk
+    starts at depth 1 from the first row's codes.
 
-    The leading coefficient is normalized to 1.  The reference is the
-    lexicographic domain scan: the middle coefficients run over the domain
-    in domain order, and the last over the values that tie it with the
-    maximum of the others in some column (and 1); only the coefficients
-    after the leading 1 need be members; at size 2, with no middle
-    coefficient, the scan is not counted as one.  A null combination of
-    tangible rows has, in every column with a live entry, its maximum
-    attained at least twice, so each null point solves one tie pattern: one
-    tie u_q - u_p = v_p - v_q per column, merged in a union-find with
-    offsets.  A pattern whose ties join all of the support gives one point;
-    for k = 4, one whose ties leave two components gives a line, walked by
-    its free component's first coefficient in domain order.  A pattern
-    whose ties join only one pair is skipped: its points make a size-2
-    witness on that pair whose coefficient is that pair's tie value, found
-    before this support whenever the domain holds the tie values.
+    The reference is that walk's lexicographic scan: the middle coefficients
+    run over the domain in domain order, and the last over the values that
+    tie its row with some column's partial sum, the maximum of the others,
+    and 1 (`_tie_candidates`); only the coefficients after the leading 1
+    need be members; at size 2, with no middle coefficient, the scan is not
+    counted as one.  Over tangible rows those last candidates suffice, and a
+    size-4 point from the tie patterns need not be checked against them: at
+    a null point whose last coefficient ties no column's maximum of the
+    others, the last row stays below every maximum (alone above one it would
+    leave that column tangible), so the other rows were already a witness on
+    a smaller support, searched before this one.
+
+    A null combination of tangible rows has, in every column with a live
+    entry, its maximum attained at least twice, so each null point solves
+    one tie pattern: one tie u_q - u_p = v_p - v_q per column, merged in a
+    union-find with offsets.  A pattern whose ties join all of the support
+    gives one point; for k = 4, one whose ties leave two components gives a
+    line, walked by its free component's first coefficient in domain order.
+    A pattern whose ties join only one pair is skipped: its points make a
+    size-2 witness on that pair whose coefficient is that pair's tie value,
+    found before this support whenever the domain holds the tie values.
 
     Sizes 3 and 4 take the tie patterns when the domain holds every tie
     value; size 4 also needs rows free of ghosts (a ghost can dominate a
@@ -327,113 +381,93 @@ def _super_search(raw, scale, dscale, positions, support):
     exceeds the scan's only where the scan itself is short (a domain of a
     few members, or a witness among its first points), so no size bound
     picks the path.
-
-    A size-4 point need not be checked against the scan's last candidates:
-    over such rows, reached only when no smaller support has a witness, a
-    null point whose last coefficient ties no column's maximum of the others
-    keeps its last row below every maximum, so the other three rows were
-    already a size-3 witness.
     """
-    step = scale // dscale
-
-    def in_domain(y):
-        return y % step == 0 and y // step in positions
-
-    def key(y):
-        return positions[y // step]
-
-    def witness(vals):
-        return DependenceWitness(
-            support, tuple(st_tan(Fraction(v, scale)) for v in vals)
-        )
-
     k = len(support)
-    n = len(raw[0])
+    first = w.rows[support[0]]
     if k == 1:
-        if _super_combo_null(raw, support, [0]):
-            return witness([0]), False
-        return None, False
-
-    def candidates_for_last(prefix_vals):
-        last = support[-1]
-        cands = set()
-        for j in range(n):
-            layer, v = raw[last][j]
-            if layer is None:
-                continue
-            best = None
-            for i, cv in zip(support[:-1], prefix_vals):
-                li, vi = raw[i][j]
-                if li is None:
-                    continue
-                t = cv + vi
-                if best is None or t > best:
-                    best = t
-            if best is not None:
-                cands.add(best - v)
-        cands.add(0)
-        return sorted(filter(in_domain, cands), key=key)
-
-    # size 2 has no middle coefficient, so its scan is not counted as one
-    scanned = k > 2
-    members = [x * step for x in positions] if scanned else ()
+        null = all(_NULL_CODE[c] for c in first)
+        return (_super_witness(w, support, [0]) if null else None), False
     if k in (3, 4):
-        ties = _column_ties(raw, support)
+        ties = _column_ties(w.rows, support)
         if ties is None:
             return None, False
-        if _ties_decide(raw, support, ties, in_domain):
-            vals = _tie_solve(raw, support, ties, members, in_domain, key)
-            return (None if vals is None else witness(vals)), False
-
-    for mid in itertools.product(members, repeat=k - 2):
-        prefix = [0, *mid]
-        for last in candidates_for_last(prefix):
-            vals = prefix + [last]
-            if _super_combo_null(raw, support, vals):
-                return witness(vals), scanned
-    return None, scanned
+        if _ties_decide(w, support, ties):
+            codes = _tie_solve(w, support, ties)
+            return (None if codes is None else _super_witness(w, support, codes)), False
+    picks = [0] * k
+    if not _walk(w, support, 1, first, picks):
+        return None, k > 2
+    codes = [0, *(w.members[i] for i in picks[1:])]
+    return _super_witness(w, support, codes), k > 2
 
 
-def _ties_decide(raw, support, ties, in_domain):
+def _super_witness(w, support, codes):
+    return DependenceWitness(support, tuple(map(w.coding.decode, codes)))
+
+
+def _ties_decide(w, support, ties):
     """Whether the tie patterns decide a support of size 3 or 4 (see
     `_super_search`): the domain holds every tie value and, at size 4, the
     rows have no ghost entry."""
-    if not all(in_domain(d) for col in ties for _, _, d in col):
+    if not all(d in w.positions for col in ties for _, _, d in col):
         return False
-    return len(support) == 3 or all(
-        layer != "g" for i in support for layer, _ in raw[i]
+    return len(support) == 3 or not any(
+        c is not None and c & 1 for i in support for c in w.rows[i]
     )
 
 
-def _tie_solve(raw, support, ties, members, in_domain, key):
-    """The scan's first witness on a support of size 3 or 4 (see
-    `_super_search`), from the tie patterns: the accepted point lowest in
-    domain-key order, or None.  A point is accepted when its coefficients
-    after the leading 1 are domain members and its combination is null."""
-    k = len(support)
+def _null_point(cols, codes):
+    """Whether the support's columns, combined with these coefficient codes,
+    are all null.  A tangible coefficient's code is even, so a product's
+    code is the sum of the two; codes order as values do, a ghost above the
+    tangible of its value, so a column is null when its largest product is
+    a ghost or is attained twice."""
+    for col in cols:
+        top = twice = None
+        for c, x in zip(codes, col):
+            if x is not None:
+                p = c + x
+                if top is None or p > top:
+                    top, twice = p, False
+                elif p == top:
+                    twice = True
+        if top is not None and not (top & 1 or twice):
+            return False
+    return True
 
-    def accepted(vals):
-        return all(map(in_domain, vals[1:])) and _super_combo_null(raw, support, vals)
+
+def _tie_solve(w, support, ties):
+    """The scan's first witness on a support of size 3 or 4 (see
+    `_super_search`), from the tie patterns: the codes of the accepted point
+    lowest in domain order, or None.  A point is accepted when its
+    coefficients after the leading 1 are members and its combination is
+    null."""
+    k = len(support)
+    pos = w.positions
+    cols = list(zip(*(w.rows[i] for i in support)))
+
+    def accepted(codes):
+        return all(c in pos for c in codes[1:]) and _null_point(cols, codes)
 
     points = []
     for state in _tie_states(ties, k):
         roots = {r for r, _ in state}
         if len(roots) == 1:
-            vals = [o for _, o in state]
-            if all(map(in_domain, vals[1:])):
-                points.append((tuple(map(key, vals[1:])), vals))
+            codes = [o for _, o in state]
+            if all(c in pos for c in codes[1:]):
+                points.append(([pos[c] for c in codes[1:]], codes))
         elif len(roots) == 2 and k == 4:
-            # the line's points in domain-key order of its first free
+            # the line's points in domain order of its first free
             # coefficient, which is their lexicographic order
-            for t in members:
-                vals = [o if r == 0 else t + o for r, o in state]
-                if accepted(vals):
-                    points.append((tuple(map(key, vals[1:])), vals))
+            for t in w.members:
+                codes = [o if r == 0 else t + o for r, o in state]
+                if accepted(codes):
+                    points.append(([pos[c] for c in codes[1:]], codes))
                     break
     points.sort()
-    for _, vals in points:
-        if accepted(vals):
-            return vals
+    for _, codes in points:
+        if accepted(codes):
+            return codes
     return None
 
 
@@ -455,29 +489,21 @@ def _check_work(what, m, heads, candidates):
 
 
 def _coded_search(alg, vectors, heads, candidates, tests=None):
-    """The first-witness search over one support, run on the pair's codes:
-    a function from a support to its witness or None.
+    """The first-witness search over one support, run on the pair's codes
+    through the whole walk (`_walk`): a function from a support to (its
+    witness or None, True), every support scanning.
 
     The codec is bound to the entries and the coefficients, and each is
-    encoded once.  Coefficient tuples are walked in the order of
-    `itertools.product(heads, candidates, ...)`, keeping one row of partial
-    column sums per depth, so a tuple costs one product and one sum per
-    column at its last coefficient.  The sums are those of elements in the
-    same order, ((0 + c0 v0) + c1 v1) + ..., so set-valued sums agree with
-    an element loop's.  At the last depth the candidates are tried in
-    order, each until its first column whose test fails: an element loop's
-    order, so a test that raises does so at the same tuple and column.  The
-    witness's coefficients are the given elements, never decoded.
+    encoded once.  The witness's coefficients are the given elements, never
+    decoded.
 
     `tests`, when given, holds one test per column, a function of the
     element a column sum decodes to, memoized on codes for this search; by
     default every column tests nullity through the pair's memo.
     """
     coding = alg.coding(itertools.chain(heads, candidates, *vectors))
-    enc, add, mul, dec = coding.encode, coding.add, coding.mul, coding.decode
+    enc, dec = coding.encode, coding.decode
     rows = [[enc(e) for e in vec] for vec in vectors]
-    head_codes = [enc(c) for c in heads]
-    cand_codes = [enc(c) for c in candidates]
     n = len(rows[0])
     if tests is None:
         is_null = alg._is_null
@@ -485,36 +511,15 @@ def _coded_search(alg, vectors, heads, candidates, tests=None):
         tests = [_code_memo(alg, coding, "null_codes", lambda c: is_null(dec(c)))] * n
     else:
         tests = [_CodeMemo(lambda c, test=test: test(dec(c))) for test in tests]
+    w = _Walk(coding, rows, [enc(c) for c in heads], [enc(c) for c in candidates], tests)
     zero_row = [coding.zero] * n
 
     def search(support):
-        last = len(support) - 1
         picks = [0] * len(support)
-
-        def walk(depth, sums):
-            vec = rows[support[depth]]
-            codes = cand_codes if depth else head_codes
-            if depth == last:
-                cols = list(zip(sums, vec, tests))
-                for i, c in enumerate(codes):
-                    for s, x, test in cols:
-                        if not test[add(s, mul(c, x))]:
-                            break
-                    else:
-                        picks[depth] = i
-                        return True
-                return False
-            for i, c in enumerate(codes):
-                if walk(depth + 1, [add(s, mul(c, x)) for s, x in zip(sums, vec)]):
-                    picks[depth] = i
-                    return True
-            return False
-
-        if not walk(0, zero_row):
-            return None
-        return DependenceWitness(
-            support, (heads[picks[0]], *(candidates[i] for i in picks[1:]))
-        )
+        if not _walk(w, support, 0, zero_row, picks):
+            return None, True
+        coeffs = (heads[picks[0]], *(candidates[i] for i in picks[1:]))
+        return DependenceWitness(support, coeffs), True
 
     return search
 
@@ -550,10 +555,8 @@ def find_dependence(vectors, domain, alg, *, stats=None):
             raise PairError("vectors must have equal length")
         for e in vec:
             alg.check(e)
-    supertrop = alg.max_plus
-    if supertrop:
-        dscale, positions = _positions(domain)
-        scale, raw = _super_raw(vectors, dscale)
+    if alg.max_plus:
+        search = partial(_super_search, _super_walk(alg, vectors, domain))
     else:
         heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
         _check_work("dependence search", m, len(heads), len(domain))
@@ -563,14 +566,8 @@ def find_dependence(vectors, domain, alg, *, stats=None):
         for size in range(1, m + 1):
             for support in itertools.combinations(range(m), size):
                 tried += 1
-                if supertrop:
-                    w, scan = _super_search(raw, scale, dscale, positions, support)
-                    scanned += scan
-                    if w is not None:
-                        return w
-                    continue
-                scanned += 1
-                w = search(support)
+                w, scan = search(support)
+                scanned += scan
                 if w is not None:
                     return w
         return None
@@ -788,7 +785,7 @@ def preceq_spans(vectors, target, domain=None, alg=None):
     cands = domain.candidates
     search = _coded_search(alg, vectors, cands, cands, [surpassed_by(t) for t in target])
     supports = (s for k in range(1, m + 1) for s in itertools.combinations(range(m), k))
-    w = next((w for w in map(search, supports) if w is not None), None)
+    w = next((w for w, _ in map(search, supports) if w is not None), None)
     if w is None:
         return None
     full = [alg.zero] * m

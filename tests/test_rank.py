@@ -367,6 +367,42 @@ class TestFindDependence:
                 assert_null_witness(rows, w)
         assert found > 0
 
+    def test_five_vector_scan_equals_the_naive_scan(self):
+        # 5 x n rows (n = 3, 4) with ghost and zero entries on {-1, 0, 1},
+        # over the depth-1 entry-ratio domain of five members: on the draws
+        # whose search reaches the 5-vector support, which always scans, the
+        # search gives the naive scan's first witness and the scan's.  The
+        # references agree on every such draw; where they stop at a size-3
+        # support with a ghost row, the tie patterns missed that witness (a
+        # miss reports as no witness, never as independence), and the draw
+        # is counted apart.
+        rng = random.Random(61)
+
+        def entry():
+            r = rng.random()
+            if r < 0.1:
+                return ST_ZERO
+            return (st_ghost if r < 0.2 else st_tan)(rng.randint(-1, 1))
+
+        reached = witnesses = ghost_misses = 0
+        for t in range(3000):
+            rows = [tuple(entry() for _ in range(3 + (t % 4 > 0))) for _ in range(5)]
+            dom = entry_ratio_domain(st, rows, 1)
+            w, tried, scanned = search_stats(rows, dom)
+            if tried != 31:
+                continue
+            assert scanned >= 1
+            reached += 1
+            naive = naive_first_witness(st, rows, dom)
+            assert naive == scanned_witness(rows, dom), rows
+            if naive is not None and len(naive.support) == 3:
+                assert any(e.payload and e.payload[0] == "g" for i in naive.support for e in rows[i])
+                ghost_misses += 1
+                continue
+            assert w == naive, rows
+            witnesses += w is not None
+        assert reached >= 40 and witnesses >= 30, (reached, witnesses, ghost_misses)
+
 
 def _ghost_zero_pair(rng, n):
     """Two supertropical rows of length n with tangible, ghost and zero
