@@ -396,7 +396,8 @@ class TestFindDependence:
             naive = naive_first_witness(st, rows, dom)
             assert naive == scanned_witness(rows, dom), rows
             if naive is not None and len(naive.support) == 3:
-                assert any(e.payload and e.payload[0] == "g" for i in naive.support for e in rows[i])
+                support_rows = [rows[i] for i in naive.support]
+                assert any(e.payload and e.payload[0] == "g" for r in support_rows for e in r)
                 ghost_misses += 1
                 continue
             assert w == naive, rows
