@@ -14,16 +14,9 @@ import math
 import os
 import sys
 
-from .core import PairError, Undecidable, axiom_audit
-from .instances import BadSpecifier, SPECIFIER_HELP, make_algebra
-from .matrices import (
-    CapExceeded,
-    _check_n,
-    _singular_minors,
-    det_doubled,
-    det_method,
-    matrix,
-)
+from .core import CapExceeded, PairError, Undecidable, axiom_audit
+from .instances import BadSpecifier, SPECIFIER_HELP, make_algebra, make_doubled
+from .matrices import _singular_minors, det_doubled, det_method, matrix
 from .rank import (
     UndecidableSurpassing,
     check_condition,
@@ -141,13 +134,13 @@ def cmd_det(args, rep):
         rep.emit("det_products", str(d.products))
         return 0
     k = min(a.rows, a.cols)
-    _check_n("determinant", k)
+    minors = _singular_minors(a, k)  # checks k, so the determinant cap wins
     count = math.comb(a.rows, k) * math.comb(a.cols, k)
     if count > DET_MINOR_CAP:
         raise CapExceeded(
             f"minor cap exceeded: {count} minors of size {k}, more than {DET_MINOR_CAP}"
         )
-    singular = dict(_singular_minors(a, k))
+    singular = dict(minors)
     for ri in itertools.combinations(range(a.rows), k):
         s = sum(1 << i for i in ri)
         for ci in itertools.combinations(range(a.cols), k):
@@ -205,11 +198,7 @@ def cmd_solve(args, rep):
     v = parse_vector(alg, args.rhs)
     if args.method == "cramer":
         out = cramer_solve(a, v)
-        wtxt = ",".join(
-            f"{alg.format_literal(we.payload[0])}|{alg.format_literal(we.payload[1])}"
-            for we in out.w
-        )
-        rep.emit("w", wtxt)
+        rep.emit("w", ",".join(map(make_doubled(alg).format_literal, out.w)))
         rep.emit("balance_verified", str(out.balance_verified).lower())
         if out.x is not None:
             rep.emit("x", ",".join(alg.format_literal(e) for e in out.x))

@@ -142,6 +142,33 @@ def el_codec(alg: "PairAlgebra") -> Codec:
     return Codec(alg.zero, alg.one, alg._add, alg._mul, _same, _same)
 
 
+class _CodeMemo(dict):
+    """key -> test(key), filled on first lookup."""
+
+    __slots__ = ("test",)
+
+    def __init__(self, test):
+        super().__init__()
+        self.test = test
+
+    def __missing__(self, key):
+        value = self[key] = self.test(key)
+        return value
+
+
+def _code_memo(alg, coding, name, test):
+    """A memo of test over keys made of `coding`'s codes: one per pair, kept
+    on the descriptor under name, or one per call for a rebinding codec,
+    whose codes depend on the call's scale.  A pair's keys are its codes or
+    pairs of them, so its memo holds at most the square of their number."""
+    if coding.rebind is not None:
+        return _CodeMemo(test)
+    memo = alg._memo
+    if name not in memo:
+        memo[name] = _CodeMemo(test)
+    return memo[name]
+
+
 class PairAlgebra:
     """Descriptor of a pair: carrier arithmetic, tangible/null predicates and
     every capability the layers above consult.

@@ -12,8 +12,10 @@ columns walked, so an adjoint takes n passes and a Laplace expansion two.
 The desk-scale caps bound n either way.
 
 Only this module reads the layers: other modules take adj(A) and |A| from
-one pass (_adjugate) and the singularity of the minors on each column set
-from one walk (_singular_minors).
+one pass (_adjugate), the singularity of the minors on each column set from
+one walk (_singular_minors), and the tracks of a square matrix one by one
+(_tracks).  This module checks every matrix-size bound: each entry point
+checks its own sizes before any work, so no caller picks an n to check.
 
 Which row sets a pass over m rows reaches at column step k, and from which
 sets of the step before, depends only on (m, k).  Each pass therefore walks
@@ -49,7 +51,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 
-from .core import CapExceeded, El, PairAlgebra, PairError, balances
+from .core import CapExceeded, El, PairAlgebra, PairError, _code_memo, balances
 from .instances import BadSpecifier, embed_doubled, make_doubled, project_doubled
 
 
@@ -68,9 +70,6 @@ class NonInvertibleDeterminant(PairError):
 DEFAULT_DET_CAP = 8
 CAYLEY_HAMILTON_CAP = 5
 KRASNER_CAP = 4
-# depth of the supertropical entry-ratio domain, whose sum set grows about
-# cubically with it
-HEURISTIC_DEPTH_CAP = 16
 
 
 def det_cap():
@@ -273,6 +272,17 @@ def _det_size(a: Matrix) -> int:
     return a.rows
 
 
+def _tracks(a: Matrix, what):
+    """(permutation, parity, product) for each of the n! tracks of the square
+    matrix a, in _perms order, each product multiplied out on elements.  n is
+    checked against det_cap() under the name what when this is called."""
+    n = a.rows
+    _check_n(what, n)
+    alg = a.alg
+    return ((perm, odd, alg.product(a[perm[c], c] for c in range(n)))
+            for perm, odd in _perms(n))
+
+
 def det_tracks(a: Matrix) -> DoubledDet:
     """Reference parity-split expansion: each of the n! tracks multiplied out
     on its own and folded into its parity's sum, in lexicographic order of
@@ -281,12 +291,12 @@ def det_tracks(a: Matrix) -> DoubledDet:
     Assumes no algebraic law and runs on elements; det_doubled is tested
     against it.
     """
-    n = _det_size(a)
+    if not a.is_square:
+        raise DimensionMismatch("determinant of a non-square matrix")
     alg = a.alg
     plus = alg.zero
     minus = alg.zero
-    for perm, odd in _perms(n):
-        track = alg.product(a[perm[c], c] for c in range(n))
+    for _, odd, track in _tracks(a, "determinant"):
         if odd:
             minus = alg.add(minus, track)
         else:
@@ -487,33 +497,6 @@ def _multiple(add, k, x):
         x = add(x, x)
 
 
-class _CodeMemo(dict):
-    """key -> test(key), filled on first lookup."""
-
-    __slots__ = ("test",)
-
-    def __init__(self, test):
-        super().__init__()
-        self.test = test
-
-    def __missing__(self, key):
-        value = self[key] = self.test(key)
-        return value
-
-
-def _code_memo(alg, coding, name, test):
-    """A memo of test over keys made of `coding`'s codes: one per pair, kept
-    on the descriptor under name, or one per call for a rebinding codec,
-    whose codes depend on the call's scale.  A pair's keys are its codes or
-    pairs of them, so its memo holds at most the square of their number."""
-    if coding.rebind is not None:
-        return _CodeMemo(test)
-    memo = alg._memo
-    if name not in memo:
-        memo[name] = _CodeMemo(test)
-    return memo[name]
-
-
 def _balance_codes(alg, coding):
     """(plus, minus) codes -> whether the elements they decode to balance:
     a determinant's singularity."""
@@ -538,31 +521,34 @@ def is_singular(a: Matrix) -> bool:
 def _singular_minors(a: Matrix, k):
     """(cols, singular) for every set of k columns in lexicographic order,
     from one minor layer each: singular maps each set of k rows (a bitmask)
-    to whether that minor's coded tracks balance."""
-    alg = a.alg
-    coding, codes = _coded(a)
-    balanced = _balance_codes(alg, coding)
-    plans = _row_plans(a.rows)
-    for cols in itertools.combinations(range(a.cols), k):
-        layer, _ = _minor_layer(alg, codes, cols, coding, plans)
-        yield cols, {s: balanced[pq] for s, pq in layer.items()}
+    to whether that minor's coded tracks balance.  k is checked against
+    det_cap() when this is called; the layers are walked as they are drawn."""
+    _check_n("determinant", k)
+
+    def walk():
+        alg = a.alg
+        coding, codes = _coded(a)
+        balanced = _balance_codes(alg, coding)
+        plans = _row_plans(a.rows)
+        for cols in itertools.combinations(range(a.cols), k):
+            layer, _ = _minor_layer(alg, codes, cols, coding, plans)
+            yield cols, {s: balanced[pq] for s, pq in layer.items()}
+
+    return walk()
 
 
 # ---------------------------------------------------------------------------
 # adjoint and Laplace
 
 
-def _adjoint_size(a: Matrix):
-    if not a.is_square:
-        raise DimensionMismatch("adjoint of a non-square matrix")
-    if a.rows > 1:
-        _check_n("determinant", a.rows - 1)
-
-
 def _adjugate(a: Matrix, *extra, det=True) -> tuple:
-    """(coding, codes, rows, det): the coding of a and extra (see _coded),
-    a's codes, adjoint(a) as rows of coded (plus, minus) pairs, and |A| as
-    one, or None without det.  The callers check the sizes.
+    """(coding, codes, rows, det): the coding of the square matrix a and
+    extra (see _coded), a's codes, adjoint(a) as rows of coded (plus, minus)
+    pairs, and |A| as one, or None without det.
+
+    Before any layer it checks n - 1, the size of the adjoint's minors, and
+    then n where it also takes |A|, both against one reading of det_cap().
+    A 1 x 1 adjoint has no minor to check.
 
     Row i is one minor layer over every column but i.  On the DP path |A|
     extends the last row's layer by the last column with the last plan
@@ -570,6 +556,11 @@ def _adjugate(a: Matrix, *extra, det=True) -> tuple:
     values, which a product need not distribute over, so it takes its own.
     """
     alg, n = a.alg, a.rows
+    if n > 1 or det:
+        cap = det_cap()
+        _check_n("determinant", n - 1, cap)
+        if det:
+            _check_n("determinant", n, cap)
     coding, codes = _coded(a, *extra)
     plans = _row_plans(n)
     full = (1 << n) - 1
@@ -600,7 +591,8 @@ def _adjoint_matrix(dalg, coding, rows) -> Matrix:
 def adjoint(a: Matrix) -> Matrix:
     """Doubled adjoint: entry (i,j) is the (j,i) minor's doubled determinant,
     switch-adjusted by the parity of i+j."""
-    _adjoint_size(a)
+    if not a.is_square:
+        raise DimensionMismatch("adjoint of a non-square matrix")
     coding, _, rows, _ = _adjugate(a, det=False)
     return _adjoint_matrix(make_doubled(a.alg), coding, rows)
 

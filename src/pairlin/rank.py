@@ -44,17 +44,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
-from .core import Codec, PairAlgebra, PairError, surpasses0
-from .instances import st_tan
-from .matrices import (
-    HEURISTIC_DEPTH_CAP,
-    CapExceeded,
-    Matrix,
-    _check_n,
-    _CodeMemo,
-    _code_memo,
-    _singular_minors,
-)
+from .core import CapExceeded, Codec, PairAlgebra, PairError, _CodeMemo, _code_memo, surpasses0
+from .matrices import Matrix, _singular_minors
 
 
 class DomainEmpty(PairError):
@@ -71,6 +62,9 @@ class UndecidableSurpassing(PairError):
 # 1.2 s; a full-rank 6 x 6 krasner:17:1 rank (three searches of 1.51 million)
 # is admitted, a 7 x 7 one (25.6 million) refused.
 SEARCH_WORK_CAP = 2_000_000
+# depth of the supertropical entry-ratio domain, whose sum set grows about
+# cubically with it
+HEURISTIC_DEPTH_CAP = 16
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -118,13 +112,6 @@ class EntryRatioDomain:
 
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, v):
-        """Whether the rational v is the value of a candidate."""
-        try:
-            return self.coding.encode(st_tan(v)) in self.positions
-        except PairError:  # v is no multiple of 1 / scale
-            return False
 
     @cached_property
     def positions(self):
@@ -603,7 +590,6 @@ def submatrix_rank(a: Matrix) -> int:
     row set at once (`matrices._singular_minors`).
     """
     for k in range(min(a.rows, a.cols), 0, -1):
-        _check_n("determinant", k)
         for _, singular in _singular_minors(a, k):
             if not all(singular.values()):
                 return k

@@ -18,17 +18,7 @@ from typing import Optional
 
 from .core import El, PairError, balances
 from .instances import make_doubled
-from .matrices import (
-    DimensionMismatch,
-    Matrix,
-    _adjoint_size,
-    _adjugate,
-    _check_n,
-    _det_size,
-    _dot,
-    _perms,
-    mat_vec,
-)
+from .matrices import DimensionMismatch, Matrix, _adjugate, _dot, _tracks, mat_vec
 
 
 class NotDominantDiagonal(PairError):
@@ -65,7 +55,8 @@ def _doubled_balance(dalg, lhs, rhs) -> bool:
 def _adj_vec(a: Matrix, v) -> tuple:
     """(coding, codes of A, codes of v, w, det): adj(A) (v, 0) as its two
     base coordinate vectors w = (w+, w-) and |A| = (det+, det-), all coded
-    under one coding of A and v, from one adjugate pass (see matrices)."""
+    under one coding of A and v, from one adjugate pass (see matrices),
+    which checks the sizes."""
     coding, codes, adj, det = _adjugate(a, v)
     vc = [coding.encode(e) for e in v]
     w = tuple([_dot(coding, (e[side] for e in row), vc) for row in adj] for side in (0, 1))
@@ -75,17 +66,19 @@ def _adj_vec(a: Matrix, v) -> tuple:
 def cramer_solve(a: Matrix, v) -> CramerResult:
     """w = adj(A) v in the doubled pair, with |A| v nabla A w verified
     componentwise; when |A| is tangible invertible and w projects tangibly,
-    also the tangible solution x with A x nabla v."""
+    also the tangible solution x with A x nabla v.
+
+    The adjugate pass checks n - 1 and then n before any work, and the
+    doubled pair is built after it, so the determinant caps come before the
+    doubling cap."""
     if not a.is_square:
         raise DimensionMismatch("cramer needs a square matrix")
     if len(v) != a.rows:
         raise DimensionMismatch("right-hand side length mismatch")
-    _adjoint_size(a)
     alg = a.alg
     alg.check(*v)
-    _det_size(a)
-    dalg = make_doubled(alg)
     coding, codes, vc, (wp, wm), (dp, dm) = _adj_vec(a, v)
+    dalg = make_doubled(alg)
     mul, dec = coding.mul, coding.decode
 
     def base(xs):
@@ -132,11 +125,8 @@ def dominant_structure(a: Matrix) -> DominantReport:
     if alg.modulus is None:
         raise NoModulus(f"{alg.id} has no modulus")
     n = a.rows
-    _check_n("track enumeration", n)
-    tracks = []
-    for perm, odd in _perms(n):
-        val = alg.product(a[perm[c], c] for c in range(n))
-        tracks.append((perm, odd, alg.modulus(val), val))
+    tracks = [(perm, odd, alg.modulus(val), val)
+              for perm, odd, val in _tracks(a, "track enumeration")]
     best = max(t[2] for t in tracks)
     dominant = [t for t in tracks if t[2] == best]
     ident = tuple(range(n))
@@ -225,7 +215,6 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     ax = mat_vec(a, state.x)
     state.balance_verified = all(balances(alg, l, r) for l, r in zip(ax, v))
     # mu identity, checked exactly
-    _det_size(a)
     coding, _, _, w, (dp, dm) = _adj_vec(a, v)
     dec = coding.decode
     det_mu = alg.modulus(alg.add(dec(dp), dec(dm)))

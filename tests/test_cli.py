@@ -450,6 +450,35 @@ class TestDoubledLiterals:
         assert d["singular"] == "true"
 
 
+class TestCapPrecedence:
+    """Where two bounds refuse one query, the determinant cap wins."""
+
+    def test_det_cap_before_the_minor_count(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "wide.txt"
+        rows = "\n".join(" ".join(str((7 * i + j) % 5) for j in range(101)) for i in range(2))
+        f.write_text(f"pair supertropical\nrows 2\ncols 101\n{rows}\n")
+        assert run_command(["det", str(f)]) == 3
+        assert kv(capsys.readouterr().out)["error"] == (
+            "minor cap exceeded: 5050 minors of size 2, more than 5000"
+        )
+        monkeypatch.setenv("PAIRLIN_CAP_N", "1")
+        assert run_command(["det", str(f)]) == 3
+        assert kv(capsys.readouterr().out)["error"] == "determinant cap exceeded at n = 2"
+
+    def test_cramer_det_cap_before_the_doubling_cap(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "dc.txt"
+        f.write_text("pair doubled:counting:30\nrows 2\ncols 2\n1|0 0|1\n0|0 1|0\n")
+        argv = ["solve", "cramer", str(f), "--rhs", "1|0,0|1"]
+        assert run_command(argv) == 3
+        assert kv(capsys.readouterr().out)["error"] == (
+            "doubling cap exceeded: doubled:doubled:counting:30 has 923521 elements,"
+            " more than 262144"
+        )
+        monkeypatch.setenv("PAIRLIN_CAP_N", "1")
+        assert run_command(argv) == 3
+        assert kv(capsys.readouterr().out)["error"] == "determinant cap exceeded at n = 2"
+
+
 def serial_verify(args, rep):
     """`cmd_verify` as it was before the suites ran in parallel: the oracle."""
     from pairlin import cli

@@ -606,6 +606,12 @@ class TestQuasi:
         with pytest.raises(SingularInput):
             quasi_inverse(a)
 
+    def test_cap_names_n(self, monkeypatch):
+        # the adjoint's minors are 3 x 3, but the refusal names the matrix
+        monkeypatch.setenv("PAIRLIN_CAP_N", "2")
+        with pytest.raises(CapExceeded, match=r"^determinant cap exceeded at n = 4$"):
+            quasi_inverse(identity(sign, 4))
+
 
 class TestKrasnerDet:
     def test_all_ones_coset_matrix(self):
@@ -637,12 +643,13 @@ class TestKrasnerDet:
             krasner_det_contains_zero(identity(alg, 3))
 
 
-# The coded minor layers, their plans and the coded (plus, minus) pairs:
-# the other modules reach them only through matrices._adjugate and
-# matrices._singular_minors.
-LAYER_INTERNALS = {
-    "_minor_layer", "_plan", "_row_plans", "_sum_step", "_pairs",
-    "_column_layers", "_balance_codes", "_coded", "_adjoint_codes",
+# The private names each module may take from matrices.  The coded minor
+# layers, their plans, the coded (plus, minus) pairs and every size check
+# stay behind these entry points, which check their own sizes.
+MATRICES_INTERFACE = {
+    "solve": {"_adjugate", "_dot", "_tracks"},
+    "rank": {"_singular_minors"},
+    "cli": {"_singular_minors"},
 }
 
 
@@ -667,19 +674,24 @@ def _matrices_names(tree):
     return names
 
 
-@pytest.mark.parametrize("module", ["solve", "rank", "cli"])
+def _private(names):
+    return {name for name in names if name.startswith("_")}
+
+
+@pytest.mark.parametrize("module", sorted(MATRICES_INTERFACE))
 def test_only_matrices_reads_the_minor_layers(module):
     path = os.path.join(os.path.dirname(matrices_mod.__file__), f"{module}.py")
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read(), path)
-    assert not _matrices_names(tree) & LAYER_INTERNALS
+    assert _private(_matrices_names(tree)) <= MATRICES_INTERFACE[module]
 
 
 def test_the_interface_check_sees_each_way_of_reaching_matrices():
+    allowed = set().union(*MATRICES_INTERFACE.values())
     for source in (
         "from .matrices import _coded",
-        "from pairlin.matrices import Matrix, _plan",
+        "from pairlin.matrices import Matrix, _check_n",
         "from . import matrices\nmatrices._minor_layer",
-        "import pairlin.matrices as m\nm._balance_codes",
+        "import pairlin.matrices as m\nm._det_size",
     ):
-        assert _matrices_names(ast.parse(source)) & LAYER_INTERNALS, source
+        assert _private(_matrices_names(ast.parse(source))) - allowed, source

@@ -31,9 +31,8 @@ from pairlin import (
     submatrix_rank,
 )
 from pairlin.instances import ST_ZERO, st_ghost, st_value
-from pairlin.matrices import HEURISTIC_DEPTH_CAP
 import pairlin.rank as rank_mod
-from pairlin.rank import DomainEmpty, CoefficientDomain, DependenceWitness
+from pairlin.rank import HEURISTIC_DEPTH_CAP, DomainEmpty, CoefficientDomain, DependenceWitness
 from pairlin.suites import (
     two_track_doubled_matrix,
     clipped_counting_matrix,
@@ -628,18 +627,6 @@ class TestEntryRatioDomain:
             assert entry_ratio_domain(st, rows).candidates == (
                 fraction_domain_candidates(rows)
             )
-
-    def test_membership_agrees_with_candidates(self):
-        for vectors in self.VECTOR_SETS:
-            dom = entry_ratio_domain(st, vectors)
-            values = [st_value(c) for c in dom.candidates]
-            probes = set(values)
-            for v in values[:: max(1, len(values) // 15)]:
-                probes |= {v + Fraction(1, 11), v / 2, v * 3, v + 100, -v}
-            probes |= {Fraction(1, 13), Fraction(10**6), Fraction(-5, 7)}
-            for v in probes:
-                assert (v in dom) == (st_tan(v) in dom.candidates), (vectors, v)
-            assert any(v not in dom for v in probes)
 
     def test_depth_cap(self):
         vectors = self.VECTOR_SETS[0]

@@ -81,6 +81,14 @@ class TestCramer:
         with pytest.raises(DimensionMismatch):
             cramer_solve(FIX, (st_tan(1),))
 
+    def test_foreign_rhs_before_the_caps(self, monkeypatch):
+        # the adjugate pass checks the sizes, after the right-hand side
+        from pairlin.core import AlgebraMismatch
+
+        monkeypatch.setenv("PAIRLIN_CAP_N", "1")
+        with pytest.raises(AlgebraMismatch):
+            cramer_solve(identity(st, 3), (sign.one,) * 3)
+
     def test_runs_without_negation_map(self):
         # pairs without a negation map keep w doubled and never produce x
         alg = make_algebra("counting:5")
