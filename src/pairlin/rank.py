@@ -26,14 +26,27 @@ vectors attains every column's maximum twice, so supports of size 3 and 4
 are solved from patterns of ties, one per column, when the patterns reach
 every witness the scan accepts: size 3 when the domain holds every tie
 value (v_p - v_q in one column), size 4 when also no row has a ghost entry.
-Every other support of 3 or more vectors scans.  `find_dependence` counts
-the supports it tries and those of 3 or more vectors that scanned.
+Every other support of 3 or more vectors scans.
+
+Supports are visited by one walk (`_walk_supports`), by size and then
+lexicographically, with the per-support search built once per call
+(`_dependence_search`); it counts the supports it searches and those that
+scanned.  A rank, the size of the largest independent set of vectors, is
+the walk over every support: since a subset of an independent set is
+independent, a support is searched only when every support one vector
+smaller inside it is witness-free, and the walk ends at the first size with
+no witness-free support, one size past the rank.  `find_dependence` is the
+same walk stopped at its first witness: before that witness no support has
+one, so none is pruned, and the rows' rank walk reaches the same first
+witness, which `rank_report` prints.  A1 and A2 are read off the two ranks
+and the submatrix rank, which is taken first.
 
 `preceq_spans`, the search for coefficients whose combination is surpassed
 by a target, runs on the same coded walk over every pair, the supertropical
-one included: each column's sum is tested against the target's entry in
-place of nullity, and its worst case, the sum over supports of k vectors of
-|D|^k tuples, is bounded by the same cap before any work.
+one included, and on the walk over supports stopped at its first span:
+each column's sum is tested against the target's entry in place of
+nullity, and its worst case, the sum over supports of k vectors of |D|^k
+tuples, is bounded by the same cap before any work.
 """
 
 from __future__ import annotations
@@ -59,8 +72,9 @@ class UndecidableSurpassing(PairError):
 # The most coefficient tuples a non-max-plus dependence search may walk in
 # its worst case (see `find_dependence`).  The coded search walks about 1.7
 # million tuples a second on a 2-core VM, so a search at the cap takes about
-# 1.2 s; a full-rank 6 x 6 krasner:17:1 rank (three searches of 1.51 million)
-# is admitted, a 7 x 7 one (25.6 million) refused.
+# 1.2 s; a full-rank 6 x 6 krasner:17:1 rank (two searches of 1.51 million,
+# of the rows and of the columns) is admitted, a 7 x 7 one (25.6 million)
+# refused.
 SEARCH_WORK_CAP = 2_000_000
 # depth of the supertropical entry-ratio domain, whose sum set grows about
 # cubically with it
@@ -180,15 +194,19 @@ def default_domain(alg: PairAlgebra, vectors):
 
 class _Walk:
     """What one coded search walks (see `_walk`): the codec, the vectors'
-    code rows, the head and member codes, one test per column, and a hook
-    `last` with the member codes' `positions`."""
+    code rows, the head and member codes, one test per column, a hook
+    `last` with the member codes' `positions`, and the zero row `zeros` the
+    walk starts from."""
 
-    __slots__ = ("coding", "add", "mul", "rows", "heads", "members", "tests", "last", "positions")
+    __slots__ = (
+        "coding", "add", "mul", "rows", "heads", "members", "tests", "last", "positions", "zeros",
+    )
 
     def __init__(self, coding, rows, heads, members, tests, last=None, positions=None):
         self.coding, self.add, self.mul = coding, coding.add, coding.mul
         self.rows, self.heads, self.members = rows, heads, members
         self.tests, self.last, self.positions = tests, last, positions
+        self.zeros = [coding.zero] * len(tests)
 
 
 def _walk(w, support, depth, sums, picks):
@@ -333,9 +351,8 @@ def _super_search(w, support):
     `w` is `_super_walk`'s: entries and members are codes at one scale,
     and a tangible coefficient's code is even, so the search runs on codes
     and decodes only the witness.  The leading coefficient is normalized to
-    1, code 0, whose product and sum with zero leave a row's codes as they
-    are: a single row is a witness when its codes are null, and the walk
-    starts at depth 1 from the first row's codes.
+    1, code 0, the walk's one head, and the walk starts at depth 0 from the
+    zero row, as `_coded_search`'s does.
 
     The reference is that walk's lexicographic scan: the middle coefficients
     run over the domain in domain order, and the last over the values that
@@ -370,10 +387,6 @@ def _super_search(w, support):
     picks the path.
     """
     k = len(support)
-    first = w.rows[support[0]]
-    if k == 1:
-        null = all(_NULL_CODE[c] for c in first)
-        return (_super_witness(w, support, [0]) if null else None), False
     if k in (3, 4):
         ties = _column_ties(w.rows, support)
         if ties is None:
@@ -382,7 +395,7 @@ def _super_search(w, support):
             codes = _tie_solve(w, support, ties)
             return (None if codes is None else _super_witness(w, support, codes)), False
     picks = [0] * k
-    if not _walk(w, support, 1, first, picks):
+    if not _walk(w, support, 0, w.zeros, picks):
         return None, k > 2
     codes = [0, *(w.members[i] for i in picks[1:])]
     return _super_witness(w, support, codes), k > 2
@@ -499,11 +512,10 @@ def _coded_search(alg, vectors, heads, candidates, tests=None):
     else:
         tests = [_CodeMemo(lambda c, test=test: test(dec(c))) for test in tests]
     w = _Walk(coding, rows, [enc(c) for c in heads], [enc(c) for c in candidates], tests)
-    zero_row = [coding.zero] * n
 
     def search(support):
         picks = [0] * len(support)
-        if not _walk(w, support, 0, zero_row, picks):
+        if not _walk(w, support, 0, w.zeros, picks):
             return None, True
         coeffs = (heads[picks[0]], *(candidates[i] for i in picks[1:]))
         return DependenceWitness(support, coeffs), True
@@ -511,12 +523,74 @@ def _coded_search(alg, vectors, heads, candidates, tests=None):
     return search
 
 
+def _dependence_search(vectors, domain, alg):
+    """The per-support search of one call of `find_dependence` or a rank,
+    built once for it: `_super_search` on `_super_walk` over a max-plus
+    pair, else `_coded_search`, after `_check_work`.  The vectors' lengths
+    and owners and the domain are checked first."""
+    if len(domain) == 0:
+        raise DomainEmpty("empty coefficient domain")
+    n = len(vectors[0])
+    for vec in vectors:
+        if len(vec) != n:
+            raise PairError("vectors must have equal length")
+        alg.check(*vec)
+    if alg.max_plus:
+        return partial(_super_search, _super_walk(alg, vectors, domain))
+    heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
+    _check_work("dependence search", len(vectors), len(heads), len(domain))
+    return _coded_search(alg, vectors, heads, domain.candidates)
+
+
+def _walk_supports(search, m, stats, stop):
+    """The walk over the supports of m vectors (see the module docstring):
+    (rank, first witness).
+
+    Supports come by size, then lexicographically, and `search` runs on one
+    only when every support one vector smaller inside it is witness-free;
+    the walk ends at the first size with no witness-free support.  With
+    `stop` it ends at the first witness instead and returns no rank.
+    `stats`, when given, is increased by the supports searched
+    ("supports_tried") and by those that scanned the domain
+    ("supports_scanned").
+    """
+    level, first = [()], None
+    tried = scanned = 0
+    try:
+        for size in range(1, m + 1):
+            free, below = [], set(level)
+            for base in level:
+                for j in range(base[-1] + 1 if base else 0, m):
+                    support = (*base, j)
+                    if any(support[:i] + support[i + 1:] not in below for i in range(size - 1)):
+                        continue
+                    tried += 1
+                    w, scan = search(support)
+                    scanned += scan
+                    if w is None:
+                        free.append(support)
+                    elif first is None:
+                        first = w
+                        if stop:
+                            return None, w
+            if not free:
+                return size - 1, first
+            level = free
+        return m, first
+    finally:
+        if stats is not None:
+            stats["supports_tried"] += tried
+            stats["supports_scanned"] += scanned
+
+
 def find_dependence(vectors, domain, alg, *, stats=None):
     """First dependence witness, or None (definitive only for exact domains).
 
     Supports are enumerated by size then lexicographically; coefficient
     tuples lexicographically in domain order, with the leading coefficient
-    normalized to 1 whenever the tangibles form a group.
+    normalized to 1 whenever the tangibles form a group.  This is the walk
+    over supports (`_walk_supports`) stopped at its first witness: before
+    it no support holds a witnessed one, so none is pruned.
 
     Over a max-plus pair each support takes `_super_search`.  Over any other
     pair every support walks its coefficient tuples on the pair's codes
@@ -533,54 +607,23 @@ def find_dependence(vectors, domain, alg, *, stats=None):
     """
     if not vectors:
         return None
-    if len(domain) == 0:
-        raise DomainEmpty("empty coefficient domain")
-    m = len(vectors)
-    n = len(vectors[0])
-    for vec in vectors:
-        if len(vec) != n:
-            raise PairError("vectors must have equal length")
-        for e in vec:
-            alg.check(e)
-    if alg.max_plus:
-        search = partial(_super_search, _super_walk(alg, vectors, domain))
-    else:
-        heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
-        _check_work("dependence search", m, len(heads), len(domain))
-        search = _coded_search(alg, vectors, heads, domain.candidates)
-    tried = scanned = 0
-    try:
-        for size in range(1, m + 1):
-            for support in itertools.combinations(range(m), size):
-                tried += 1
-                w, scan = search(support)
-                scanned += scan
-                if w is not None:
-                    return w
-        return None
-    finally:
-        if stats is not None:
-            stats["supports_tried"] += tried
-            stats["supports_scanned"] += scanned
+    return _walk_supports(_dependence_search(vectors, domain, alg), len(vectors), stats, True)[1]
 
 
 def row_rank(a: Matrix, domain=None, stats=None) -> int:
-    return _rank_of(a.alg, list(a.entries), domain, stats)
+    return _rank_of(a.alg, list(a.entries), domain, stats)[0]
 
 
 def col_rank(a: Matrix, domain=None, stats=None) -> int:
-    return _rank_of(a.alg, [a.col(j) for j in range(a.cols)], domain, stats)
+    return _rank_of(a.alg, [a.col(j) for j in range(a.cols)], domain, stats)[0]
 
 
 def _rank_of(alg, vectors, domain, stats=None):
+    """(rank, first witness) of the vectors: the walk over their supports
+    without `stop` (see `_walk_supports`)."""
     if domain is None:
         domain = default_domain(alg, vectors)
-    m = len(vectors)
-    for k in range(m, 0, -1):
-        for subset in itertools.combinations(range(m), k):
-            if find_dependence([vectors[i] for i in subset], domain, alg, stats=stats) is None:
-                return k
-    return 0
+    return _walk_supports(_dependence_search(vectors, domain, alg), len(vectors), stats, False)
 
 
 def submatrix_rank(a: Matrix) -> int:
@@ -608,8 +651,8 @@ def check_condition(a: Matrix, which: str, domain=None, stats=None) -> Condition
 
     Over heuristic domains only witness-backed verdicts are safe: A1 can only
     Fail, A2 can only Hold, A2' can only Hold; the unsafe directions report
-    Unknown.  `stats` is passed to every dependence search (see
-    `find_dependence`).
+    Unknown.  A1 and A2 are `rank_report`'s verdicts.  `stats` is passed to
+    every dependence search (see `find_dependence`).
     """
     alg = a.alg
     rows = list(a.entries)
@@ -620,10 +663,7 @@ def check_condition(a: Matrix, which: str, domain=None, stats=None) -> Condition
         return _a2prime_verdict(a, w, domain)
     if which not in ("a1", "a2"):
         raise PairError(f"unknown condition {which!r}")
-    return _rank_verdict(
-        which, submatrix_rank(a), row_rank(a, domain, stats), col_rank(a, domain, stats),
-        domain,
-    )
+    return getattr(rank_report(a, domain, stats), which)
 
 
 def _a2prime_verdict(a: Matrix, w, domain) -> ConditionVerdict:
@@ -685,25 +725,27 @@ class RankReport:
 
 def rank_report(a: Matrix, domain=None, stats=None) -> RankReport:
     """Ranks, the first row witness and the three conditions; `stats` is
-    passed to every dependence search (see `find_dependence`)."""
+    passed to every dependence search (see `find_dependence`).
+
+    The submatrix rank, which the determinant cap bounds, is taken before
+    the two walks over supports; the first row witness is the row walk's."""
     rows = list(a.entries)
     if domain is None:
         domain = default_domain(a.alg, rows)
-    rr, cr, sr = row_rank(a, domain, stats), col_rank(a, domain, stats), submatrix_rank(a)
-    rep = RankReport(
+    sr = submatrix_rank(a)
+    rr, w = _rank_of(a.alg, rows, domain, stats)
+    cr = col_rank(a, domain, stats)
+    return RankReport(
         row_rank=rr,
         col_rank=cr,
         submatrix_rank=sr,
+        row_witnesses=[] if w is None else [w],
+        a1=_rank_verdict("a1", sr, rr, cr, domain),
+        a2=_rank_verdict("a2", sr, rr, cr, domain),
+        a2prime=_a2prime_verdict(a, w, domain),
         domain_completeness=domain.completeness,
         formatter=a.alg.format_literal,
     )
-    w = find_dependence(rows, domain, a.alg, stats=stats)
-    if w is not None:
-        rep.row_witnesses.append(w)
-    rep.a1 = _rank_verdict("a1", sr, rr, cr, domain)
-    rep.a2 = _rank_verdict("a2", sr, rr, cr, domain)
-    rep.a2prime = _a2prime_verdict(a, w, domain)
-    return rep
 
 
 def rank_defect(a: Matrix):
@@ -770,8 +812,7 @@ def preceq_spans(vectors, target, domain=None, alg=None):
 
     cands = domain.candidates
     search = _coded_search(alg, vectors, cands, cands, [surpassed_by(t) for t in target])
-    supports = (s for k in range(1, m + 1) for s in itertools.combinations(range(m), k))
-    w = next((w for w, _ in map(search, supports) if w is not None), None)
+    w = _walk_supports(search, m, None, True)[1]
     if w is None:
         return None
     full = [alg.zero] * m

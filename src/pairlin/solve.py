@@ -167,10 +167,14 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     invertible tangible diagonal entries, and a registered tangible lift
     realizing modular descent (supertropical: ghosts drop to tangibles of the
     same value).  On stabilization verifies A x nabla v and the mu identity
-    mu(x) = mu(|A|)^-1 mu(adj A v).  A max_iter below 1 is an input error.
+    mu(x) = mu(|A|)^-1 mu(adj A v).  Stabilization is seen by comparing an
+    iterate with the one before, so a max_iter below 2 is an input error.
     """
-    if max_iter is not None and max_iter < 1:
-        raise PairError(f"max_iter must be at least 1, got {max_iter}")
+    if max_iter is not None and max_iter < 2:
+        raise PairError(
+            f"max_iter must be at least 2, since stabilization compares two iterates, "
+            f"got {max_iter}"
+        )
     if not a.is_square:
         raise DimensionMismatch("jacobi needs a square matrix")
     if len(v) != a.rows:

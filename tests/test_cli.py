@@ -233,26 +233,31 @@ class TestCommands:
         assert d["x"] == "2,1"
         assert d["mu_verified"] == "true"
 
-    @pytest.mark.parametrize("max_iter", ["-1", "0"])
+    @pytest.mark.parametrize("max_iter", ["-1", "0", "1"])
     def test_jacobi_max_iter_below_one_exit_2(self, tmp_path, capsys, max_iter):
+        # stabilization compares two iterates, so one iteration never succeeds
         f = tmp_path / "dom.txt"
         f.write_text(DOMINANT_2X2)
         argv = ["solve", "jacobi", str(f), "--rhs", "1,2", "--max-iter", max_iter]
         assert run_command(argv) == 2
         assert kv(capsys.readouterr().out)["error"] == (
-            f"max_iter must be at least 1, got {max_iter}"
+            "max_iter must be at least 2, since stabilization compares two iterates, "
+            f"got {max_iter}"
         )
 
-    @pytest.mark.parametrize("max_iter, code", [("1", 3), ("2", 0)])
+    @pytest.mark.parametrize("max_iter, code", [("2", 3), ("2", 0)])
     def test_jacobi_iteration_cap(self, tmp_path, capsys, max_iter, code):
-        # x1 = x2 here, so stabilization needs a second iterate
+        # with the right-hand side 1,2, x1 = x2, so stabilization needs a
+        # second iterate; with 1,-inf the second entry of x1 is still zero
+        # and changes in x2, so it needs a third
         f = tmp_path / "dom.txt"
         f.write_text(DOMINANT_2X2)
-        argv = ["solve", "jacobi", str(f), "--rhs", "1,2", "--max-iter", max_iter]
+        rhs = "1,-inf" if code == 3 else "1,2"
+        argv = ["solve", "jacobi", str(f), "--rhs", rhs, "--max-iter", max_iter]
         assert run_command(argv) == code
         d = kv(capsys.readouterr().out)
         if code == 3:
-            assert d["error"] == "no stabilization within 1 iterations"
+            assert d["error"] == "no stabilization within 2 iterations"
         else:
             assert d["stabilized_at"] == "1"
             assert d["mu_verified"] == "true"

@@ -13,11 +13,15 @@ the reference of the surpassing span search, which walks the same codes.  The mi
 layers walk precomputed index plans; their reference is the dict walk, which
 tests bits and probes a dict for every row set and row.  The quasi-inverse
 takes adj(A) and |A| from one adjugate pass; its reference takes det_doubled
-and then adjoint.
+and then adjoint.  The ranks walk the supports once, searching none that
+holds a witnessed one; their reference is the nested search that ran
+`find_dependence` on every subset, and a second search for the row witness.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +84,7 @@ from pairlin.rank import (
     default_domain,
     find_dependence,
     preceq_spans,
+    rank_report,
 )
 from pairlin.solve import CramerResult
 from pairlin.suites import rand_dominant_diagonal_supertropical, rand_supertropical_matrix
@@ -1140,6 +1145,143 @@ def test_span_search_checks_owners_and_lengths_first(monkeypatch):
         assert got[:2] == ("raised", now)
         if now is PairError:
             assert got[2] == "vectors and target must have equal length"
+
+
+# ---------------------------------------------------------------------------
+# the walk over supports: ranks and the first row witness against the
+# nested search that re-searched every subset
+
+
+def rank_of_ref(alg, vectors, domain):
+    """The rank as the nested search took it: for k from m down, the first
+    k-subset of the vectors on which `find_dependence` finds no witness,
+    each call searching every support of its subset from size 1."""
+    m = len(vectors)
+    for k in range(m, 0, -1):
+        for subset in itertools.combinations(range(m), k):
+            if find_dependence([vectors[i] for i in subset], domain, alg) is None:
+                return k
+    return 0
+
+
+def rank_facts_ref(a, domain):
+    """(row rank, column rank, submatrix rank, first row witness, the A1, A2
+    and A2' verdicts) as the nested search gave them: each rank from
+    `rank_of_ref`, and the witness from a second search over every row."""
+    alg, rows = a.alg, list(a.entries)
+    rr = rank_of_ref(alg, rows, domain)
+    cr = rank_of_ref(alg, [a.col(j) for j in range(a.cols)], domain)
+    sr = submatrix_rank(a)
+    w = find_dependence(rows, domain, alg)
+    verdicts = (
+        rank_mod._rank_verdict("a1", sr, rr, cr, domain),
+        rank_mod._rank_verdict("a2", sr, rr, cr, domain),
+        rank_mod._a2prime_verdict(a, w, domain),
+    )
+    return rr, cr, sr, w, verdicts
+
+
+WALK_PAIRS = [
+    make_algebra(spec)
+    for spec in (
+        "sign", "doubled:boolean", "hyper:hex1-c3", "hyper:weaksign-c2",
+        "krasner:7:2", "krasner:17:1",
+    )
+] + [st]
+
+
+def _walk_entry(rng, alg, tangible):
+    """A finite pair's entry from anywhere in the carrier, or a tangible or
+    zero one; a supertropical entry with small values, ghosts and zeros."""
+    if alg is not st:
+        return _draw_entry(rng, alg, tangible)
+    r = rng.random()
+    if r < 0.1:
+        return st.zero
+    if r < 0.25 and not tangible:
+        return st_ghost(rng.randint(-3, 3))
+    return st_tan(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2))))
+
+
+def walk_draws(seed, count):
+    """count seeded random matrices of 1-4 x 1-4, spread over WALK_PAIRS."""
+    rng = random.Random(seed)
+    for t in range(count):
+        alg = WALK_PAIRS[t % len(WALK_PAIRS)]
+        m, n, tangible = rng.randint(1, 4), rng.randint(1, 4), rng.random() < 0.5
+        yield matrix(alg, [[_walk_entry(rng, alg, tangible) for _ in range(n)] for _ in range(m)])
+
+
+EXIT_OF = {"HOLDS": 0, "FAILS": 1, "UNKNOWN": 3}
+
+
+def test_walk_ranks_and_witness_match_the_nested_search(tmp_path, capsys):
+    """Over 3,010 random files, `rank_report` and the `rank` and `check`
+    commands give the nested search's ranks, first row witness, verdicts
+    and exit codes."""
+    path = tmp_path / "m.txt"
+    dependent = gaps = 0
+    for a in walk_draws("walk", 3010):
+        alg = a.alg
+        domain = default_domain(alg, list(a.entries))
+        rr, cr, sr, w, verdicts = rank_facts_ref(a, domain)
+        rep = rank_report(a, domain)
+        assert (rep.row_rank, rep.col_rank, rep.submatrix_rank) == (rr, cr, sr), a
+        assert rep.row_witnesses == ([] if w is None else [w]), a
+        assert (rep.a1, rep.a2, rep.a2prime) == verdicts, a
+        path.write_text(format_matrix_text(a))
+        assert run_command(["rank", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == [f"row_rank: {rr}", f"col_rank: {cr}", f"submatrix_rank: {sr}"]
+        witness = [] if w is None else [f"witness: {w.kv(alg.format_literal)}"]
+        assert [l for l in lines if l.startswith("witness: ")] == witness, a
+        for which, v in zip(("a1", "a2", "a2p"), verdicts):
+            want = [f"{which}: {v.verdict}"] + [f"{which}_detail: {v.detail}"] * bool(v.detail)
+            if v.witness is not None:
+                want.append(f"witness: {v.witness.kv(alg.format_literal)}")
+            assert run_command(["check", which, str(path)]) == EXIT_OF[v.verdict], (a, which)
+            assert capsys.readouterr().out.splitlines()[:-2] == want, (a, which)
+        dependent += w is not None
+        gaps += rr != cr or rr != sr
+    # dependent and independent rows, and ranks that differ, are drawn
+    assert 500 < dependent < 2500 and gaps >= 10, (dependent, gaps)
+
+
+def test_the_walk_searches_a_support_once_and_only_past_witness_free_ones(monkeypatch):
+    """Every walk, wrapped at its per-support search: supports come by size,
+    then lexicographically, none twice, and one of k > 1 vectors is searched
+    only after each of its k - 1 subsets was searched and had no witness, so
+    never when it holds a witnessed support."""
+    walks = []
+    inner = rank_mod._dependence_search
+
+    def recorded(vectors, domain, alg):
+        search, calls = inner(vectors, domain, alg), []
+        walks.append((len(vectors), calls))
+
+        def wrapped(support):
+            got = search(support)
+            calls.append((support, got[0] is not None))
+            return got
+
+        return wrapped
+
+    monkeypatch.setattr(rank_mod, "_dependence_search", recorded)
+    for a in walk_draws("walk-once", 700):
+        rank_report(a)
+    pruned = 0
+    for m, calls in walks:
+        supports = [s for s, _ in calls]
+        assert supports == sorted(set(supports), key=lambda s: (len(s), s))
+        free = {s for s, hit in calls if not hit}
+        witnessed = [set(s) for s, hit in calls if hit]
+        for s in supports:
+            if len(s) > 1:
+                assert all(s[:i] + s[i + 1:] in free for i in range(len(s)))
+            assert not any(t < set(s) for t in witnessed)
+        # the supports up to the walk's last size that it left unsearched
+        pruned += sum(math.comb(m, k) for k in range(1, len(supports[-1]) + 1)) - len(supports)
+    assert len(walks) == 1400 and pruned > 100, (len(walks), pruned)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,7 @@ from pairlin import (
     st_tan,
     submatrix_rank,
 )
+from pairlin.cli import parse_matrix_text, run_command
 from pairlin.instances import ST_ZERO, st_ghost, st_value
 import pairlin.rank as rank_mod
 from pairlin.rank import HEURISTIC_DEPTH_CAP, DomainEmpty, CoefficientDomain, DependenceWitness
@@ -577,7 +579,7 @@ class TestSearchWorkBound:
             "a1: HOLDS\na1_detail: submatrix 6 <= min(6,6)\n"
             "a2: HOLDS\na2_detail: submatrix 6 >= max(6,6)\n"
             "a2prime: HOLDS\na2prime_detail: m <= n: nothing to check\n"
-            "domain: exact\nsupports_tried: 189\nsupports_scanned: 189\n"
+            "domain: exact\nsupports_tried: 126\nsupports_scanned: 126\n"
         )
 
     def test_7x7_krasner_exits_3_at_once(self, tmp_path):
@@ -592,6 +594,49 @@ class TestSearchWorkBound:
             "coefficient tuples, more than 2000000\n",
             "",
         )
+
+
+# a random 3 x 12 supertropical file (entries -9..9 over denominators 1-3):
+# the nested rank search tried 199,573 supports on it, the walk 791
+ST_3X12 = """pair supertropical
+rows 3
+cols 12
+3 7/3 2 3 1 -1/3 5/3 -2/3 -3 -5/2 2 1
+-8/3 -3 7/3 1/3 3 -9 7 -7/2 5 4 4 8
+-8/3 -4/3 -7/2 4/3 3 1 -3 -7 -1/2 2/3 1 0
+"""
+
+
+class TestWalkOverSupports:
+    def test_3x12_rank_searches_at_most_1000_supports(self):
+        _, a = parse_matrix_text(ST_3X12)
+        counts = []
+        for query in (rank_report, partial(check_condition, which="a1"),
+                      partial(check_condition, which="a2")):
+            stats = {"supports_tried": 0, "supports_scanned": 0}
+            query(a, domain=None, stats=stats)
+            counts.append(stats)
+        # rank and check a1/a2 make the same two walks
+        assert counts == [{"supports_tried": 791, "supports_scanned": 0}] * 3
+        assert counts[0]["supports_tried"] <= 1000
+
+    @pytest.mark.parametrize(
+        "text, cap, n", [(ST_3X12, "2", 3), (K7, "6", 7)], ids=["st-3x12", "k7"]
+    )
+    def test_rank_takes_the_determinant_cap_before_the_searches(
+        self, tmp_path, capsys, monkeypatch, text, cap, n
+    ):
+        # K7's row search alone would pass the search cap
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        monkeypatch.setenv("PAIRLIN_CAP_N", cap)
+        for argv in (["rank", str(path)], ["check", "a1", str(path)]):
+            assert run_command(argv) == 3
+            assert capsys.readouterr().out == f"error: determinant cap exceeded at n = {n}\n"
+        stats = {"supports_tried": 0, "supports_scanned": 0}
+        with pytest.raises(CapExceeded, match=f"^determinant cap exceeded at n = {n}$"):
+            rank_report(parse_matrix_text(text)[1], None, stats)
+        assert stats == {"supports_tried": 0, "supports_scanned": 0}
 
 
 class TestEntryRatioDomain:
