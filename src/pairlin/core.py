@@ -111,21 +111,28 @@ class Codec:
     """Codes for the elements of one kernel call.
 
     `encode` and `decode` map elements to codes and back, `add` and `mul`
-    are the pair's operations on codes, and `zero` and `one` are codes.  A
-    codec whose codes depend on the call's elements (the supertropical
-    scale) has `rebind`, which builds the codec for a given iterable of
-    elements; every other codec serves any call as it is.
+    are the pair's operations on codes, and `zero` and `one` are codes.
+    `null` maps a code to whether the element it decodes to is null,
+    looked up as `null[code]`: a rule on the codes where the pair has one
+    (supertropical: zero or a ghost), else a memo of the pair's own test
+    (`_null_memo`), which the searches' column tests and every balance and
+    doubled-nullity decision read instead of decoding.  `memos` keeps the
+    other code memos of this codec by name (see `_code_memo`).  A codec
+    whose codes depend on the call's elements (the supertropical scale)
+    has `rebind`, which builds the codec for a given iterable of elements;
+    every other codec serves any call as it is.
 
     A plain class: a dataclass would cost about a millisecond at import.
     """
 
-    __slots__ = ("zero", "one", "add", "mul", "encode", "decode", "rebind")
+    __slots__ = ("zero", "one", "add", "mul", "encode", "decode", "null", "rebind", "memos")
 
-    def __init__(self, zero, one, add, mul, encode, decode, rebind=None):
+    def __init__(self, zero, one, add, mul, encode, decode, null=None, rebind=None):
         self.zero, self.one = zero, one
         self.add, self.mul = add, mul
         self.encode, self.decode = encode, decode
-        self.rebind = rebind
+        self.null, self.rebind = null, rebind
+        self.memos = {}
 
     def bind(self, elements) -> "Codec":
         return self if self.rebind is None else self.rebind(elements)
@@ -139,7 +146,7 @@ def el_codec(alg: "PairAlgebra") -> Codec:
     """Elements as their own codes, with the descriptor's raw operations:
     the codec of a pair that declares none, and the reference the tests run
     every coded kernel against."""
-    return Codec(alg.zero, alg.one, alg._add, alg._mul, _same, _same)
+    return Codec(alg.zero, alg.one, alg._add, alg._mul, _same, _same, _null_memo(alg, _same))
 
 
 class _CodeMemo(dict):
@@ -156,17 +163,64 @@ class _CodeMemo(dict):
         return value
 
 
-def _code_memo(alg, coding, name, test):
-    """A memo of test over keys made of `coding`'s codes: one per pair, kept
-    on the descriptor under name, or one per call for a rebinding codec,
-    whose codes depend on the call's scale.  A pair's keys are its codes or
-    pairs of them, so its memo holds at most the square of their number."""
+def _null_memo(alg, decode) -> _CodeMemo:
+    """code -> whether alg's element it decodes to is null: the nullity
+    mapping of a codec with no rule of its own, one per codec."""
+    is_null = alg._is_null
+    return _CodeMemo(lambda c: is_null(decode(c)))
+
+
+def _code_memo(coding, name, test):
+    """A memo of test over keys made of `coding`'s codes: kept on the codec
+    under name, so it serves only the codec whose codes it reads, or one
+    per call for a rebinding codec, whose codes depend on the call's scale.
+    A codec's keys are its codes or pairs of them, so its memo holds at
+    most the square of their number."""
     if coding.rebind is not None:
         return _CodeMemo(test)
-    memo = alg._memo
-    if name not in memo:
-        memo[name] = _CodeMemo(test)
-    return memo[name]
+    memos = coding.memos
+    if name not in memos:
+        memos[name] = _CodeMemo(test)
+    return memos[name]
+
+
+def _balance_codes(alg, coding):
+    """(plus, minus) codes -> whether the elements they decode to balance:
+    a determinant's singularity.  On a first-kind pair that is "both null,
+    or the sum null", read on the codec's nullity; any other pair decides
+    on the decoded elements."""
+    if alg.kind() == FIRST:
+        null, add = coding.null, coding.add
+
+        def test(pq):
+            return (null[pq[0]] and null[pq[1]]) or null[add(*pq)]
+    else:
+        dec = coding.decode
+
+        def test(pq):
+            return balances(alg, dec(pq[0]), dec(pq[1]))
+
+    return _code_memo(coding, "balance", test)
+
+
+def _doubled_null(base, coding):
+    """(p, q) codes of base's codec -> whether the doubled element (p, q)
+    is null, decided as the doubled pair's is_null decides it: p == q, or
+    p + q null, or p and q balance, where a PairError reads false.  The
+    doubled codec's nullity, and Cayley-Hamilton's and Cramer's on base
+    coordinates."""
+    null, add = coding.null, coding.add
+    balanced = _balance_codes(base, coding)
+
+    def test(pq):
+        if pq[0] == pq[1] or null[add(*pq)]:
+            return True
+        try:
+            return balanced[pq]
+        except PairError:
+            return False
+
+    return _code_memo(coding, "doubled_null", test)
 
 
 class PairAlgebra:

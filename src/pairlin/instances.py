@@ -30,6 +30,8 @@ from .core import (
     PairAlgebra,
     PairError,
     SECOND,
+    _doubled_null,
+    _null_memo,
     balances,
 )
 
@@ -84,6 +86,7 @@ def _carrier_codec(alg) -> Codec:
         mul=lambda x, y: mul_t[x][y],
         encode=lambda e: index[e.payload],
         decode=carrier.__getitem__,
+        null=_null_memo(alg, carrier.__getitem__),
     )
 
 
@@ -321,8 +324,17 @@ def _st_codec(scale) -> Codec:
 
     return Codec(
         zero=None, one=0, add=_st_add_codes, mul=_st_mul_codes,
-        encode=encode, decode=decode, rebind=rebind,
+        encode=encode, decode=decode, null=_ST_NULL, rebind=rebind,
     )
+
+
+class _StNull:
+    """Supertropical nullity on codes: zero (None) or a ghost (odd)."""
+
+    __getitem__ = staticmethod(lambda c: c is None or c & 1 == 1)
+
+
+_ST_NULL = _StNull()
 
 
 def _st_add_codes(x, y):
@@ -502,6 +514,7 @@ def make_doubled(base: PairAlgebra) -> PairAlgebra:
             mul=mul,
             encode=lambda e: (benc(e.payload[0]), benc(e.payload[1])),
             decode=lambda c: pack(bdec(c[0]), bdec(c[1])),
+            null=_doubled_null(base, base_codec),
             rebind=base_codec.rebind and (
                 lambda elements: codec(base.coding(x for e in elements for x in e.payload))
             ),
@@ -863,7 +876,8 @@ def _closure_pair(
             add=mask_op(add_atoms),
             mul=mask_op(mul_atoms),
             encode=lambda e: e.payload,
-            decode=lambda m: El(id, m),
+            decode=alg.el,
+            null=_null_memo(alg, alg.el),
         ),
         **fields,
     )

@@ -5,11 +5,15 @@ Determinants are parity-split track sums.  Semiring pairs lack subtraction,
 so there is no elimination; instead tracks are built column by column and
 grouped by the set of rows they have taken.  Where multiplication distributes
 over addition each row set keeps its two parity sums (about n * 2^n
-products); elsewhere it keeps its distinct partial products with their track
-counts, which for tangible entries of a hyperfield are at most the number
-of atoms.  One such pass gives the determinants of every minor on the
-columns walked, so an adjoint takes n passes and a Laplace expansion two.
-The desk-scale caps bound n either way.
+products); elsewhere it keeps its distinct nonzero partial products with
+their track counts, which for tangible entries of a hyperfield are at most
+the number of tangible atoms.  One such pass gives the determinants of every
+minor on the columns walked, so an adjoint takes n passes and a Laplace
+expansion two.  The characteristic polynomial takes one principal walk over
+the columns, not one layer per principal submatrix: its states are (rows
+taken, columns taken), and its last step holds the determinant of every
+principal minor (see _principal_moves).  The desk-scale caps bound n either
+way.
 
 Only this module reads the layers: other modules take adj(A) and |A| from
 one pass (_adjugate), the singularity of the minors on each column set from
@@ -24,17 +28,19 @@ first reaches it, the (source position, row, parity swap) of every
 extension into it.  Layers are flat lists aligned with the plan, the hot
 loop only multiplies and adds codes in the dict walk's order, and each
 pass builds its dict keyed by row set once, at the end.  Plans of up to
-PLAN_CACHE_ROWS rows are kept, a stated number of extensions; taller ones
-last one call.
+PLAN_CACHE_ROWS rows, and principal plans of up to PRINCIPAL_PLAN_ROWS, are
+kept, each a stated number of extensions; taller ones last one call.
 
 The kernels run on codes, not on elements: each public call binds its pair's
 codec (core.Codec) to the elements it was given, encodes each matrix once,
 adds and multiplies codes, and decodes only the values it returns.  A
 Matrix keeps the codes of its last call with its codec, and a later call
 under the same codec object reuses them, so the Laplace expansions of one
-matrix along each of its row sets encode it once.  Singularity is decided
-on the coded tracks, through one memo per pair from pairs of codes to
-whether they balance.
+matrix along each of its row sets encode it once.  Nullity is decided on
+codes, through the codec's nullity mapping (core.Codec.null): singularity
+on the coded tracks, through a memo per codec from pairs of codes to
+whether they balance, and each entry of Cayley-Hamilton's f(A) by the
+doubled nullity of its base coordinates.
 
 Doubled products with an embedded factor, b -> (b, 0), are done in base
 coordinates.  Zero is additively neutral and multiplicatively absorbing in
@@ -51,7 +57,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 
-from .core import CapExceeded, El, PairAlgebra, PairError, _code_memo, balances
+from .core import CapExceeded, El, PairAlgebra, PairError, _balance_codes, _doubled_null, balances
 from .instances import BadSpecifier, embed_doubled, make_doubled, project_doubled
 
 
@@ -343,18 +349,30 @@ def _minor_layer(alg, codes, cols, coding, plans=None) -> tuple:
     m = len(codes)
     if plans is None:
         plans = _row_plans(m)
+    keys, pairs, products = _layer_walk(
+        alg, ([row[c] for row in codes] for c in cols), lambda k: _plan(plans, m, k), coding
+    )
+    return dict(zip(keys, pairs)), products
+
+
+def _layer_walk(alg, columns, plan, coding) -> tuple:
+    """(keys, pairs, products): the coded columns walked in order, column k
+    on the plan step plan(k), by _sum_step where multiplication distributes
+    and _group_step elsewhere.  keys are the last step's targets ((0,)
+    after no column), pairs their coded (plus, minus) in that order, and
+    products counts the code products made."""
     if det_method(alg) == "dp":
         step, layer = _sum_step, [coding.one, coding.zero]
     else:
         step, layer = _group_step, [{coding.one: [1, 0]}]
-    products = 0
-    for k, c in enumerate(cols):
-        layer, made = step(layer, [row[c] for row in codes], _plan(plans, m, k), coding)
-        products += made
-    keys = _plan(plans, m, len(cols) - 1)[0] if cols else (0,)
+    keys, products = (0,), 0
+    for k, col in enumerate(columns):
+        plan_k = plan(k)
+        layer, made = step(layer, col, plan_k, coding)
+        keys, products = plan_k[0], products + made
     if step is _sum_step:
-        return dict(zip(keys, _pairs(layer))), products
-    return {s: _parity_sums(coding, groups) for s, groups in zip(keys, layer)}, products
+        return keys, _pairs(layer), products
+    return keys, [_parity_sums(coding, groups) for groups in layer], products
 
 
 # Plans of at most this many rows stay in _PLANS once built: m rows take
@@ -365,6 +383,15 @@ PLAN_CACHE_ROWS = 12
 PLAN_CACHE_EXTENSIONS = sum(m << (m - 1) for m in range(1, PLAN_CACHE_ROWS + 1))
 _PLANS = {}  # (m, k) -> the plan of column step k over m rows
 
+# Principal plans (see _principal_moves) of at most this many rows stay in
+# _PRINCIPAL_PLANS once built.  Those of 1 to 8 rows take
+# PRINCIPAL_PLAN_EXTENSIONS = 10,446 extensions over all their steps, about
+# 1.3 MB under CPython 3.11; 12 rows alone take 458,268.  Taller plans are
+# built for the call that needs them and dropped with it.
+PRINCIPAL_PLAN_ROWS = 8
+PRINCIPAL_PLAN_EXTENSIONS = 10_446
+_PRINCIPAL_PLANS = {}  # (n, j) -> the plan of principal column step j over n rows
+
 
 def _row_plans(m) -> dict:
     """The plan store for m rows: the cache for m <= PLAN_CACHE_ROWS,
@@ -372,40 +399,64 @@ def _row_plans(m) -> dict:
     return _PLANS if m <= PLAN_CACHE_ROWS else {}
 
 
-def _plan(plans, m, k) -> tuple:
+def _row_moves(m, k, s) -> list:
+    """(target, swap, row) for each way row set s of m rows takes one more
+    row i at a column step: every row outside s, one inversion per row of s
+    with a larger index than i, so an odd number of those swaps the partial
+    track's parity."""
+    return [(s | 1 << i, (s >> i).bit_count() & 1, i) for i in range(m) if not s >> i & 1]
+
+
+def _principal_moves(n, j, key) -> list:
+    """(target, swap, row) for each way the principal walk over n rows
+    extends its state key at column j.
+
+    A state is S | T << n, with S the rows and T the columns taken, so
+    column j may skip, by the pseudo-row n whose entry is one, unless row j
+    is in S, since then j is in the minor.  Or it takes a row r outside S
+    that the minor can still hold: r in T, r = j or r after j, whose
+    column is then taken later.  Rows before j outside T belong to skipped
+    columns.  So every state of the last step has S = T = P and holds the
+    tracks of the principal minor on P."""
+    s, t = key & ((1 << n) - 1), key >> n
+    moves = [] if s >> j & 1 else [(key, 0, n)]
+    took = key | 1 << n + j
+    moves += [
+        (took | 1 << r, (s >> r).bit_count() & 1, r)
+        for r in range(n) if not s >> r & 1 and (r >= j or t >> r & 1)
+    ]
+    return moves
+
+
+def _plan(plans, m, k, moves=_row_moves) -> tuple:
     """The plan of column step k over m rows, built with the steps before it
-    where plans lacks it.  A plan depends only on (m, k), so two threads
-    that build one keep the same."""
+    where plans lacks it; moves (_row_moves by default) gives each state's
+    extensions.  A plan depends only on (m, k) and its store's moves, so
+    two threads that build one keep the same."""
     step = plans.get((m, k))
     if step is None:
-        keys = _plan(plans, m, k - 1)[0] if k else (0,)
-        step = plans.setdefault((m, k), _plan_step(m, keys))
+        keys = _plan(plans, m, k - 1, moves)[0] if k else (0,)
+        step = plans.setdefault((m, k), _plan_step(keys, [moves(m, k, s) for s in keys]))
     return step
 
 
-def _plan_step(m, keys) -> tuple:
-    """(targets, exts, size): one column step from the row sets keys of m
-    rows, in their layer's order.
+def _plan_step(keys, moves) -> tuple:
+    """(targets, exts, size): one column step from the states keys, in
+    their layer's order, moves[j] listing the (target, swap, row)
+    extensions of keys[j].
 
-    Every S in keys is extended by each row i outside it.  That adds one
-    inversion per row of S with a larger index than i, so an odd number of
-    those swaps the partial track's parity.  targets lists the row sets
-    reached, in the order this loop first reaches them, and exts[t] holds
-    the extensions that reach targets[t], in loop order, as (first, rest).
-    An extension (a, b, i) takes row i from the source at position
-    j = a >> 1: a = 2j and b = 2j + 1 without a swap, the other way round
-    with one, so a and b index the source's even and odd sums in a flat
-    layer.  size counts the extensions.
+    targets lists the states reached, in the order this loop first reaches
+    them, and exts[t] holds the extensions that reach targets[t], in loop
+    order, as (first, rest).  An extension (a, b, i) takes row i from the
+    source at position j = a >> 1: a = 2j and b = 2j + 1 without a swap,
+    the other way round with one, so a and b index the source's even and
+    odd sums in a flat layer.  size counts the extensions.
     """
     index = {}
     exts = []
     ints = list(range(2 * len(keys)))  # shared int objects keep cached plans small
-    for j, s in enumerate(keys):
-        for i in range(m):
-            if s >> i & 1:
-                continue
-            swap = (s >> i).bit_count() & 1
-            t = s | 1 << i
+    for j, ways in enumerate(moves):
+        for t, swap, i in ways:
             pos = index.get(t)
             if pos is None:
                 pos = index[t] = len(exts)
@@ -451,20 +502,27 @@ def _group_step(layer, col, step, coding) -> tuple:
     Tracks with equal prefixes have equal continuations, since the next
     prefix is mul(prefix, entry), so the grouping is exact for any pair and
     a group costs one multiplication per extension.  A parity's sum is then
-    the sum over its distinct products x of k * x, for k tracks.
+    the sum over its distinct products x of k * x, for k tracks.  Zero is
+    absorbing and additively neutral, so a zero entry extends nothing and a
+    zero product starts no group: every parity sum stays the same, and
+    products counts the multiplications made.
     """
-    mul = coding.mul
+    mul, zero = coding.mul, coding.zero
     products = 0
     nxt = []
     for first, rest in step[1]:
         out = {}
         for a, b, i in (first, *rest):
             e = col[i]
+            if e == zero:
+                continue
             prefixes = layer[a >> 1]
             products += len(prefixes)
             p, q = a & 1, b & 1
             for x, counts in prefixes.items():
                 y = mul(x, e)
+                if y == zero:
+                    continue
                 counts_y = out.get(y)
                 if counts_y is None:
                     out[y] = [counts[p], counts[q]]
@@ -495,15 +553,6 @@ def _multiple(add, k, x):
         if not k:
             return acc
         x = add(x, x)
-
-
-def _balance_codes(alg, coding):
-    """(plus, minus) codes -> whether the elements they decode to balance:
-    a determinant's singularity."""
-    dec = coding.decode
-    return _code_memo(
-        alg, coding, "balance_codes", lambda pq: balances(alg, dec(pq[0]), dec(pq[1]))
-    )
 
 
 def permanent(a: Matrix) -> El:
@@ -653,48 +702,51 @@ def char_poly_doubled(a: Matrix):
 
 def _char_poly_codes(a: Matrix, codes, coding) -> list:
     """char_poly_doubled's coefficients as coded (plus, minus) pairs, for
-    a's codes."""
+    a's codes, from one principal walk over the n columns (see
+    _principal_moves): its last step holds the doubled determinant of every
+    principal minor, and coefficient k sums those on k rows.  n is checked
+    before any step."""
     if not a.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n = a.rows
     _check_n("determinant", n)
-    alg = a.alg
+    plans = _PRINCIPAL_PLANS if n <= PRINCIPAL_PLAN_ROWS else {}
+    keys, pairs, _ = _layer_walk(
+        a.alg,
+        ([row[j] for row in codes] + [coding.one] for j in range(n)),
+        lambda j: _plan(plans, n, j, _principal_moves),
+        coding,
+    )
     add = coding.add
-    coeffs = [(coding.one, coding.zero)]
-    for k in range(1, n + 1):
-        plus = minus = coding.zero
-        plans = _row_plans(k)
-        for subset in itertools.combinations(range(n), k):
-            sub = [[codes[i][j] for j in subset] for i in subset]
-            layer, _ = _minor_layer(alg, sub, range(k), coding, plans)
-            p, q = layer[(1 << k) - 1]
-            plus, minus = add(plus, p), add(minus, q)
-        coeffs.append((minus, plus) if k & 1 else (plus, minus))
-    return coeffs
+    sums = [[coding.zero] * 2 for _ in range(n + 1)]
+    for key, (p, q) in zip(keys, pairs):
+        acc = sums[(key >> n).bit_count()]
+        acc[0], acc[1] = add(acc[0], p), add(acc[1], q)
+    return [(q, p) if k & 1 else (p, q) for k, (p, q) in enumerate(sums)]
 
 
 def cayley_hamilton_check(a: Matrix) -> bool:
     """f(A) entrywise null in the doubled pair, for f the characteristic
-    polynomial of A."""
+    polynomial of A, decided on codes by the doubled nullity of the base
+    coordinates (core._doubled_null)."""
     n = a.rows
     _check_n("cayley-hamilton", n, CAYLEY_HAMILTON_CAP)
-    dalg = make_doubled(a.alg)
+    make_doubled(a.alg)  # the doubled pair's own caps come first
     # the coefficients are sums of products of entries, so the coding of A
     # covers them
     coding, codes = _coded(a)
     cs = _char_poly_codes(a, codes, coding)
+    pluses, minuses = [c[0] for c in cs], [c[1] for c in cs]
     zero, one = coding.zero, coding.one
     # f(A)_ij = (sum c+ (A^(n-k))_ij, sum c- (A^(n-k))_ij): see the module notes
-    powers = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
-    for _ in range(n):
+    powers = [[[one if i == j else zero for j in range(n)] for i in range(n)], codes]
+    for _ in range(n - 1):
         powers.append(_mat_mul_codes(powers[-1], codes, coding))
-    dec = coding.decode
+    null = _doubled_null(a.alg, coding)
     for i in range(n):
         for j in range(n):
             column = [powers[n - k][i][j] for k in range(n + 1)]
-            plus = _dot(coding, (c[0] for c in cs), column)
-            minus = _dot(coding, (c[1] for c in cs), column)
-            if not dalg.is_null(El(dalg.id, (dec(plus), dec(minus)))):
+            if not null[_dot(coding, pluses, column), _dot(coding, minuses, column)]:
                 return False
     return True
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
-from .core import CapExceeded, Codec, PairAlgebra, PairError, _CodeMemo, _code_memo, surpasses0
+from .core import CapExceeded, Codec, PairAlgebra, PairError, _CodeMemo, surpasses0
 from .matrices import Matrix, _singular_minors
 
 
@@ -246,15 +246,6 @@ def _walk(w, support, depth, sums, picks):
     return False
 
 
-class _NullCode:
-    """Supertropical nullity as a column test: zero (None) or a ghost (odd)."""
-
-    __getitem__ = staticmethod(lambda c: c is None or c & 1 == 1)
-
-
-_NULL_CODE = _NullCode()
-
-
 def _super_walk(alg, vectors, domain) -> _Walk:
     """The walk of a supertropical search.  Its codec is bound to the
     vectors and to the entry-ratio domain's `unit` or a listed domain's
@@ -274,7 +265,7 @@ def _super_walk(alg, vectors, domain) -> _Walk:
         members = list(dict.fromkeys(map(coding.encode, domain.candidates)))
         positions = {c: i for i, c in enumerate(members)}
     rows = [list(map(coding.encode, vec)) for vec in vectors]
-    tests = [_NULL_CODE] * len(rows[0])
+    tests = [coding.null] * len(rows[0])
     return _Walk(coding, rows, (coding.one,), members, tests, _tie_candidates, positions)
 
 
@@ -499,16 +490,14 @@ def _coded_search(alg, vectors, heads, candidates, tests=None):
 
     `tests`, when given, holds one test per column, a function of the
     element a column sum decodes to, memoized on codes for this search; by
-    default every column tests nullity through the pair's memo.
+    default every column tests nullity on the codec's `null`.
     """
     coding = alg.coding(itertools.chain(heads, candidates, *vectors))
     enc, dec = coding.encode, coding.decode
     rows = [[enc(e) for e in vec] for vec in vectors]
     n = len(rows[0])
     if tests is None:
-        is_null = alg._is_null
-        # code -> whether the element it decodes to is null
-        tests = [_code_memo(alg, coding, "null_codes", lambda c: is_null(dec(c)))] * n
+        tests = [coding.null] * n
     else:
         tests = [_CodeMemo(lambda c, test=test: test(dec(c))) for test in tests]
     w = _Walk(coding, rows, [enc(c) for c in heads], [enc(c) for c in candidates], tests)

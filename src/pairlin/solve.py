@@ -7,7 +7,9 @@ Zero is additively neutral and multiplicatively absorbing in every pair, so
 |A| v are each two folds in the base, one per coordinate, and no embedded
 vector or matrix is built.  adj(A) and |A| come coded from one adjugate pass
 over one coding of A and v (matrices._adjugate), the folds run on those
-codes, and only w and |A| are decoded.
+codes, and the balance check reads the doubled nullity of the codes
+(core._doubled_null): only w is decoded, and |A| where a tangible solution
+needs it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import El, PairError, balances
+from .core import El, PairError, _doubled_null, balances
 from .instances import make_doubled
 from .matrices import DimensionMismatch, Matrix, _adjugate, _dot, _tracks, mat_vec
 
@@ -43,13 +45,6 @@ class CramerResult:
     x: Optional[tuple]  # tangible solution when available
     balance_verified: bool
     x_verified: bool = False
-
-
-def _doubled_balance(dalg, lhs, rhs) -> bool:
-    # switch negation is declared unique on doubled pairs: X nabla Y iff
-    # X (-) Y is null there; X and Y are given as base coordinates
-    (lp, ln), (rp, rn) = lhs, rhs
-    return dalg.is_null(El(dalg.id, (dalg.base.add(lp, rn), dalg.base.add(ln, rp))))
 
 
 def _adj_vec(a: Matrix, v) -> tuple:
@@ -79,18 +74,15 @@ def cramer_solve(a: Matrix, v) -> CramerResult:
     alg.check(*v)
     coding, codes, vc, (wp, wm), (dp, dm) = _adj_vec(a, v)
     dalg = make_doubled(alg)
-    mul, dec = coding.mul, coding.decode
-
-    def base(xs):
-        return [dec(x) for x in xs]
-
-    lhs = zip(base(mul(dp, e) for e in vc), base(mul(dm, e) for e in vc))
-    aw = zip(base(_dot(coding, row, wp) for row in codes),
-             base(_dot(coding, row, wm) for row in codes))
+    add, mul, dec = coding.add, coding.mul, coding.decode
+    # switch negation is declared unique on doubled pairs: X nabla Y iff
+    # X (-) Y is null there, here on the base codes of |A| v and A w
+    null = _doubled_null(alg, coding)
     balance_verified = all(
-        _doubled_balance(dalg, l, r) for l, r in zip(lhs, aw)
+        null[add(mul(dp, e), _dot(coding, row, wm)), add(mul(dm, e), _dot(coding, row, wp))]
+        for e, row in zip(vc, codes)
     )
-    wp, wm = base(wp), base(wm)
+    wp, wm = [dec(x) for x in wp], [dec(x) for x in wm]
     w = tuple(El(dalg.id, pm) for pm in zip(wp, wm))
     x = None
     x_verified = False

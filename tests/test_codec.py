@@ -290,10 +290,11 @@ def test_the_balance_memo_is_bounded_by_the_codes(alg):
     for n in range(1, 5):
         for _ in range(30):
             is_singular(matrix(alg, [[draw_any(rng, alg) for _ in range(n)] for _ in range(n)]))
-    if alg.coding().rebind is not None:  # codes depend on each call's scale
-        assert "balance_codes" not in alg._memo
+    coding = alg.coding()
+    if coding.rebind is not None:  # codes depend on each call's scale
+        assert "balance" not in coding.memos
         return
-    memo = alg._memo["balance_codes"]
+    memo = coding.memos["balance"]
     assert 0 < len(memo) <= code_count(alg) ** 2
     if not is_hyperpair(alg) and alg.base is None:
         assert len(memo) <= len(alg.carrier) ** 2

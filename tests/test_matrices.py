@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -279,7 +280,9 @@ class TestDetPaths:
         # product of atoms is an atom, so tangible-or-zero entries give at
         # most k groups per row set for k atoms (the tangibles and the
         # hyperzero); no entries give more groups than partial tracks.
-        # det_doubled reports the code products its minor layer made.
+        # det_doubled reports the code products its minor layer made.  A
+        # zero entry or product makes no group, so the walk makes none at
+        # all exactly when the first column is zero.
         rng = random.Random(14)
         for spec in ("hyper:hex1-c3", "hyper:weaksign-c2", "krasner:17:1"):
             alg = make_algebra(spec)
@@ -289,8 +292,10 @@ class TestDetPaths:
             for n in range(1, 7):
                 tracks = sum(math.perm(n, j) for j in range(1, n + 1))
                 grouped = 2 * k * sum(math.comb(n, c) * (n - c) for c in range(n))
-                d = det_doubled(matrix(alg, [[rng.choice(t0) for _ in range(n)] for _ in range(n)]))
-                assert 0 < d.products <= min(tracks, grouped), (spec, n)
+                a = matrix(alg, [[rng.choice(t0) for _ in range(n)] for _ in range(n)])
+                d = det_doubled(a)
+                assert d.products <= min(tracks, grouped), (spec, n)
+                assert (d.products == 0) == (a.col(0) == (alg.zero,) * n), (spec, n)
                 d = det_doubled(matrix(alg, [
                     [El(alg.id, rng.choice(off)) for _ in range(n)] for _ in range(n)
                 ]))
@@ -401,6 +406,65 @@ class TestPlanCache:
                     ]
                     assert got == want, (m, k, t)
                 keys = targets
+
+    def test_principal_plans_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(matrices_mod, "_PRINCIPAL_PLANS", {})
+        monkeypatch.setenv("PAIRLIN_CAP_N", "10")
+        rows = matrices_mod.PRINCIPAL_PLAN_ROWS
+        rng = random.Random(18)
+        for n in range(1, rows + 3):
+            matrices_mod.char_poly_doubled(rand_supertropical_matrix(rng, n, tangible=False))
+        plans = matrices_mod._PRINCIPAL_PLANS
+        assert sorted(plans) == [(m, k) for m in range(1, rows + 1) for k in range(m)]
+        kept = sum(step[2] for step in plans.values())
+        assert kept == matrices_mod.PRINCIPAL_PLAN_EXTENSIONS == 10_446
+        steps = list(map(id, plans.values()))
+        matrices_mod.char_poly_doubled(rand_supertropical_matrix(rng, rows, tangible=False))
+        assert list(map(id, plans.values())) == steps  # reused, not rebuilt
+
+    def test_taller_principal_plans_last_one_call(self, monkeypatch):
+        rng = random.Random(19)
+        mats = [rand_supertropical_matrix(rng, n, tangible=False) for n in (3, 4, 5)]
+        want = [matrices_mod.char_poly_doubled(a) for a in mats]
+        monkeypatch.setattr(matrices_mod, "_PRINCIPAL_PLANS", {})
+        monkeypatch.setattr(matrices_mod, "PRINCIPAL_PLAN_ROWS", 3)
+        assert [matrices_mod.char_poly_doubled(a) for a in mats] == want
+        assert sorted(matrices_mod._PRINCIPAL_PLANS) == [(3, 0), (3, 1), (3, 2)]
+
+    def test_principal_steps_end_on_every_principal_minor(self):
+        # the last step's states are S | T << n with S = T, each subset once,
+        # and each holds the tracks of its minor: every bijection of P to
+        # itself once, with its parity
+        extensions = {5: 265, 8: 6_898}
+        for n in range(1, 9):
+            plans = {}
+            steps = [matrices_mod._plan(plans, n, j, matrices_mod._principal_moves)
+                     for j in range(n)]
+            assert sorted(steps[-1][0]) == [p | p << n for p in range(1 << n)]
+            if n in extensions:
+                assert sum(step[2] for step in steps) == extensions[n]
+            if n > 4:
+                continue
+            tracks = {0: [((), 0)]}  # state -> [(row taken per column or None, parity)]
+            for j, (targets, exts, _) in enumerate(steps):
+                keys = steps[j - 1][0] if j else (0,)
+                nxt = {}
+                for t, (first, rest) in zip(targets, exts):
+                    nxt[t] = [
+                        (rows + ((None if i == n else i),), parity ^ (a & 1))
+                        for a, b, i in (first, *rest)
+                        for rows, parity in tracks[keys[a >> 1]]
+                    ]
+                tracks = nxt
+            for p in range(1 << n):
+                members = [i for i in range(n) if p >> i & 1]
+                want = []
+                for perm in itertools.permutations(members):
+                    rows = iter(perm)
+                    inv = sum(x > y for x, y in itertools.combinations(perm, 2))
+                    want.append((tuple(next(rows) if p >> j & 1 else None for j in range(n)),
+                                 inv & 1))
+                assert Counter(tracks[p | p << n]) == Counter(want), (n, p)
 
 
 def adjoint_by_minors(a):
@@ -545,19 +609,25 @@ class TestCayleyHamilton:
             cayley_hamilton_check(a)
 
     def test_char_poly_refuses_before_any_layer(self, monkeypatch):
-        layers = []
-        walk = matrices_mod._minor_layer
+        # no column step before the cap, and after it one principal walk,
+        # one step per column, and no minor layer
+        walks, steps = [], []
+        walk, step = matrices_mod._layer_walk, matrices_mod._sum_step
         monkeypatch.setattr(
-            matrices_mod, "_minor_layer", lambda *args: layers.append(1) or walk(*args)
+            matrices_mod, "_layer_walk", lambda *args: walks.append(1) or walk(*args)
         )
+        monkeypatch.setattr(
+            matrices_mod, "_sum_step", lambda *args: steps.append(1) or step(*args)
+        )
+        monkeypatch.setattr(matrices_mod, "_minor_layer", None)
         a = rand_supertropical_matrix(random.Random(8), 12, tangible=False)
         with pytest.raises(CapExceeded, match="determinant cap exceeded at n = 12"):
             matrices_mod.char_poly_doubled(a)
-        assert layers == []
+        assert walks == steps == []
         monkeypatch.setenv("PAIRLIN_CAP_N", "12")
         b = rand_supertropical_matrix(random.Random(8), 4, tangible=False)
         assert len(matrices_mod.char_poly_doubled(b)) == 5
-        assert len(layers) == 2 ** 4 - 1  # one layer per principal submatrix
+        assert (len(walks), len(steps)) == (1, 4)
 
 
 class TestQuasi:

@@ -16,6 +16,10 @@ takes adj(A) and |A| from one adjugate pass; its reference takes det_doubled
 and then adjoint.  The ranks walk the supports once, searching none that
 holds a witnessed one; their reference is the nested search that ran
 `find_dependence` on every subset, and a second search for the row witness.
+The characteristic polynomial takes one principal walk; its reference takes
+one minor layer per principal submatrix.  Cayley-Hamilton, Cramer and the
+balance memo decide nullity on codes through each codec's nullity mapping;
+their reference decodes and asks the pair.
 """
 
 import itertools
@@ -1342,7 +1346,10 @@ def walk_layer_ref(codes, cols, coding) -> tuple:
                 e = codes[i][c]
                 swap = (s >> i).bit_count() & 1
                 out = nxt.setdefault(s | 1 << i, {})
-                products += len(prefixes)
+                # the plan walk makes no product by a zero entry or of a
+                # zero prefix, and so keeps no zero group
+                if e != coding.zero:
+                    products += sum(x != coding.zero for x in prefixes)
                 for x, (even, odd) in prefixes.items():
                     y = mul(x, e)
                     if swap:
@@ -1563,7 +1570,7 @@ def counting_coded(monkeypatch):
             return mul(x, y)
 
         return core.Codec(coding.zero, coding.one, coding.add, counted,
-                          coding.encode, coding.decode), codes
+                          coding.encode, coding.decode, coding.null), codes
 
     monkeypatch.setattr(matrices, "_coded", coded)
     return made
@@ -1607,3 +1614,182 @@ def test_adjugate_pass_product_counts(spec, monkeypatch):
                 assert ref == got, (n, a.entries)
             compared += 1
     assert compared > 10
+
+
+# ---------------------------------------------------------------------------
+# the principal walk and nullity on codes
+
+
+def char_poly_codes_ref(a, codes, coding) -> list:
+    """`_char_poly_codes` as one minor layer per principal submatrix, before
+    the principal walk."""
+    if not a.is_square:
+        raise matrices.DimensionMismatch("characteristic polynomial of a non-square matrix")
+    n = a.rows
+    matrices._check_n("determinant", n)
+    add = coding.add
+    coeffs = [(coding.one, coding.zero)]
+    for k in range(1, n + 1):
+        plus = minus = coding.zero
+        plans = matrices._row_plans(k)
+        for subset in itertools.combinations(range(n), k):
+            sub = [[codes[i][j] for j in subset] for i in subset]
+            layer, _ = matrices._minor_layer(a.alg, sub, range(k), coding, plans)
+            p, q = layer[(1 << k) - 1]
+            plus, minus = add(plus, p), add(minus, q)
+        coeffs.append((minus, plus) if k & 1 else (plus, minus))
+    return coeffs
+
+
+def cayley_hamilton_decoding_ref(a):
+    """cayley_hamilton_check on char_poly_codes_ref, deciding the nullity of
+    each entry of f(A) on the decoded doubled element."""
+    n = a.rows
+    if n > matrices.CAYLEY_HAMILTON_CAP:
+        raise CapExceeded(f"cayley-hamilton cap exceeded at n = {n}")
+    dalg = make_doubled(a.alg)
+    coding, codes = matrices._coded(a)
+    cs = char_poly_codes_ref(a, codes, coding)
+    powers = [[[coding.one if i == j else coding.zero for j in range(n)] for i in range(n)]]
+    for _ in range(n):
+        powers.append(matrices._mat_mul_codes(powers[-1], codes, coding))
+    dec = coding.decode
+    for i in range(n):
+        for j in range(n):
+            column = [powers[n - k][i][j] for k in range(n + 1)]
+            plus = matrices._dot(coding, (c[0] for c in cs), column)
+            minus = matrices._dot(coding, (c[1] for c in cs), column)
+            if not dalg.is_null(El(dalg.id, (dec(plus), dec(minus)))):
+                return False
+    return True
+
+
+CHAR_POLY_PAIRS = LAYER_PAIRS + [
+    make_algebra(spec) for spec in ("doubled:sign", "doubled:hyper:hex1-c3")
+]
+
+
+def _char_poly_entry(rng, alg):
+    if alg.base is not None and alg is not DOUBLED_ST and alg.base in HYPERPAIRS:
+        return El(alg.id, (_layer_entry(rng, alg.base), _layer_entry(rng, alg.base)))
+    return _layer_entry(rng, alg)
+
+
+@pytest.mark.parametrize("alg", CHAR_POLY_PAIRS, ids=lambda alg: alg.id)
+def test_principal_walk_matches_one_layer_per_principal_minor(alg, monkeypatch):
+    # the coefficients on codes, from the pair's own path and, where
+    # multiplication distributes, from the grouped path too, which needs
+    # only that addition commutes and associates
+    rng = random.Random(f"principal:{alg.id}")
+    paths = ["dp", "tracks"] if matrices.det_method(alg) == "dp" else ["tracks"]
+    for n in range(1, 6):
+        for _ in range(12):
+            a = matrix(alg, [[_char_poly_entry(rng, alg) for _ in range(n)] for _ in range(n)])
+            coding, codes = matrices._coded(a)
+            want = char_poly_codes_ref(a, codes, coding)
+            for path in paths:
+                with monkeypatch.context() as m:
+                    m.setattr(matrices, "det_method", lambda alg, path=path: path)
+                    got = matrices._char_poly_codes(a, codes, coding)
+                assert got == want, (alg.id, path, a.entries)
+
+
+def test_principal_walk_keeps_the_cap_and_the_shape(monkeypatch):
+    a = rand_matrix(random.Random(21), st, 4)
+    coding, codes = matrices._coded(a)
+    b = rand_matrix(random.Random(21), st, 3, 4)
+    for cap in ("3", "4"):
+        monkeypatch.setenv("PAIRLIN_CAP_N", cap)
+        got = outcome(matrices._char_poly_codes, a, codes, coding)
+        assert got == outcome(char_poly_codes_ref, a, codes, coding)
+        assert outcome(matrices.char_poly_doubled, b) == outcome(
+            char_poly_codes_ref, b, None, None
+        )
+    assert got[0] == "value"
+
+
+def _codes_of(alg):
+    """Every code alg's own codec makes: carrier indices, every atom mask
+    of a hyperpair (sets off the carrier too), and pairs of base codes."""
+    coding = alg.coding()
+    if alg.base is not None:
+        base = _codes_of(alg.base)[1]
+        return coding, [(p, q) for p in base for q in base]
+    if alg in HYPERPAIRS:
+        return coding, list(range(1, 1 << len(alg.tangibles) + 1))
+    return coding, [coding.encode(e) for e in alg.carrier]
+
+
+NULLITY_PAIRS = [alg for alg in CHAR_POLY_PAIRS if alg.carrier is not None] + [
+    make_algebra(spec) for spec in ("doubled:krasner:5:4", "doubled:superboolean")
+]
+
+
+@pytest.mark.parametrize("alg", NULLITY_PAIRS, ids=lambda alg: alg.id)
+def test_codec_nullity_is_the_nullity_of_the_decoded_element(alg):
+    coding, codes = _codes_of(alg)
+    dec = coding.decode
+    for c in codes:
+        assert coding.null[c] == alg.is_null(dec(c)), (alg.id, c)
+    el = core.el_codec(alg)
+    for c in codes:
+        assert el.null[dec(c)] == alg.is_null(dec(c)), (alg.id, c)
+
+
+def _st_codes(rng, coding, count):
+    """Random codes of a supertropical codec: zero, and tangible and ghost
+    values at its scale, small and large."""
+    out = [None]
+    for _ in range(count):
+        v = rng.choice((rng.randint(-9, 9), rng.randint(-10 ** 9, 10 ** 9)))
+        out.append(v << 1 | rng.randint(0, 1))
+    return out
+
+
+@pytest.mark.parametrize("denominators", [(1,), (2, 3), (7, 1_000_003)])
+def test_supertropical_nullity_on_codes_at_each_scale(denominators):
+    rng = random.Random(f"st-null:{denominators}")
+    coding = st.coding(st_tan(Fraction(1, d)) for d in denominators)
+    codes = _st_codes(rng, coding, 300)
+    for c in codes:
+        assert coding.null[c] == st.is_null(coding.decode(c)), c
+    dcoding = DOUBLED_ST.coding(
+        El(DOUBLED_ST.id, (st_tan(Fraction(1, d)), st.zero)) for d in denominators
+    )
+    for _ in range(600):
+        pq = (rng.choice(codes), rng.choice(codes))
+        assert dcoding.null[pq] == DOUBLED_ST.is_null(dcoding.decode(pq)), pq
+
+
+@pytest.mark.parametrize("alg", NULLITY_PAIRS + [st], ids=lambda alg: alg.id)
+def test_doubled_nullity_and_balance_on_base_codes(alg):
+    # the doubled nullity and the balance memo on a pair's codes, against
+    # the doubled pair's is_null and balances on the decoded elements
+    rng = random.Random(f"doubled-null:{alg.id}")
+    if alg is st:
+        coding = st.coding([st_tan(Fraction(1, 6))])
+        codes = _st_codes(rng, coding, 40)
+    else:
+        coding, codes = _codes_of(alg)
+    dalg = make_doubled(alg)
+    null = core._doubled_null(alg, coding)
+    balanced = core._balance_codes(alg, coding)
+    dec = coding.decode
+    pairs = [(p, q) for p in codes for q in codes]
+    for p, q in rng.sample(pairs, min(len(pairs), 2000)):
+        assert null[p, q] == dalg.is_null(El(dalg.id, (dec(p), dec(q)))), (alg.id, p, q)
+        assert outcome(lambda: balanced[p, q]) == outcome(balances, alg, dec(p), dec(q))
+
+
+@pytest.mark.parametrize("alg", CHAR_POLY_PAIRS, ids=lambda alg: alg.id)
+def test_cayley_hamilton_and_cramer_verdicts_match_the_element_path(alg):
+    rng = random.Random(f"verdicts:{alg.id}")
+    for n in range(1, 6):
+        for _ in range(3):
+            a = matrix(alg, [[_char_poly_entry(rng, alg) for _ in range(n)] for _ in range(n)])
+            v = tuple(_char_poly_entry(rng, alg) for _ in range(n))
+            got = outcome(cayley_hamilton_check, a)
+            assert got == outcome(cayley_hamilton_decoding_ref, a), (alg.id, a.entries)
+            assert got == ("value", True), (alg.id, a.entries)
+            got = outcome(cramer_solve, a, v)
+            assert got == outcome(cramer_ref, a, v), (alg.id, a.entries, v)
