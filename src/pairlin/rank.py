@@ -6,27 +6,29 @@ and verdicts are definitive; for the supertropical pair the default domain is
 the entry-ratio heuristic, and a missing witness yields Unknown rather than
 an independence claim.
 
-Every pair's search runs on the pair's codes through one walk (`_walk`): the
-vectors and coefficients are encoded once, coefficient tuples are walked
-lexicographically with one row of partial column sums per depth, and only
-the witness holds elements.  Over a finite pair every support walks its
-whole product (`_coded_search`); its worst case, the sum over supports of k
-vectors of |heads| * |D|^(k-1) tuples, is checked against SEARCH_WORK_CAP
-before any work, and a larger search raises CapExceeded.
+Every search runs on the pair's codes through one walk (`_walk`), built by
+one builder (`_coded_walk`) for dependence and span searches over every
+pair: the vectors and coefficients are encoded once, coefficient tuples are
+walked lexicographically with one row of partial column sums per depth, and
+only the witness is decoded.  One per-support search (`_support_search`)
+serves every pair.  Over a finite pair every support walks its whole
+product; its worst case, the sum over supports of k vectors of |heads| *
+|D|^(k-1) tuples, is checked against SEARCH_WORK_CAP before any work, and a
+larger search raises CapExceeded.
 
-Over the supertropical pair (`_super_search`) the codes are ((v * S) << 1)
-| ghost, None for zero, S a scale that every entry's and member's
-denominator divides, and the search reads values and ghost bits from them.
-The entry-ratio domain holds its members as such codes in ascending value
-and builds its `candidates`, the tangible elements, on first access.  The
-walk's scan costs |D|^(k-2) for a support of k vectors: the leading
+Over the supertropical pair the codes are ((v * S) << 1) | ghost, None for
+zero, S a scale that every entry's and member's denominator divides, and
+the search reads values and ghost bits from them.  The entry-ratio domain
+holds its members as such codes in ascending value and builds its
+`candidates`, the tangible elements, only on access; no search reads them.
+The walk's scan costs |D|^(k-2) for a support of k vectors: the leading
 coefficient is 1, and the last is tried only at 1 and at the values that
 tie its row with some column's partial sum.  A null combination of tangible
 vectors attains every column's maximum twice, so supports of size 3 and 4
-are solved from patterns of ties, one per column, when the patterns reach
-every witness the scan accepts: size 3 when the domain holds every tie
-value (v_p - v_q in one column), size 4 when also no row has a ghost entry.
-Every other support of 3 or more vectors scans.
+are solved from patterns of ties, one per column, accepted by the walk's
+own column tests: size 3 when the domain holds every tie value (v_p - v_q
+in one column), size 4 when also no row has a ghost entry.  Every other
+support of 3 or more vectors scans.
 
 Supports are visited by one walk (`_walk_supports`), by size and then
 lexicographically, with the per-support search built once per call
@@ -54,10 +56,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
-from .core import CapExceeded, Codec, PairAlgebra, PairError, _CodeMemo, surpasses0
+from .core import CapExceeded, Codec, PairAlgebra, PairError, _CodeMemo, _code_memo, surpasses0
 from .matrices import Matrix, _singular_minors
 
 
@@ -212,9 +214,8 @@ class _Walk:
 def _walk(w, support, depth, sums, picks):
     """Whether some coefficient tuple for the support's rows from `depth` on
     makes every column pass its test, `sums` being the partial column sums
-    of the coefficients before `depth`; the first such tuple's picks,
-    indices into the head codes (depth 0) or the member codes, are left in
-    `picks`.
+    of the coefficients before `depth`; the first such tuple's codes are
+    left in `picks`.
 
     Tuples are walked in the order of `itertools.product(heads, members,
     ...)`, keeping one row of partial column sums per depth, so a tuple
@@ -224,33 +225,44 @@ def _walk(w, support, depth, sums, picks):
     the candidates are tried in order, each until its first column whose
     test fails: an element loop's order, so a test that raises does so at
     the same tuple and column.  Past depth 0, `w.last`, when set, picks the
-    last depth's candidates as (position, code) pairs.
+    last depth's candidates.
     """
     add, mul = w.add, w.mul
     vec = w.rows[support[depth]]
     codes = w.members if depth else w.heads
     if depth == len(support) - 1:
         cols = list(zip(sums, vec, w.tests))
-        for i, c in w.last(w, sums, vec) if depth and w.last else enumerate(codes):
+        for c in w.last(w, sums, vec) if depth and w.last else codes:
             for s, x, test in cols:
                 if not test[add(s, mul(c, x))]:
                     break
             else:
-                picks[depth] = i
+                picks[depth] = c
                 return True
         return False
-    for i, c in enumerate(codes):
+    for c in codes:
         if _walk(w, support, depth + 1, [add(s, mul(c, x)) for s, x in zip(sums, vec)], picks):
-            picks[depth] = i
+            picks[depth] = c
             return True
     return False
 
 
-def _super_walk(alg, vectors, domain) -> _Walk:
-    """The walk of a supertropical search.  Its codec is bound to the
-    vectors and to the entry-ratio domain's `unit` or a listed domain's
-    candidates; the members are codes at its scale in domain order, each
-    value at its first position."""
+def _coded_walk(alg, vectors, domain, normalized, tests=None) -> _Walk:
+    """The walk of one search over the vectors: dependence (`normalized`)
+    or span (`tests` given).
+
+    The codec is bound to the vectors and to the entry-ratio domain's
+    `unit`, its member codes rescaled when its scale differs from the
+    domain's, or to a listed domain's candidates, each encoded once.  The
+    heads are the code of 1 when `normalized` and the tangibles have
+    inverses, else the member codes.  `tests`, when given, holds one test
+    per column, a function of the element a column sum decodes to, memoized
+    on codes for this walk; by default every column tests nullity on the
+    codec's `null`.  Only a max-plus dependence walk has the hook `last`
+    (`_tie_candidates`), with its members deduplicated, each value at its
+    first position.
+    """
+    positions = None
     if isinstance(domain, EntryRatioDomain):
         unit = domain.unit
         coding = alg.coding(itertools.chain(unit, *vectors))
@@ -259,19 +271,27 @@ def _super_walk(alg, vectors, domain) -> _Walk:
             members, positions = domain.members, domain.positions
         else:
             members = [c * step for c in domain.members]
-            positions = {c: i for i, c in enumerate(members)}
     else:
         coding = alg.coding(itertools.chain(domain.candidates, *vectors))
-        members = list(dict.fromkeys(map(coding.encode, domain.candidates)))
-        positions = {c: i for i, c in enumerate(members)}
+        members = list(map(coding.encode, domain.candidates))
     rows = [list(map(coding.encode, vec)) for vec in vectors]
+    heads = [coding.one] if normalized and alg.tangible_inverse is not None else members
+    if tests is not None:
+        dec = coding.decode
+        tests = [_CodeMemo(lambda c, test=test: test(dec(c))) for test in tests]
+        return _Walk(coding, rows, heads, members, tests)
     tests = [coding.null] * len(rows[0])
-    return _Walk(coding, rows, (coding.one,), members, tests, _tie_candidates, positions)
+    if not alg.max_plus:
+        return _Walk(coding, rows, heads, members, tests)
+    if positions is None:
+        members = list(dict.fromkeys(members))
+        positions = {c: i for i, c in enumerate(members)}
+    return _Walk(coding, rows, heads, members, tests, _tie_candidates, positions)
 
 
 def _tie_candidates(w, sums, vec):
-    """The last coefficient's candidates over a max-plus pair, as (position,
-    code) in domain order: the members equal to 1 (code 0) or to a value
+    """The last coefficient's candidates over a max-plus pair, codes in
+    domain order: the members equal to 1 (code 0) or to a value
     that ties the last row's entry x with some column's partial sum s.  A
     code with its ghost bit cleared is its value's tangible code, and
     tangible codes subtract as values do, so that value's code is
@@ -279,7 +299,7 @@ def _tie_candidates(w, sums, vec):
     pos = w.positions
     ties = {(s & ~1) - (x & ~1) for s, x in zip(sums, vec) if s is not None and x is not None}
     ties.add(0)
-    return sorted((pos[c], c) for c in ties if c in pos)
+    return sorted(filter(pos.__contains__, ties), key=pos.__getitem__)
 
 
 def _column_ties(rows, support):
@@ -335,17 +355,18 @@ def _tie_states(ties, k):
     return states
 
 
-def _super_search(w, support):
-    """Deterministic first-witness search over one support, supertropical:
-    (witness or None, whether the domain scan ran).
+def _support_search(alg, w):
+    """The first-witness search over one support on the walk `w`: a
+    function from a support to (its witness or None, whether it scanned).
 
-    `w` is `_super_walk`'s: entries and members are codes at one scale,
-    and a tangible coefficient's code is even, so the search runs on codes
-    and decodes only the witness.  The leading coefficient is normalized to
-    1, code 0, the walk's one head, and the walk starts at depth 0 from the
-    zero row, as `_coded_search`'s does.
+    Without the hook `w.last` every support walks its whole product and
+    counts as scanned.  The witness is the decoded head and member codes,
+    elements equal to the domain's.
 
-    The reference is that walk's lexicographic scan: the middle coefficients
+    With the hook, over the supertropical pair, the entries and members are
+    codes at one scale, and a tangible coefficient's code is even.  The
+    leading coefficient is normalized to 1, code 0, the walk's one head.
+    The reference is the walk's lexicographic scan: the middle coefficients
     run over the domain in domain order, and the last over the values that
     tie its row with some column's partial sum, the maximum of the others,
     and 1 (`_tie_candidates`); only the coefficients after the leading 1
@@ -369,76 +390,70 @@ def _super_search(w, support):
 
     Sizes 3 and 4 take the tie patterns when the domain holds every tie
     value; size 4 also needs rows free of ghosts (a ghost can dominate a
-    column alone, which no tie equation sees).  Every other support scans.
-    Size 3 keeps its tie patterns over rows with ghosts, where a miss still
-    reports as no witness over the heuristic domain, never as independence.
-    The patterns' cost follows their distinct states, not their number; it
-    exceeds the scan's only where the scan itself is short (a domain of a
-    few members, or a witness among its first points), so no size bound
-    picks the path.
+    column alone, which no tie equation sees).  Every other support scans.  Size 3 keeps its tie
+    patterns over rows with ghosts, where the scan can find a witness the
+    patterns miss; a miss still reports as no witness over the heuristic
+    domain, never as independence.  The patterns' cost follows their
+    distinct states, not their number; it exceeds the scan's only where the
+    scan itself is short (a domain of a few members, or a witness among its
+    first points), so no size bound picks the path.
     """
-    k = len(support)
-    if k in (3, 4):
-        ties = _column_ties(w.rows, support)
-        if ties is None:
-            return None, False
-        if _ties_decide(w, support, ties):
-            codes = _tie_solve(w, support, ties)
-            return (None if codes is None else _super_witness(w, support, codes)), False
-    picks = [0] * k
-    if not _walk(w, support, 0, w.zeros, picks):
-        return None, k > 2
-    codes = [0, *(w.members[i] for i in picks[1:])]
-    return _super_witness(w, support, codes), k > 2
+    zeros = w.zeros
+    decode = _code_memo(w.coding, "decode", w.coding.decode).__getitem__
+    ties = w.last is not None
+
+    def search(support):
+        k = len(support)
+        if ties and 2 < k < 5:
+            col_ties = _column_ties(w.rows, support)
+            if col_ties is None:
+                return None, False
+            if _ties_decide(w, support, col_ties):
+                codes = _tie_solve(w, support, col_ties)
+                if codes is None:
+                    return None, False
+                return DependenceWitness(support, tuple(map(decode, codes))), False
+        picks = [0] * k
+        if not _walk(w, support, 0, zeros, picks):
+            return None, not ties or k > 2
+        return DependenceWitness(support, tuple(map(decode, picks))), not ties or k > 2
+
+    return search
 
 
-def _super_witness(w, support, codes):
-    return DependenceWitness(support, tuple(map(w.coding.decode, codes)))
+def _has_ghost(w, support):
+    return any(c is not None and c & 1 for i in support for c in w.rows[i])
 
 
 def _ties_decide(w, support, ties):
     """Whether the tie patterns decide a support of size 3 or 4 (see
-    `_super_search`): the domain holds every tie value and, at size 4, the
-    rows have no ghost entry."""
+    `_support_search`): the domain holds every tie value and, at size 4,
+    the rows have no ghost entry."""
     if not all(d in w.positions for col in ties for _, _, d in col):
         return False
-    return len(support) == 3 or not any(
-        c is not None and c & 1 for i in support for c in w.rows[i]
-    )
-
-
-def _null_point(cols, codes):
-    """Whether the support's columns, combined with these coefficient codes,
-    are all null.  A tangible coefficient's code is even, so a product's
-    code is the sum of the two; codes order as values do, a ghost above the
-    tangible of its value, so a column is null when its largest product is
-    a ghost or is attained twice."""
-    for col in cols:
-        top = twice = None
-        for c, x in zip(codes, col):
-            if x is not None:
-                p = c + x
-                if top is None or p > top:
-                    top, twice = p, False
-                elif p == top:
-                    twice = True
-        if top is not None and not (top & 1 or twice):
-            return False
-    return True
+    return len(support) == 3 or not _has_ghost(w, support)
 
 
 def _tie_solve(w, support, ties):
     """The scan's first witness on a support of size 3 or 4 (see
-    `_super_search`), from the tie patterns: the codes of the accepted point
-    lowest in domain order, or None.  A point is accepted when its
-    coefficients after the leading 1 are members and its combination is
-    null."""
+    `_support_search`), from the tie patterns: the codes of the accepted
+    point lowest in domain order, or None.  A point is accepted when its
+    coefficients after the leading 1 are members and the walk's column
+    tests pass its combination."""
     k = len(support)
-    pos = w.positions
-    cols = list(zip(*(w.rows[i] for i in support)))
+    pos, add, mul, zero = w.positions, w.add, w.mul, w.coding.zero
+    cols = list(zip(zip(*(w.rows[i] for i in support)), w.tests))
 
     def accepted(codes):
-        return all(c in pos for c in codes[1:]) and _null_point(cols, codes)
+        if not all(c in pos for c in codes[1:]):
+            return False
+        for col, test in cols:
+            s = zero
+            for c, x in zip(codes, col):
+                s = add(s, mul(c, x))
+            if not test[s]:
+                return False
+        return True
 
     points = []
     for state in _tie_states(ties, k):
@@ -479,44 +494,11 @@ def _check_work(what, m, heads, candidates):
         )
 
 
-def _coded_search(alg, vectors, heads, candidates, tests=None):
-    """The first-witness search over one support, run on the pair's codes
-    through the whole walk (`_walk`): a function from a support to (its
-    witness or None, True), every support scanning.
-
-    The codec is bound to the entries and the coefficients, and each is
-    encoded once.  The witness's coefficients are the given elements, never
-    decoded.
-
-    `tests`, when given, holds one test per column, a function of the
-    element a column sum decodes to, memoized on codes for this search; by
-    default every column tests nullity on the codec's `null`.
-    """
-    coding = alg.coding(itertools.chain(heads, candidates, *vectors))
-    enc, dec = coding.encode, coding.decode
-    rows = [[enc(e) for e in vec] for vec in vectors]
-    n = len(rows[0])
-    if tests is None:
-        tests = [coding.null] * n
-    else:
-        tests = [_CodeMemo(lambda c, test=test: test(dec(c))) for test in tests]
-    w = _Walk(coding, rows, [enc(c) for c in heads], [enc(c) for c in candidates], tests)
-
-    def search(support):
-        picks = [0] * len(support)
-        if not _walk(w, support, 0, w.zeros, picks):
-            return None, True
-        coeffs = (heads[picks[0]], *(candidates[i] for i in picks[1:]))
-        return DependenceWitness(support, coeffs), True
-
-    return search
-
-
 def _dependence_search(vectors, domain, alg):
     """The per-support search of one call of `find_dependence` or a rank,
-    built once for it: `_super_search` on `_super_walk` over a max-plus
-    pair, else `_coded_search`, after `_check_work`.  The vectors' lengths
-    and owners and the domain are checked first."""
+    built once for it: `_support_search` on `_coded_walk`'s normalized
+    walk, after `_check_work` over any pair but a max-plus one.  The
+    vectors' lengths and owners and the domain are checked first."""
     if len(domain) == 0:
         raise DomainEmpty("empty coefficient domain")
     n = len(vectors[0])
@@ -524,11 +506,10 @@ def _dependence_search(vectors, domain, alg):
         if len(vec) != n:
             raise PairError("vectors must have equal length")
         alg.check(*vec)
-    if alg.max_plus:
-        return partial(_super_search, _super_walk(alg, vectors, domain))
-    heads = (alg.one,) if alg.tangible_inverse is not None else domain.candidates
-    _check_work("dependence search", len(vectors), len(heads), len(domain))
-    return _coded_search(alg, vectors, heads, domain.candidates)
+    if not alg.max_plus:
+        heads = 1 if alg.tangible_inverse is not None else len(domain)
+        _check_work("dependence search", len(vectors), heads, len(domain))
+    return _support_search(alg, _coded_walk(alg, vectors, domain, True))
 
 
 def _walk_supports(search, m, stats, stop):
@@ -581,12 +562,12 @@ def find_dependence(vectors, domain, alg, *, stats=None):
     over supports (`_walk_supports`) stopped at its first witness: before
     it no support holds a witnessed one, so none is pruned.
 
-    Over a max-plus pair each support takes `_super_search`.  Over any other
-    pair every support walks its coefficient tuples on the pair's codes
-    (`_coded_search`).  That search's worst case, the sum over supports of
-    k vectors of |heads| * |domain|^(k-1) tuples (|heads| is 1 when the
-    leading coefficient is 1, |domain| otherwise), is checked against
-    SEARCH_WORK_CAP before any work, and CapExceeded raised above it.
+    Every support takes `_support_search` on the walk `_coded_walk` builds.
+    Over any pair but a max-plus one the search's worst case, the sum over
+    supports of k vectors of |heads| * |domain|^(k-1) tuples (|heads| is 1
+    when the leading coefficient is 1, |domain| otherwise), is checked
+    against SEARCH_WORK_CAP before any work, and CapExceeded raised above
+    it.
 
     `stats`, when given, is a dict whose "supports_tried" and
     "supports_scanned" entries are increased by the supports searched and
@@ -643,6 +624,8 @@ def check_condition(a: Matrix, which: str, domain=None, stats=None) -> Condition
     Unknown.  A1 and A2 are `rank_report`'s verdicts.  `stats` is passed to
     every dependence search (see `find_dependence`).
     """
+    if which not in ("a1", "a2", "a2p"):
+        raise PairError(f"unknown condition {which!r}")
     alg = a.alg
     rows = list(a.entries)
     if domain is None:
@@ -650,8 +633,6 @@ def check_condition(a: Matrix, which: str, domain=None, stats=None) -> Condition
     if which == "a2p":
         w = find_dependence(rows, domain, alg, stats=stats) if a.rows > a.cols else None
         return _a2prime_verdict(a, w, domain)
-    if which not in ("a1", "a2"):
-        raise PairError(f"unknown condition {which!r}")
     return getattr(rank_report(a, domain, stats), which)
 
 
@@ -770,7 +751,7 @@ def preceq_spans(vectors, target, domain=None, alg=None):
     lands in the null layer.  Returns None when no assignment is found.
 
     The first assignment in `find_dependence`'s order, none normalized, is
-    found on the pair's codes (`_coded_search`), each column's sum tested
+    found on the walk `_coded_walk` builds, each column's sum tested
     against the target's entry; an undecidable surpassing raises
     UndecidableSurpassing.  Owners and lengths are checked first, then the
     worst case, sum_k C(m, k) |domain|^k tuples, against SEARCH_WORK_CAP.
@@ -799,9 +780,8 @@ def preceq_spans(vectors, target, domain=None, alg=None):
 
         return test
 
-    cands = domain.candidates
-    search = _coded_search(alg, vectors, cands, cands, [surpassed_by(t) for t in target])
-    w = _walk_supports(search, m, None, True)[1]
+    walk = _coded_walk(alg, vectors, domain, False, [surpassed_by(t) for t in target])
+    w = _walk_supports(_support_search(alg, walk), m, None, True)[1]
     if w is None:
         return None
     full = [alg.zero] * m

@@ -1102,7 +1102,7 @@ def test_span_search_cap_on_both_sides(spec, monkeypatch):
     got = outcome(preceq_spans, rows, target, domain, alg)
     assert got == outcome(preceq_spans_ref, rows, target, domain, alg)
     monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", work - 1)
-    monkeypatch.setattr(rank_mod, "_coded_search", _forbidden)
+    monkeypatch.setattr(rank_mod, "_coded_walk", _forbidden)
     with pytest.raises(
         CapExceeded,
         match=f"^span search cap exceeded: 3 vectors need up to {work} "
@@ -1132,7 +1132,7 @@ def test_span_search_checks_owners_and_lengths_first(monkeypatch):
     one = sign.one
     v = (one, one)
     monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", 0)
-    monkeypatch.setattr(rank_mod, "_coded_search", _forbidden)
+    monkeypatch.setattr(rank_mod, "_coded_walk", _forbidden)
     cases = [
         # vectors, target, what the element loop did, what is raised now
         ([v, (one, other)], v, "value", AlgebraMismatch),
