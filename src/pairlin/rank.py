@@ -27,8 +27,12 @@ tie its row with some column's partial sum.  A null combination of tangible
 vectors attains every column's maximum twice, so supports of size 3 and 4
 are solved from patterns of ties, one per column, accepted by the walk's
 own column tests: size 3 when the domain holds every tie value (v_p - v_q
-in one column), size 4 when also no row has a ghost entry.  Every other
-support of 3 or more vectors scans.
+in one column), size 4 when also no row has a ghost entry.  A support of 4
+vectors of length 4 or more with a ghost entry and a nonsingular 4 x 4
+minor has no witness in any domain, and is not scanned.  Every other
+support of 3 or more vectors scans.  Over rows with a ghost entry the size-3
+tie patterns can miss a witness the scan finds (a ghost can make a column
+null alone); such a miss reports as no witness over the heuristic domain.
 
 Supports are visited by one walk (`_walk_supports`), by size and then
 lexicographically, with the per-support search built once per call
@@ -60,7 +64,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import CapExceeded, Codec, PairAlgebra, PairError, _CodeMemo, _code_memo, surpasses0
-from .matrices import Matrix, _singular_minors
+from .matrices import Matrix, _singular_minors, det_cap
 
 
 class DomainEmpty(PairError):
@@ -247,20 +251,20 @@ def _walk(w, support, depth, sums, picks):
     return False
 
 
-def _coded_walk(alg, vectors, domain, normalized, tests=None) -> _Walk:
-    """The walk of one search over the vectors: dependence (`normalized`)
-    or span (`tests` given).
+def _coded_walk(alg, vectors, domain, tests=None) -> _Walk:
+    """The walk of one search over the vectors: a dependence search, or a
+    span search when `tests` is given.
 
     The codec is bound to the vectors and to the entry-ratio domain's
     `unit`, its member codes rescaled when its scale differs from the
-    domain's, or to a listed domain's candidates, each encoded once.  The
-    heads are the code of 1 when `normalized` and the tangibles have
-    inverses, else the member codes.  `tests`, when given, holds one test
-    per column, a function of the element a column sum decodes to, memoized
-    on codes for this walk; by default every column tests nullity on the
-    codec's `null`.  Only a max-plus dependence walk has the hook `last`
-    (`_tie_candidates`), with its members deduplicated, each value at its
-    first position.
+    domain's, or to a listed domain's candidates, each encoded once.  A
+    dependence search leads with the code of 1 when the tangibles have
+    inverses; every other search leads with the member codes.  `tests`,
+    when given, holds one test per column, a function of the element a
+    column sum decodes to, memoized on codes for this walk; by default
+    every column tests nullity on the codec's `null`.  Only a max-plus
+    dependence walk has the hook `last` (`_tie_candidates`), with its
+    members deduplicated, each value at its first position.
     """
     positions = None
     if isinstance(domain, EntryRatioDomain):
@@ -275,11 +279,11 @@ def _coded_walk(alg, vectors, domain, normalized, tests=None) -> _Walk:
         coding = alg.coding(itertools.chain(domain.candidates, *vectors))
         members = list(map(coding.encode, domain.candidates))
     rows = [list(map(coding.encode, vec)) for vec in vectors]
-    heads = [coding.one] if normalized and alg.tangible_inverse is not None else members
     if tests is not None:
         dec = coding.decode
         tests = [_CodeMemo(lambda c, test=test: test(dec(c))) for test in tests]
-        return _Walk(coding, rows, heads, members, tests)
+        return _Walk(coding, rows, members, members, tests)
+    heads = [coding.one] if alg.tangible_inverse is not None else members
     tests = [coding.null] * len(rows[0])
     if not alg.max_plus:
         return _Walk(coding, rows, heads, members, tests)
@@ -361,7 +365,8 @@ def _support_search(alg, w):
 
     Without the hook `w.last` every support walks its whole product and
     counts as scanned.  The witness is the decoded head and member codes,
-    elements equal to the domain's.
+    elements equal to the domain's; the decoding is memoized on the codec,
+    since it builds an element on some pairs.
 
     With the hook, over the supertropical pair, the entries and members are
     codes at one scale, and a tangible coefficient's code is even.  The
@@ -390,7 +395,9 @@ def _support_search(alg, w):
 
     Sizes 3 and 4 take the tie patterns when the domain holds every tie
     value; size 4 also needs rows free of ghosts (a ghost can dominate a
-    column alone, which no tie equation sees).  Every other support scans.  Size 3 keeps its tie
+    column alone, which no tie equation sees).  A ghost support of size 4
+    whose rows have a nonsingular 4 x 4 minor has no witness
+    (`_minor_certifies`).  Every other support scans.  Size 3 keeps its tie
     patterns over rows with ghosts, where the scan can find a witness the
     patterns miss; a miss still reports as no witness over the heuristic
     domain, never as independence.  The patterns' cost follows their
@@ -413,6 +420,8 @@ def _support_search(alg, w):
                 if codes is None:
                     return None, False
                 return DependenceWitness(support, tuple(map(decode, codes))), False
+            if k == 4 and _minor_certifies(alg, w, support):
+                return None, False
         picks = [0] * k
         if not _walk(w, support, 0, zeros, picks):
             return None, not ties or k > 2
@@ -422,6 +431,7 @@ def _support_search(alg, w):
 
 
 def _has_ghost(w, support):
+    """Whether some row of the support has a ghost entry (an odd code)."""
     return any(c is not None and c & 1 for i in support for c in w.rows[i])
 
 
@@ -432,6 +442,24 @@ def _ties_decide(w, support, ties):
     if not all(d in w.positions for col in ties for _, _, d in col):
         return False
     return len(support) == 3 or not _has_ghost(w, support)
+
+
+def _minor_certifies(alg, w, support):
+    """Whether a support of 4 supertropical vectors of length n >= 4 with a
+    ghost entry has a nonsingular 4 x 4 minor, so no witness in any domain.
+
+    A witness's null combination of the rows is null on every column set
+    too, so each 4 x 4 submatrix of the rows has dependent rows, and a
+    square matrix whose rows have a null tangible combination is singular
+    (Izhakian and Rowen, "Supertropical matrix algebra", Israel J. Math.
+    182 (2011)).  The minors come from `_singular_minors` on the decoded
+    rows, which stops at the first nonsingular column set; under a
+    determinant cap below 4 no minor is taken and the support scans.
+    """
+    if len(w.zeros) < 4 or det_cap() < 4 or not _has_ghost(w, support):
+        return False
+    a = Matrix(alg, tuple(tuple(map(w.coding.decode, w.rows[i])) for i in support))
+    return any(not all(singular.values()) for _, singular in _singular_minors(a, 4))
 
 
 def _tie_solve(w, support, ties):
@@ -496,9 +524,9 @@ def _check_work(what, m, heads, candidates):
 
 def _dependence_search(vectors, domain, alg):
     """The per-support search of one call of `find_dependence` or a rank,
-    built once for it: `_support_search` on `_coded_walk`'s normalized
-    walk, after `_check_work` over any pair but a max-plus one.  The
-    vectors' lengths and owners and the domain are checked first."""
+    built once for it: `_support_search` on `_coded_walk`'s walk, after
+    `_check_work` over any pair but a max-plus one.  The vectors' lengths
+    and owners and the domain are checked first."""
     if len(domain) == 0:
         raise DomainEmpty("empty coefficient domain")
     n = len(vectors[0])
@@ -509,7 +537,7 @@ def _dependence_search(vectors, domain, alg):
     if not alg.max_plus:
         heads = 1 if alg.tangible_inverse is not None else len(domain)
         _check_work("dependence search", len(vectors), heads, len(domain))
-    return _support_search(alg, _coded_walk(alg, vectors, domain, True))
+    return _support_search(alg, _coded_walk(alg, vectors, domain))
 
 
 def _walk_supports(search, m, stats, stop):
@@ -780,7 +808,7 @@ def preceq_spans(vectors, target, domain=None, alg=None):
 
         return test
 
-    walk = _coded_walk(alg, vectors, domain, False, [surpassed_by(t) for t in target])
+    walk = _coded_walk(alg, vectors, domain, [surpassed_by(t) for t in target])
     w = _walk_supports(_support_search(alg, walk), m, None, True)[1]
     if w is None:
         return None

@@ -3,8 +3,10 @@
 ones in golden_transcripts.json.
 
 The files cover size-2 supertropical supports with ghost and zero entries,
-a size-4 support that scans, a 5 x 4 file with ghosts whose row search
-scans its 5-vector support (under --domain heuristic:1), the hyperpair without tangible inverses
+a size-4 support that scans, a full-rank 4 x 4 file with a ghost whose
+size-4 supports its minors decide, a 5 x 4 file with ghosts whose row
+search scans its 5-vector support (under --domain heuristic:1), the
+hyperpair without tangible inverses
 (hyper:weaksign-c2), a heuristic domain flag, and the determinant cap set
 by PAIRLIN_CAP_N.  The finite-pair files pin the dependence search's
 witnesses and its supports_tried / supports_scanned counts: 4 x 3 files
@@ -68,6 +70,13 @@ FILES = {
     "st_ghost_5x4": (
         "pair supertropical\nrows 5\ncols 4\n"
         "-3 -inf -inf -1\n-1/2 2 -3 -inf\n2 1 1 2\n2 -inf 0g 2\n-3/2 -3 1 3\n",
+        None,
+    ),
+    # four rows with a ghost and a nonsingular 4 x 4 minor: no support of
+    # the rows or of the columns scans
+    "st_ghost_full_4x4": (
+        "pair supertropical\nrows 4\ncols 4\n"
+        "8 -inf 12 2\n-11/3 6 5/3 -inf\n-8 -inf -4 5/2\n-inf 10 1g -inf\n",
         None,
     ),
     # finite pairs whose 4 x 3 files reach a search over supports of 4 vectors

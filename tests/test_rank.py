@@ -44,6 +44,7 @@ from pairlin.suites import (
     rand_supertropical_matrix,
 )
 from test_oracles import _combo_null
+from pairlin.core import PairError
 
 sign = make_algebra("sign")
 st = make_algebra("supertropical")
@@ -266,6 +267,16 @@ class TestFindDependence:
             assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,5,2]"
             assert w == naive_first_witness(st, rows, d)
 
+    def test_size3_ties_accept_a_column_a_ghost_dominates(self):
+        # the tie point (0, 0, 0) leaves the third column to the ghost 5g
+        # alone, which makes it null; no smaller support has a witness
+        rows = parse_rows((("0", "0", "5g"), ("0", "-inf", "-inf"), ("-inf", "0", "-inf")))
+        dom = entry_ratio_domain(st, rows)
+        w, tried, scanned = search_stats(rows, dom)
+        assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,0,0]"
+        assert (tried, scanned) == (7, 0)
+        assert w == scanned_witness(rows, dom)
+
     def test_leading_one_need_not_be_a_member(self):
         # the leading coefficient is normalized to 1 whether or not the
         # domain holds it; the tie values -1 and -2 are members here
@@ -404,6 +415,95 @@ class TestFindDependence:
             assert w == naive, rows
             witnesses += w is not None
         assert reached >= 40 and witnesses >= 30, (reached, witnesses, ghost_misses)
+
+
+# four rows with a ghost entry whose 4 x 4 minor is nonsingular
+GHOST_FULL_4X4 = """pair supertropical
+rows 4
+cols 4
+8 -inf 12 2
+-11/3 6 5/3 -inf
+-8 -inf -4 5/2
+-inf 10 1g -inf
+"""
+
+
+def _small_ghost_matrix(rng, m, n):
+    """An m x n supertropical matrix on {-3, ..., 3}: 10% zeros, 20% ghosts."""
+    def entry():
+        r = rng.random()
+        if r < 0.1:
+            return ST_ZERO
+        return (st_ghost if r < 0.3 else st_tan)(rng.randint(-3, 3))
+
+    return matrix(st, [[entry() for _ in range(n)] for _ in range(m)])
+
+
+class TestMinorCertificate:
+    def test_full_rank_ghost_4x4_scans_no_support(self, tmp_path, capsys):
+        # neither the rows' nor the columns' 4-vector support scans: each
+        # has a nonsingular 4 x 4 minor
+        path = tmp_path / "m.txt"
+        path.write_text(GHOST_FULL_4X4)
+        assert run_command(["rank", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {"row_rank: 4", "col_rank: 4", "supports_scanned: 0"} <= set(lines)
+
+    def test_certificate_equals_the_scan_on_ghost_supports(self):
+        # on random ghost 4 x 4 and 4 x 5 files, every report line equals
+        # the one where each support of 4 vectors scans: no tie pattern
+        # decides it and no minor certifies it.  Supports of 3 vectors keep
+        # their tie patterns on both sides: over ghost rows those can miss
+        # a witness the scan finds (ROADMAP item 1), which is not this
+        # test's subject.
+        rng = random.Random(83)
+        decide, certify = rank_mod._ties_decide, rank_mod._minor_certifies
+        certified = 0
+
+        def size3_only(w, support, ties):
+            return len(support) == 3 and decide(w, support, ties)
+
+        def counted(*args):
+            nonlocal certified
+            got = certify(*args)
+            certified += got
+            return got
+
+        for t in range(60):
+            a = _small_ghost_matrix(rng, 4, 4 + t % 2)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rank_mod, "_minor_certifies", counted)
+                got = rank_report(a).lines()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rank_mod, "_ties_decide", size3_only)
+                mp.setattr(rank_mod, "_minor_certifies", lambda *args: False)
+                assert rank_report(a).lines() == got, a
+        assert certified >= 40, certified
+
+    def test_certificate_needs_a_ghost_and_four_columns(self, monkeypatch):
+        # tangible rows keep the tie patterns, and 4 x 3 ghost rows scan
+        calls = []
+        certify = rank_mod._minor_certifies
+        monkeypatch.setattr(
+            rank_mod, "_minor_certifies", lambda *args: calls.append(args) or certify(*args)
+        )
+        tangible = parse_rows(TestFindDependence.FIXED_A2P[0][0])
+        assert search_stats(tangible, entry_ratio_domain(st, tangible))[1:] == (15, 0)
+        ghost = parse_rows(
+            (("-6", "3", "4"), ("-4", "0", "4"), ("1g", "6", "5"), ("2", "-1", "2"))
+        )
+        assert search_stats(ghost, entry_ratio_domain(st, ghost))[1:] == (15, 1)
+        assert len(calls) == 1 and not certify(*calls[0])
+
+    def test_unknown_condition_is_refused_before_any_work(self, monkeypatch):
+        a = matrix(st, [[st_tan(0), st_ghost(1)], [st_tan(2), st_tan(3)]])
+        monkeypatch.setattr(rank_mod, "default_domain", _forbidden)
+        with pytest.raises(PairError, match="^unknown condition 'a3'$"):
+            check_condition(a, "a3")
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the search ran")
 
 
 def _ghost_zero_pair(rng, n):
