@@ -32,6 +32,7 @@ from pairlin import (
     submatrix_rank,
 )
 from pairlin.cli import parse_matrix_text, run_command
+from pairlin.core import PairError
 from pairlin.instances import ST_ZERO, st_ghost, st_value
 import pairlin.rank as rank_mod
 from pairlin.rank import HEURISTIC_DEPTH_CAP, DomainEmpty, CoefficientDomain, DependenceWitness
@@ -43,8 +44,7 @@ from pairlin.suites import (
     rand_singular_supertropical,
     rand_supertropical_matrix,
 )
-from test_oracles import _combo_null
-from pairlin.core import PairError
+from test_oracles import _combo_null, _forbidden
 
 sign = make_algebra("sign")
 st = make_algebra("supertropical")
@@ -417,17 +417,6 @@ class TestFindDependence:
         assert reached >= 40 and witnesses >= 30, (reached, witnesses, ghost_misses)
 
 
-# four rows with a ghost entry whose 4 x 4 minor is nonsingular
-GHOST_FULL_4X4 = """pair supertropical
-rows 4
-cols 4
-8 -inf 12 2
--11/3 6 5/3 -inf
--8 -inf -4 5/2
--inf 10 1g -inf
-"""
-
-
 def _small_ghost_matrix(rng, m, n):
     """An m x n supertropical matrix on {-3, ..., 3}: 10% zeros, 20% ghosts."""
     def entry():
@@ -440,15 +429,6 @@ def _small_ghost_matrix(rng, m, n):
 
 
 class TestMinorCertificate:
-    def test_full_rank_ghost_4x4_scans_no_support(self, tmp_path, capsys):
-        # neither the rows' nor the columns' 4-vector support scans: each
-        # has a nonsingular 4 x 4 minor
-        path = tmp_path / "m.txt"
-        path.write_text(GHOST_FULL_4X4)
-        assert run_command(["rank", str(path)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert {"row_rank: 4", "col_rank: 4", "supports_scanned: 0"} <= set(lines)
-
     def test_certificate_equals_the_scan_on_ghost_supports(self):
         # on random ghost 4 x 4 and 4 x 5 files, every report line equals
         # the one where each support of 4 vectors scans: no tie pattern
@@ -500,10 +480,6 @@ class TestMinorCertificate:
         monkeypatch.setattr(rank_mod, "default_domain", _forbidden)
         with pytest.raises(PairError, match="^unknown condition 'a3'$"):
             check_condition(a, "a3")
-
-
-def _forbidden(*args, **kwargs):
-    raise AssertionError("the search ran")
 
 
 def _ghost_zero_pair(rng, n):
