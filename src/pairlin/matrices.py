@@ -170,10 +170,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v) -> tuple:
     if a.cols != len(v):
         raise DimensionMismatch("vector length mismatch")
-    alg = a.alg
-    return tuple(
-        alg.sum(alg.mul(a[i, k], v[k]) for k in range(a.cols)) for i in range(a.rows)
-    )
+    a.alg.check(*v)
+    coding, x = _coded(a, v)
+    dec = coding.decode
+    vc = [coding.encode(e) for e in v]
+    return tuple(dec(_dot(coding, row, vc)) for row in x)
 
 
 def scalar_mat(alg, c, a: Matrix) -> Matrix:
@@ -590,7 +591,7 @@ def _singular_minors(a: Matrix, k):
 # adjoint and Laplace
 
 
-def _adjugate(a: Matrix, *extra, det=True) -> tuple:
+def _adjugate(a: Matrix, *extra, det=True, nonsingular=False) -> tuple:
     """(coding, codes, rows, det): the coding of the square matrix a and
     extra (see _coded), a's codes, adjoint(a) as rows of coded (plus, minus)
     pairs, and |A| as one, or None without det.
@@ -599,10 +600,13 @@ def _adjugate(a: Matrix, *extra, det=True) -> tuple:
     then n where it also takes |A|, both against one reading of det_cap().
     A 1 x 1 adjoint has no minor to check.
 
-    Row i is one minor layer over every column but i.  On the DP path |A|
-    extends the last row's layer by the last column with the last plan
-    step: 2n products instead of a layer.  The walk's layer holds summed
-    values, which a product need not distribute over, so it takes its own.
+    Row i is one minor layer over every column but i.  The last row is
+    walked first, and |A| right after it: on the DP path |A| extends that
+    row's layer by the last column with the last plan step, 2n products
+    instead of a layer.  The walk's layer holds summed values, which a
+    product need not distribute over, so it takes its own.  With
+    nonsingular, a singular |A| raises SingularInput there, before the
+    other n - 1 layers.
     """
     alg, n = a.alg, a.rows
     if n > 1 or det:
@@ -613,22 +617,29 @@ def _adjugate(a: Matrix, *extra, det=True) -> tuple:
     coding, codes = _coded(a, *extra)
     plans = _row_plans(n)
     full = (1 << n) - 1
-    rows = []
-    for i in range(n):
-        layer, _ = _minor_layer(alg, codes, [c for c in range(n) if c != i], coding, plans)
-        row = []
-        for j in range(n):
-            p, q = layer[full ^ 1 << j]
-            row.append((q, p) if (i + j) & 1 else (p, q))
-        rows.append(row)
+
+    def layer(i):
+        return _minor_layer(alg, codes, [c for c in range(n) if c != i], coding, plans)[0]
+
+    last = layer(n - 1)
     if not det:
         pq = None
     elif det_method(alg) == "dp":
-        flat = [x for pq in layer.values() for x in pq]
+        flat = [x for pq in last.values() for x in pq]
         col = [row[n - 1] for row in codes]
         (pq,) = _pairs(_sum_step(flat, col, _plan(plans, n, n - 1), coding)[0])
     else:
         pq = _minor_layer(alg, codes, range(n), coding, plans)[0][full]
+    if nonsingular and _balance_codes(alg, coding)[pq]:
+        raise SingularInput("matrix is singular")
+    rows = []
+    for i in range(n):
+        minors = last if i == n - 1 else layer(i)
+        row = []
+        for j in range(n):
+            p, q = minors[full ^ 1 << j]
+            row.append((q, p) if (i + j) & 1 else (p, q))
+        rows.append(row)
     return coding, codes, rows, pq
 
 
@@ -782,15 +793,14 @@ class QuasiInverse:
 def quasi_inverse(a: Matrix) -> QuasiInverse:
     """A' = |A|^{-1} adj A, projected to the base where a negation map exists,
     together with the quasi-identity verification and A~ = A'AA'.  adj A
-    and |A| come from one adjugate pass."""
+    and |A| come from one adjugate pass, which raises SingularInput on a
+    singular A after its first layer."""
     if not a.is_square:
         raise DimensionMismatch("quasi-inverse of a non-square matrix")
     _det_size(a)
     alg = a.alg
-    coding, _, rows, (p, q) = _adjugate(a)
+    coding, _, rows, (p, q) = _adjugate(a, nonsingular=True)
     det_plus, det_minus = coding.decode(p), coding.decode(q)
-    if balances(alg, det_plus, det_minus):
-        raise SingularInput("matrix is singular")
     dalg = make_doubled(alg)
     adj = _adjoint_matrix(dalg, coding, rows)
     if alg.negation is not None:

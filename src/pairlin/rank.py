@@ -491,17 +491,46 @@ def _tie_solve(w, support, ties):
             if all(c in pos for c in codes[1:]):
                 points.append(([pos[c] for c in codes[1:]], codes))
         elif len(roots) == 2 and k == 4:
-            # the line's points in domain order of its first free
-            # coefficient, which is their lexicographic order
-            for t in w.members:
-                codes = [o if r == 0 else t + o for r, o in state]
-                if accepted(codes):
-                    points.append(([pos[c] for c in codes[1:]], codes))
-                    break
+            codes = _line_point(w, state, cols)
+            if codes is not None:
+                points.append(([pos[c] for c in codes[1:]], codes))
     points.sort()
     for _, codes in points:
         if accepted(codes):
             return codes
+    return None
+
+
+def _line_point(w, state, cols):
+    """The codes of the first point of a two-component tie state (see
+    `_tie_solve`) in domain order of its free coefficient t, which is their
+    lexicographic order, whose coefficients after the leading 1 are members
+    and whose combination passes the walk's column tests; None when there
+    is none.
+
+    The free component's coefficients are t + o, and (t + o) x = t (o x)
+    for a tangible t, so each column folds its two components once, S0 and
+    S1, and a point's column sum is S0 + t S1: exactly the sum of its terms,
+    since the supertropical pair distributes and its sum is associative and
+    commutative on codes."""
+    add, mul, zero, pos = w.add, w.mul, w.coding.zero, w.positions
+    if not all(o in pos for r, o in state[1:] if not r):
+        return None
+    free = [o for r, o in state if r]
+    folds = []
+    for col, test in cols:
+        s0 = s1 = zero
+        for (r, o), x in zip(state, col):
+            if r:
+                s1 = add(s1, mul(o, x))
+            else:
+                s0 = add(s0, mul(o, x))
+        folds.append((s0, s1, test))
+    for t in w.members:
+        if all(t + o in pos for o in free) and all(
+            test[add(s0, mul(t, s1))] for s0, s1, test in folds
+        ):
+            return [o if r == 0 else t + o for r, o in state]
     return None
 
 

@@ -10,6 +10,12 @@ over one coding of A and v (matrices._adjugate), the folds run on those
 codes, and the balance check reads the doubled nullity of the codes
 (core._doubled_null): only w is decoded, and |A| where a tangible solution
 needs it.
+
+The Jacobi iteration runs on the codes of the same pass over a max-plus
+pair: its precondition is one O(n^3) cycle test on the code values
+(_identity_dominant), not the n! tracks that dominant_structure, the
+library's report of every track, multiplies out on elements.  Only the
+iterates are decoded.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import El, PairError, _doubled_null, balances
+from .core import El, PairError, _balance_codes, _doubled_null, balances
 from .instances import make_doubled
 from .matrices import DimensionMismatch, Matrix, _adjugate, _dot, _tracks, mat_vec
 
@@ -110,7 +116,10 @@ class DominantReport:
 
 
 def dominant_structure(a: Matrix) -> DominantReport:
-    """Enumerate all tracks and classify the mu-maximal ones."""
+    """Enumerate all tracks and classify the mu-maximal ones, multiplied
+    out on elements under the track enumeration cap.  jacobi_solve reads
+    its two flags from _identity_dominant instead, which the tests check
+    against this report."""
     if not a.is_square:
         raise DimensionMismatch("dominant structure needs a square matrix")
     alg = a.alg
@@ -143,6 +152,49 @@ def dominant_structure(a: Matrix) -> DominantReport:
     )
 
 
+def _identity_dominant(codes) -> bool:
+    """Whether the identity is the only track of largest modulus of the
+    square max-plus matrix with these codes (see rank: ((v * S) << 1) |
+    ghost, None for zero): dominant_structure's diagonal_dominant and
+    strictly_nonsingular together, decided in O(n^3) with no track built.
+
+    Over the supertropical pair a + a is a ghost, so two tracks of the best
+    modulus never sum to a tangible: strictly_nonsingular holds exactly
+    when that track is unique, and with diagonal_dominant exactly when it
+    is the identity.  A permutation's track value less the identity's is
+    the sum, over its cycles, of w(i, j) = a_ij - a_jj along the cycle's
+    moves from column j to row i (Butkovic, Max-linear Systems, 2010,
+    ch. 1).  So the identity is the unique best track exactly when the
+    diagonal is finite and every cycle of the graph of finite w is
+    negative: a cycle of weight 0 or more, with the other columns fixed,
+    is a track no smaller.  A max-plus Floyd-Warshall closure of w holds
+    in d[i][i] the weight of a closed walk through i, and reaches a
+    nonnegative one exactly when such a cycle exists, since a closed
+    walk splits into cycles.  At n = 1 the identity is the only track,
+    so it holds even on a zero diagonal entry, as in dominant_structure.
+    """
+    n = len(codes)
+    if n == 1:
+        return True
+    diag = [row[j] for j, row in enumerate(codes)]
+    if None in diag:
+        return False
+    d = [
+        [None if i == j or c is None else (c >> 1) - (diag[j] >> 1) for j, c in enumerate(row)]
+        for i, row in enumerate(codes)
+    ]
+    for k in range(n):
+        dk = d[k]
+        for di in d:
+            dik = di[k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(dk):
+                if dkj is not None and (di[j] is None or dik + dkj > di[j]):
+                    di[j] = dik + dkj
+    return all(d[i][i] is None or d[i][i] < 0 for i in range(n))
+
+
 @dataclass
 class JacobiState:
     iterates: list = field(default_factory=list)
@@ -161,6 +213,14 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     same value).  On stabilization verifies A x nabla v and the mu identity
     mu(x) = mu(|A|)^-1 mu(adj A v).  Stabilization is seen by comparing an
     iterate with the one before, so a max_iter below 2 is an input error.
+
+    Everything runs on the codes of one adjugate pass (matrices._adjugate),
+    which checks n - 1 and n against the determinant cap first: over a
+    max-plus pair a code holds its value and ghost bit, so the modulus is
+    the value, the lift clears the ghost bit and a tangible's inverse
+    negates its code.  The precondition is _identity_dominant's cycle test,
+    the balance check reads the codec's nullity (core._balance_codes), the
+    mu identity compares values, and only the iterates are decoded.
     """
     if max_iter is not None and max_iter < 2:
         raise PairError(
@@ -176,51 +236,50 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
         raise NoModulus(f"{alg.id} has no modulus")
     if alg.tangible_lift is None:
         raise PairError(f"{alg.id} has no registered tangible lift")
-    rep = dominant_structure(a)
-    if not rep.diagonal_dominant or not rep.strictly_nonsingular:
+    if not alg.max_plus:
+        raise PairError(f"{alg.id} is not max-plus: jacobi runs on max-plus codes")
+    alg.check(*v)
+    coding, codes, vc, w, (dp, dm) = _adj_vec(a, v)
+    if not _identity_dominant(codes):
         raise NotDominantDiagonal(
             "jacobi needs a strictly nonsingular matrix with dominant diagonal"
         )
     n = a.rows
     if max_iter is None:
         max_iter = 2 * n + 4
-    diag = [a[i, i] for i in range(n)]
-    if any(not alg.is_tangible(e) for e in diag) or alg.tangible_inverse is None:
+    add, mul, null, zero = coding.add, coding.mul, coding.null, coding.zero
+    diag = [row[i] for i, row in enumerate(codes)]
+    if any(null[c] for c in diag) or alg.tangible_inverse is None:
         raise NonInvertibleDiagonal("diagonal entries must be tangible invertible")
-    dinv = [alg.tangible_inverse(e) for e in diag]
-    n_mat = Matrix(
-        alg,
-        tuple(
-            tuple(alg.zero if i == j else a[i, j] for j in range(n)) for i in range(n)
-        ),
-    )
-    state = JacobiState()
-    x = tuple(alg.zero for _ in range(n))
+    # per row: N's row, D^-1 (a tangible code negated) and v's entry
+    rows = [
+        ([zero if i == j else c for j, c in enumerate(row)], -diag[i], vc[i])
+        for i, row in enumerate(codes)
+    ]
+    iterates = []
+    stabilized_at = None
+    x = [zero] * n
     for k in range(1, max_iter + 1):
-        nx = mat_vec(n_mat, x)
-        rhs = tuple(alg.add(nx[i], v[i]) for i in range(n))
-        nxt = tuple(alg.tangible_lift(alg.mul(dinv[i], rhs[i])) for i in range(n))
-        if state.iterates and nxt == state.iterates[-1]:
-            state.stabilized_at = k - 1
+        nxt = []
+        for row, dinv, e in rows:
+            c = mul(dinv, add(_dot(coding, row, x), e))
+            nxt.append(c if c is None else c & ~1)
+        if iterates and nxt == iterates[-1]:
+            stabilized_at = k - 1
             break
-        state.iterates.append(nxt)
+        iterates.append(nxt)
         x = nxt
-    if state.stabilized_at is None:
+    if stabilized_at is None:
         raise NoConvergence(f"no stabilization within {max_iter} iterations")
-    state.x = state.iterates[-1]
-    ax = mat_vec(a, state.x)
-    state.balance_verified = all(balances(alg, l, r) for l, r in zip(ax, v))
-    # mu identity, checked exactly
-    coding, _, _, w, (dp, dm) = _adj_vec(a, v)
+    balanced = _balance_codes(alg, coding)
+    balance_verified = all(balanced[_dot(coding, row, x), e] for row, e in zip(codes, vc))
+    # mu identity on values, mu(x_i) = mu(w_i) - mu(|A|), where |A| is
+    # finite: its best track is the identity's
+    det_mu = add(dp, dm) >> 1
+    mu_verified = all(
+        xi is None if wi is None else xi is not None and xi >> 1 == (wi >> 1) - det_mu
+        for xi, wi in zip(x, map(add, *w))
+    )
     dec = coding.decode
-    det_mu = alg.modulus(alg.add(dec(dp), dec(dm)))
-    ok = True
-    for xi, p, q in zip(state.x, *([dec(c) for c in side] for side in w)):
-        wmu = max(alg.modulus(p), alg.modulus(q))
-        lhs = alg.modulus(xi)
-        if wmu.is_bottom:
-            ok = ok and lhs.is_bottom
-        else:
-            ok = ok and (not lhs.is_bottom) and lhs == det_mu.inv().mul(wmu)
-    state.mu_verified = ok
-    return state
+    iterates = [tuple(map(dec, it)) for it in iterates]
+    return JacobiState(iterates, stabilized_at, iterates[-1], balance_verified, mu_verified)

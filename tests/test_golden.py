@@ -122,7 +122,7 @@ def queries():
     out.append(("st_dominant_3x3", ["solve", "jacobi", "FILE", "--rhs", "1,2,0"], None))
     out.append(("st_4x4", ["--format", "json-lines", "rank", "FILE"], None))
     # the determinant cap: det at n = 3 and 4, Cramer at n = 4 (its adjoint's
-    # 3 x 3 minors are checked first), Jacobi's track enumeration at n = 3,
+    # 3 x 3 minors are checked first), Jacobi's adjugate pass at n = 3,
     # the rank of a 4 x 3 file, and the non-square det at k = 2 under cap 1
     out.append(("krasner_3x3", ["det", "FILE"], "2"))
     out.append(("st_4x4", ["det", "FILE"], "2"))

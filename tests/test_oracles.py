@@ -19,7 +19,11 @@ holds a witnessed one; their reference is the nested search that ran
 The characteristic polynomial takes one principal walk; its reference takes
 one minor layer per principal submatrix.  Cayley-Hamilton, Cramer and the
 balance memo decide nullity on codes through each codec's nullity mapping;
-their reference decodes and asks the pair.
+their reference decodes and asks the pair.  The Jacobi iteration runs on
+codes, its precondition from a cycle test; its reference iterates on
+elements after dominant_structure's n! tracks, and the cycle test is
+checked against that report.  mat_vec folds codes; its reference, which the
+other references use, folds elements.
 """
 
 import itertools
@@ -156,10 +160,20 @@ def cayley_hamilton_ref(a):
     return all(dalg.is_null(e) for row in total.entries for e in row)
 
 
+def mat_vec_ref(a, v):
+    """A v folded on elements, each row's sum from zero in column order."""
+    if a.cols != len(v):
+        raise matrices.DimensionMismatch("vector length mismatch")
+    alg = a.alg
+    return tuple(
+        alg.sum(alg.mul(a[i, k], v[k]) for k in range(a.cols)) for i in range(a.rows)
+    )
+
+
 def _embedded_adj_vec(a, v):
     dalg = make_doubled(a.alg)
     vhat = tuple(embed_doubled(dalg, e) for e in v)
-    return mat_vec(adjoint(a), vhat), vhat
+    return mat_vec_ref(adjoint(a), vhat), vhat
 
 
 def cramer_ref(a, v):
@@ -169,7 +183,7 @@ def cramer_ref(a, v):
     w, vhat = _embedded_adj_vec(a, v)
     d = det_doubled(a)
     det_el = El(dalg.id, (d.det_plus, d.det_minus))
-    aw = mat_vec(embed_matrix(dalg, a), w)
+    aw = mat_vec_ref(embed_matrix(dalg, a), w)
     lhs = tuple(dalg.mul(det_el, ve) for ve in vhat)
 
     def balance(l, r):
@@ -187,7 +201,7 @@ def cramer_ref(a, v):
                 inv = alg.tangible_inverse(det_base)
                 x = tuple(alg.mul(inv, e) for e in w_base)
                 x_verified = all(
-                    balances(alg, l, r) for l, r in zip(mat_vec(a, x), v)
+                    balances(alg, l, r) for l, r in zip(mat_vec_ref(a, x), v)
                 )
     return CramerResult(w, x, balance_verified, x_verified)
 
@@ -209,6 +223,62 @@ def jacobi_mu_ref(a, v, x):
         else:
             ok = ok and (not lhs.is_bottom) and lhs == det_mu.inv().mul(wmu)
     return ok
+
+
+def jacobi_ref(a, v, max_iter=None):
+    """The Jacobi iteration on elements: the precondition from
+    dominant_structure's n! tracks, each iterate from A's off-diagonal part
+    multiplied out on elements, the balance check by balances and the mu
+    identity on ModulusValues.  Its track enumeration cap stands in for the
+    coded path's determinant cap."""
+    if max_iter is not None and max_iter < 2:
+        raise PairError(
+            f"max_iter must be at least 2, since stabilization compares two iterates, "
+            f"got {max_iter}"
+        )
+    if not a.is_square:
+        raise matrices.DimensionMismatch("jacobi needs a square matrix")
+    if len(v) != a.rows:
+        raise matrices.DimensionMismatch("right-hand side length mismatch")
+    alg = a.alg
+    if alg.modulus is None:
+        raise solve.NoModulus(f"{alg.id} has no modulus")
+    if alg.tangible_lift is None:
+        raise PairError(f"{alg.id} has no registered tangible lift")
+    rep = solve.dominant_structure(a)
+    if not rep.diagonal_dominant or not rep.strictly_nonsingular:
+        raise solve.NotDominantDiagonal(
+            "jacobi needs a strictly nonsingular matrix with dominant diagonal"
+        )
+    n = a.rows
+    if max_iter is None:
+        max_iter = 2 * n + 4
+    diag = [a[i, i] for i in range(n)]
+    if any(not alg.is_tangible(e) for e in diag) or alg.tangible_inverse is None:
+        raise solve.NonInvertibleDiagonal("diagonal entries must be tangible invertible")
+    dinv = [alg.tangible_inverse(e) for e in diag]
+    n_mat = Matrix(
+        alg,
+        tuple(tuple(alg.zero if i == j else a[i, j] for j in range(n)) for i in range(n)),
+    )
+    state = solve.JacobiState()
+    x = tuple(alg.zero for _ in range(n))
+    for k in range(1, max_iter + 1):
+        nx = mat_vec_ref(n_mat, x)
+        rhs = tuple(alg.add(nx[i], v[i]) for i in range(n))
+        nxt = tuple(alg.tangible_lift(alg.mul(dinv[i], rhs[i])) for i in range(n))
+        if state.iterates and nxt == state.iterates[-1]:
+            state.stabilized_at = k - 1
+            break
+        state.iterates.append(nxt)
+        x = nxt
+    if state.stabilized_at is None:
+        raise solve.NoConvergence(f"no stabilization within {max_iter} iterations")
+    state.x = state.iterates[-1]
+    ax = mat_vec_ref(a, state.x)
+    state.balance_verified = all(balances(alg, l, r) for l, r in zip(ax, v))
+    state.mu_verified = jacobi_mu_ref(a, v, state.x)
+    return state
 
 
 def submatrix_rank_ref(a):
@@ -607,6 +677,135 @@ def test_jacobi_mu_check_matches_embedded_products():
             assert state.mu_verified == jacobi_mu_ref(a, v, state.x)
             checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# Jacobi on codes: the cycle test against the tracks, the iteration against
+# its element reference
+
+
+def _identity_dominant_of(a):
+    coding = a.alg.coding(itertools.chain(*a.entries))
+    return solve._identity_dominant([[coding.encode(e) for e in row] for row in a.entries])
+
+
+def _dominant_flags(a):
+    rep = solve.dominant_structure(a)
+    return rep.diagonal_dominant and rep.strictly_nonsingular
+
+
+def test_cycle_test_matches_the_tracks_at_n_up_to_2():
+    lits = [st.parse_literal(t) for t in ("-inf", "-1", "0", "1", "0g", "1g")]
+    seen = set()
+    for n in (1, 2):
+        for flat in itertools.product(lits, repeat=n * n):
+            a = matrix(st, [flat[i * n:(i + 1) * n] for i in range(n)])
+            got = _identity_dominant_of(a)
+            assert got == _dominant_flags(a), a.entries
+            seen.add((n, got))
+    assert seen == {(1, True), (2, True), (2, False)}
+
+
+def _tie_entry(rng, shift=0):
+    """A supertropical entry of few values, so that tracks tie often: zero,
+    or a tangible or ghost of -1, -1/2, 0 or 1, raised by shift."""
+    if rng.random() < 0.15:
+        return st.zero
+    value = rng.choice((-1, Fraction(-1, 2), 0, 1)) + shift
+    return st_ghost(value) if rng.random() < 0.2 else st_tan(value)
+
+
+def _tie_matrix(rng, n, shift):
+    return matrix(st, [[_tie_entry(rng, shift if i == j else 0) for j in range(n)]
+                       for i in range(n)])
+
+
+def test_cycle_test_matches_the_tracks_on_ties():
+    rng = random.Random("cycle-test")
+    seen = {True: 0, False: 0}
+    for t in range(600):
+        a = _tie_matrix(rng, 3 + t % 2, rng.choice((0, 1, 2)))
+        got = _identity_dominant_of(a)
+        assert got == _dominant_flags(a), a.entries
+        seen[got] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def _jacobi_fields(got):
+    """outcome() of a Jacobi solve with its five fields spelled out."""
+    if got[0] == "raised":
+        return got
+    s = got[1]
+    return ("value", s.iterates, s.stabilized_at, s.x, s.balance_verified, s.mu_verified)
+
+
+def test_jacobi_on_codes_matches_the_element_reference():
+    rng = random.Random("jacobi-codes")
+    seen = set()
+    for t in range(1200):
+        n = 1 + t % 4
+        if t % 3 == 0:
+            a = rand_dominant_diagonal_supertropical(rng, n)
+        else:
+            a = _tie_matrix(rng, n, rng.choice((0, 1, 3)))
+        v = tuple(_tie_entry(rng, rng.choice((0, 2))) for _ in range(n))
+        max_iter = rng.choice((None, None, 2, 3))
+        got = _jacobi_fields(outcome(jacobi_solve, a, v, max_iter))
+        assert got == _jacobi_fields(outcome(jacobi_ref, a, v, max_iter)), (a.entries, v)
+        seen.add(got[1] if got[0] == "raised" else got[-2:])
+    assert {
+        (True, True), solve.NotDominantDiagonal, solve.NonInvertibleDiagonal, solve.NoConvergence,
+    } <= seen, seen
+
+
+def test_jacobi_takes_no_track(monkeypatch):
+    """The precondition is the cycle test: with the track enumeration
+    made to fail, dominant_structure fails and jacobi_solve does not."""
+    for mod in (matrices, solve):
+        monkeypatch.setattr(mod, "_tracks", _forbidden)
+    rng = random.Random("jacobi-no-tracks")
+    for n in (2, 3, 4, 8):
+        a = rand_dominant_diagonal_supertropical(rng, n)
+        v = tuple(st_tan(rng.randint(-9, 9)) for _ in range(n))
+        state = jacobi_solve(a, v)
+        assert state.balance_verified and state.mu_verified
+        with pytest.raises(AssertionError, match="the search ran"):
+            solve.dominant_structure(a)
+    with pytest.raises(solve.NotDominantDiagonal):
+        jacobi_solve(matrix(st, [[st_tan(0), st_tan(9)], [st_tan(9), st_tan(0)]]),
+                     (st.one, st.one))
+
+
+def test_jacobi_checks_the_determinant_cap_before_the_precondition(tmp_path, monkeypatch):
+    v = (st.one,) * 3
+    dominant = rand_dominant_diagonal_supertropical(random.Random(3), 3)
+    flat = matrix(st, [[st.one] * 3] * 3)
+    assert _dominant_flags(dominant) and not _dominant_flags(flat)
+    monkeypatch.setenv("PAIRLIN_CAP_N", "2")
+    for a in (dominant, flat):
+        assert outcome(jacobi_solve, a, v) == (
+            "raised", CapExceeded, "determinant cap exceeded at n = 3"
+        )
+        assert outcome(jacobi_ref, a, v)[1] is CapExceeded
+        path = tmp_path / "a.txt"
+        path.write_text(format_matrix_text(a))
+        assert run_command(["solve", "jacobi", str(path), "--rhs", "0,0,0"]) == 3
+
+
+def test_mat_vec_matches_the_element_fold():
+    rng = random.Random("mat-vec")
+    pairs = PAIRS + [make_doubled(st), make_doubled(make_algebra("sign"))]
+    for alg in pairs:
+        for m, n in ((1, 1), (2, 3), (3, 3), (4, 2)):
+            if alg.carrier is None and alg.base is not None:
+                draw = lambda: El(alg.id, (_draw(rng, st), _draw(rng, st)))
+            elif alg.carrier is None:
+                draw = lambda: _draw(rng, alg)
+            else:
+                draw = lambda: rng.choice(alg.carrier)
+            a = matrix(alg, [[draw() for _ in range(n)] for _ in range(m)])
+            v = tuple(draw() for _ in range(n))
+            assert mat_vec(a, v) == mat_vec_ref(a, v), (alg.id, a.entries, v)
 
 
 def test_submatrix_rank_matches_per_submatrix_reference():
@@ -1586,26 +1785,31 @@ def _products_of(made, fn, *args):
 def test_adjugate_pass_product_counts(spec, monkeypatch):
     alg = make_algebra(spec)
     rng = random.Random(f"adjugate-products:{spec}")
-    compared = 0
+    compared = singular = 0
     for n in range(1, 6):
         for _ in range(8):
             a = matrix(alg, [[_qi_entry(rng, alg, True) for _ in range(n)] for _ in range(n)])
             coding, codes = matrices._coded(a)
             plans = matrices._row_plans(n)
-            layers = sum(
+            per_row = [
                 matrices._minor_layer(alg, codes, [c for c in range(n) if c != i], coding, plans)[1]
                 for i in range(n)
-            )
+            ]
             det = det_doubled(a).products
+            dp = matrices.det_method(alg) == "dp"
             with monkeypatch.context() as mp:
                 made = counting_coded(mp)
                 # the adjoint walks its n layers and nothing more
-                assert _products_of(made, adjoint, a) == layers, (n, a.entries)
+                assert _products_of(made, adjoint, a) == sum(per_row), (n, a.entries)
                 if is_singular(a):
+                    # the last row's layer and |A|, and no other layer
+                    got = _products_of(made, matrices.quasi_inverse, a)
+                    assert got == per_row[-1] + (2 * n if dp else det), (n, a.entries)
+                    singular += 1
                     continue
                 ref = _products_of(made, quasi_inverse_ref, a)
                 got = _products_of(made, matrices.quasi_inverse, a)
-            if matrices.det_method(alg) == "dp":
+            if dp:
                 # |A| extends the last adjoint layer by one column step: a
                 # determinant layer fewer, 2n products more
                 assert ref - got == det - 2 * n, (n, a.entries)
@@ -1613,7 +1817,7 @@ def test_adjugate_pass_product_counts(spec, monkeypatch):
                 # the walk's |A| takes its own layer, in place of det_doubled's
                 assert ref == got, (n, a.entries)
             compared += 1
-    assert compared > 10
+    assert compared > 10 and singular > 3, (compared, singular)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,45 @@ def scanned_witness(rows, domain):
         return find_dependence(rows, domain, st)
 
 
+def tie_solve_ref(w, support, ties):
+    """rank._tie_solve with every point's column sums folded term by term:
+    each point of a two-component line costs a product and a sum per entry
+    of each column."""
+    k = len(support)
+    pos, add, mul, zero = w.positions, w.add, w.mul, w.coding.zero
+    cols = list(zip(zip(*(w.rows[i] for i in support)), w.tests))
+
+    def accepted(codes):
+        if not all(c in pos for c in codes[1:]):
+            return False
+        for col, test in cols:
+            s = zero
+            for c, x in zip(codes, col):
+                s = add(s, mul(c, x))
+            if not test[s]:
+                return False
+        return True
+
+    points = []
+    for state in rank_mod._tie_states(ties, k):
+        roots = {r for r, _ in state}
+        if len(roots) == 1:
+            codes = [o for _, o in state]
+            if all(c in pos for c in codes[1:]):
+                points.append(([pos[c] for c in codes[1:]], codes))
+        elif len(roots) == 2 and k == 4:
+            for t in w.members:
+                codes = [o if r == 0 else t + o for r, o in state]
+                if accepted(codes):
+                    points.append(([pos[c] for c in codes[1:]], codes))
+                    break
+    points.sort()
+    for _, codes in points:
+        if accepted(codes):
+            return codes
+    return None
+
+
 def search_stats(rows, domain):
     """(witness, supports tried, supports scanned) of one search."""
     stats = {"supports_tried": 0, "supports_scanned": 0}
@@ -309,6 +348,38 @@ class TestFindDependence:
         w, tried, scanned = search_stats(rows, entry_ratio_domain(st, rows))
         assert w.kv(st.format_literal) == expected
         assert (tried, scanned) == (15, 0)
+
+    def test_line_folds_equal_the_per_point_fold(self):
+        # each two-component tie state's line is walked on folded column
+        # sums; tie_solve_ref sums every point's terms, as the walk does
+        rng = random.Random(31)
+        lines = 0
+        cases = [parse_rows(rows) for rows, _ in self.FIXED_A2P]
+        for t in range(150):
+            n = 2 + t % 3
+            rows = [
+                tuple(ST_ZERO if rng.random() < 0.15 else st_tan(Fraction(rng.randint(-4, 4), 1 + t % 2))
+                      for _ in range(n))
+                for _ in range(4)
+            ]
+            if t % 5 == 1:
+                rows[3] = rows[0]
+            cases.append(rows)
+        for rows in cases:
+            for depth in (1, 2):
+                dom = entry_ratio_domain(st, rows, depth)
+                shuffled = list(dom.candidates)
+                rng.shuffle(shuffled)
+                for d in (dom, CoefficientDomain(tuple(shuffled), "heuristic")):
+                    w = rank_mod._coded_walk(st, rows, d)
+                    support = (0, 1, 2, 3)
+                    ties = rank_mod._column_ties(w.rows, support)
+                    if ties is None or not rank_mod._ties_decide(w, support, ties):
+                        continue
+                    assert rank_mod._tie_solve(w, support, ties) == tie_solve_ref(w, support, ties)
+                    lines += any(len({r for r, _ in state}) == 2
+                                 for state in rank_mod._tie_states(ties, 4))
+        assert lines >= 100, lines
 
     def test_size4_scan_keeps_ghost_rows(self):
         # a ghost entry can dominate a column alone, which no tie sees

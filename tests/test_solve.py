@@ -181,6 +181,18 @@ class TestJacobi:
         with pytest.raises(PairError):
             jacobi_solve(a, (l("1"), l("1")))
 
+    def test_refuses_a_lift_off_max_plus_codes(self):
+        from pairlin.core import PairAlgebra, PairError
+
+        # the sign pair with a lift: its codes carry no value to iterate on
+        renamed = {"_add": "add", "_mul": "mul", "_is_tangible": "is_tangible",
+                   "_is_null": "is_null", "_codec": "codec"}
+        fields = {renamed.get(k, k): getattr(sign, k) for k in PairAlgebra.__slots__ if k != "_memo"}
+        lifted = PairAlgebra(**{**fields, "tangible_lift": lambda a: a})
+        a = matrix(lifted, [[sign.one, sign.zero], [sign.zero, sign.one]])
+        with pytest.raises(PairError, match="^sign is not max-plus"):
+            jacobi_solve(a, (sign.one, sign.one))
+
     def test_ghost_diagonal_rejected(self):
         from pairlin.solve import NonInvertibleDiagonal
 
