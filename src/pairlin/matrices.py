@@ -568,6 +568,15 @@ def is_singular(a: Matrix) -> bool:
     return _balance_codes(a.alg, coding)[pq]
 
 
+def _column_layers(alg, codes, k, coding):
+    """(cols, layer) for every set of k columns of the coded rows codes, in
+    lexicographic order, one minor layer each (see _minor_layer), walked as
+    they are drawn."""
+    plans = _row_plans(len(codes))
+    for cols in itertools.combinations(range(len(codes[0])), k):
+        yield cols, _minor_layer(alg, codes, cols, coding, plans)[0]
+
+
 def _singular_minors(a: Matrix, k):
     """(cols, singular) for every set of k columns in lexicographic order,
     from one minor layer each: singular maps each set of k rows (a bitmask)
@@ -576,29 +585,38 @@ def _singular_minors(a: Matrix, k):
     _check_n("determinant", k)
 
     def walk():
-        alg = a.alg
         coding, codes = _coded(a)
-        balanced = _balance_codes(alg, coding)
-        plans = _row_plans(a.rows)
-        for cols in itertools.combinations(range(a.cols), k):
-            layer, _ = _minor_layer(alg, codes, cols, coding, plans)
+        balanced = _balance_codes(a.alg, coding)
+        for cols, layer in _column_layers(a.alg, codes, k, coding):
             yield cols, {s: balanced[pq] for s, pq in layer.items()}
 
     return walk()
+
+
+def _permanent_minors(alg, codes, k, coding):
+    """(cols, permanents) for every set of k columns of the coded rows codes
+    in lexicographic order: permanents maps each set of k rows (a bitmask)
+    to the code of that minor's permanent, det_plus + det_minus.  k is
+    checked against det_cap() when this is called."""
+    _check_n("determinant", k)
+    add = coding.add
+    return ((cols, {s: add(*pq) for s, pq in layer.items()})
+            for cols, layer in _column_layers(alg, codes, k, coding))
 
 
 # ---------------------------------------------------------------------------
 # adjoint and Laplace
 
 
-def _adjugate(a: Matrix, *extra, det=True, nonsingular=False) -> tuple:
+def _adjugate(a: Matrix, *extra, det=True, nonsingular=False, precondition=None) -> tuple:
     """(coding, codes, rows, det): the coding of the square matrix a and
     extra (see _coded), a's codes, adjoint(a) as rows of coded (plus, minus)
     pairs, and |A| as one, or None without det.
 
     Before any layer it checks n - 1, the size of the adjoint's minors, and
     then n where it also takes |A|, both against one reading of det_cap().
-    A 1 x 1 adjoint has no minor to check.
+    A 1 x 1 adjoint has no minor to check.  precondition, when given, is
+    then called on a's codes, still before any layer, and may raise.
 
     Row i is one minor layer over every column but i.  The last row is
     walked first, and |A| right after it: on the DP path |A| extends that
@@ -615,6 +633,8 @@ def _adjugate(a: Matrix, *extra, det=True, nonsingular=False) -> tuple:
         if det:
             _check_n("determinant", n, cap)
     coding, codes = _coded(a, *extra)
+    if precondition is not None:
+        precondition(codes)
     plans = _row_plans(n)
     full = (1 << n) - 1
 

@@ -23,16 +23,15 @@ holds its members as such codes in ascending value and builds its
 `candidates`, the tangible elements, only on access; no search reads them.
 The walk's scan costs |D|^(k-2) for a support of k vectors: the leading
 coefficient is 1, and the last is tried only at 1 and at the values that
-tie its row with some column's partial sum.  A null combination of tangible
-vectors attains every column's maximum twice, so supports of size 3 and 4
-are solved from patterns of ties, one per column, accepted by the walk's
-own column tests: size 3 when the domain holds every tie value (v_p - v_q
-in one column), size 4 when also no row has a ghost entry.  A support of 4
-vectors of length 4 or more with a ghost entry and a nonsingular 4 x 4
-minor has no witness in any domain, and is not scanned.  Every other
-support of 3 or more vectors scans.  Over rows with a ghost entry the size-3
-tie patterns can miss a witness the scan finds (a ghost can make a column
-null alone); such a miss reports as no witness over the heuristic domain.
+tie its row with some column's partial sum.  Under the default domain
+(`default_domain`) a support of 3 or more vectors is decided by its minors
+instead (`_minor_search`): a nonsingular k x k minor rules out a witness in
+any domain, and otherwise the cofactors on k - 1 columns give one, which
+the walk's own column tests accept.  A support the minors leave undecided
+scans once its |D|^(k-2) passes SEARCH_WORK_CAP's check; under any other
+domain every support scans, and the worst case, the sum over supports of k
+>= 3 vectors of |D|^(k-2) tuples, is checked against the cap before any
+work.
 
 Supports are visited by one walk (`_walk_supports`), by size and then
 lexicographically, with the per-support search built once per call
@@ -64,7 +63,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import CapExceeded, Codec, PairAlgebra, PairError, _CodeMemo, _code_memo, surpasses0
-from .matrices import Matrix, _singular_minors, det_cap
+from .matrices import Matrix, _permanent_minors, _singular_minors, det_cap
 
 
 class DomainEmpty(PairError):
@@ -192,10 +191,17 @@ def heuristic_domain(alg: PairAlgebra, vectors, depth: int):
     return CoefficientDomain((alg.one,), "heuristic", depth)
 
 
+class _DefaultDomain(EntryRatioDomain):
+    """The depth-2 entry-ratio domain as `default_domain` builds it: the one
+    domain whose supertropical supports of 3 or more vectors its minors
+    decide (see `_support_search`), with any tangible coefficients."""
+
+
 def default_domain(alg: PairAlgebra, vectors):
     if alg.tangibles is not None:
         return exact_domain(alg)
-    return heuristic_domain(alg, vectors, 2)
+    d = heuristic_domain(alg, vectors, 2)
+    return _DefaultDomain(d.coding, d.members, d.depth) if alg.max_plus else d
 
 
 class _Walk:
@@ -306,60 +312,7 @@ def _tie_candidates(w, sums, vec):
     return sorted(filter(pos.__contains__, ties), key=pos.__getitem__)
 
 
-def _column_ties(rows, support):
-    """Per column, the ties (p, q, d) that two live entries of the support
-    could make at the column's maximum: u_p + v_p = u_q + v_q, that is
-    u_q - u_p = v_p - v_q, with d its code (see `_tie_candidates`), for
-    support positions p < q.
-    None when some column's only live entry is tangible, which no
-    combination makes null."""
-    out = []
-    for col in zip(*(rows[i] for i in support)):
-        live = [(p, c) for p, c in enumerate(col) if c is not None]
-        if len(live) == 1 and not live[0][1] & 1:
-            return None
-        out.append([
-            (p, q, (cp & ~1) - (cq & ~1))
-            for (p, cp), (q, cq) in itertools.combinations(live, 2)
-        ])
-    return out
-
-
-def _merge_tie(state, p, q, d):
-    """`state` with the tie u_q - u_p = d merged in, or None when the two
-    contradict.  A state gives each support position its (root, offset),
-    u = u_root + offset, the root being the least position of its component;
-    position 0 is always a root, and u_0 = 0."""
-    rp, op = state[p]
-    rq, oq = state[q]
-    if rp == rq:
-        return state if oq - op == d else None
-    shift = op + d - oq  # u_rq - u_rp
-    if rp < rq:
-        keep, drop = rp, rq
-    else:
-        keep, drop, shift = rq, rp, -shift
-    return tuple((keep, o + shift) if r == drop else (r, o) for r, o in state)
-
-
-def _tie_states(ties, k):
-    """The distinct states of every tie pattern (one tie per column with
-    one) that is consistent, merged column by column."""
-    states = {tuple((p, 0) for p in range(k))}
-    for col in ties:
-        if not col:
-            continue
-        nxt = set()
-        for s in states:
-            for p, q, d in col:
-                t = _merge_tie(s, p, q, d)
-                if t is not None:
-                    nxt.add(t)
-        states = nxt
-    return states
-
-
-def _support_search(alg, w):
+def _support_search(alg, w, minors=False):
     """The first-witness search over one support on the walk `w`: a
     function from a support to (its witness or None, whether it scanned).
 
@@ -368,170 +321,78 @@ def _support_search(alg, w):
     elements equal to the domain's; the decoding is memoized on the codec,
     since it builds an element on some pairs.
 
-    With the hook, over the supertropical pair, the entries and members are
-    codes at one scale, and a tangible coefficient's code is even.  The
-    leading coefficient is normalized to 1, code 0, the walk's one head.
-    The reference is the walk's lexicographic scan: the middle coefficients
-    run over the domain in domain order, and the last over the values that
-    tie its row with some column's partial sum, the maximum of the others,
-    and 1 (`_tie_candidates`); only the coefficients after the leading 1
-    need be members; at size 2, with no middle coefficient, the scan is not
-    counted as one.  Over tangible rows those last candidates suffice, and a
-    size-4 point from the tie patterns need not be checked against them: at
-    a null point whose last coefficient ties no column's maximum of the
-    others, the last row stays below every maximum (alone above one it would
-    leave that column tangible), so the other rows were already a witness on
-    a smaller support, searched before this one.
-
-    A null combination of tangible rows has, in every column with a live
-    entry, its maximum attained at least twice, so each null point solves
-    one tie pattern: one tie u_q - u_p = v_p - v_q per column, merged in a
-    union-find with offsets.  A pattern whose ties join all of the support
-    gives one point; for k = 4, one whose ties leave two components gives a
-    line, walked by its free component's first coefficient in domain order.
-    A pattern whose ties join only one pair is skipped: its points make a
-    size-2 witness on that pair whose coefficient is that pair's tie value,
-    found before this support whenever the domain holds the tie values.
-
-    Sizes 3 and 4 take the tie patterns when the domain holds every tie
-    value; size 4 also needs rows free of ghosts (a ghost can dominate a
-    column alone, which no tie equation sees).  A ghost support of size 4
-    whose rows have a nonsingular 4 x 4 minor has no witness
-    (`_minor_certifies`).  Every other support scans.  Size 3 keeps its tie
-    patterns over rows with ghosts, where the scan can find a witness the
-    patterns miss; a miss still reports as no witness over the heuristic
-    domain, never as independence.  The patterns' cost follows their
-    distinct states, not their number; it exceeds the scan's only where the
-    scan itself is short (a domain of a few members, or a witness among its
-    first points), so no size bound picks the path.
+    With the hook (the supertropical pair) the walk leads with 1, code 0,
+    runs the middle coefficients over the domain in domain order and the
+    last over `_tie_candidates`; a support of 2 vectors, with no middle
+    coefficient, does not count as a scan.  With `minors` (the default
+    domain) a support of 3 or more vectors is decided by `_minor_search`
+    where it can be, and otherwise scans once its |D|^(k-2) tuples pass
+    `_check_work`.
     """
     zeros = w.zeros
     decode = _code_memo(w.coding, "decode", w.coding.decode).__getitem__
     ties = w.last is not None
 
+    def witness(support, codes):
+        return None if codes is None else DependenceWitness(support, tuple(map(decode, codes)))
+
     def search(support):
         k = len(support)
-        if ties and 2 < k < 5:
-            col_ties = _column_ties(w.rows, support)
-            if col_ties is None:
-                return None, False
-            if _ties_decide(w, support, col_ties):
-                codes = _tie_solve(w, support, col_ties)
-                if codes is None:
-                    return None, False
-                return DependenceWitness(support, tuple(map(decode, codes))), False
-            if k == 4 and _minor_certifies(alg, w, support):
-                return None, False
+        if minors and k > 2:
+            decided, codes = _minor_search(alg, w, support)
+            if decided:
+                return witness(support, codes), False
+            _check_work("dependence search", k, len(w.members) ** (k - 2))
         picks = [0] * k
-        if not _walk(w, support, 0, zeros, picks):
-            return None, not ties or k > 2
-        return DependenceWitness(support, tuple(map(decode, picks))), not ties or k > 2
+        found = _walk(w, support, 0, zeros, picks)
+        return witness(support, picks if found else None), not ties or k > 2
 
     return search
 
 
-def _has_ghost(w, support):
-    """Whether some row of the support has a ghost entry (an odd code)."""
-    return any(c is not None and c & 1 for i in support for c in w.rows[i])
+def _minor_search(alg, w, support):
+    """A support of k >= 3 supertropical vectors decided by the minors of
+    its rows on the walk's codes: (True, None) when it has no witness,
+    (True, codes) with a witness's coefficient codes, and (False, None)
+    when the minors leave it undecided.  Only minors of at most det_cap()
+    rows are taken.
 
+    Independence.  A witness's null combination of the rows is null on any
+    k columns, and a square matrix whose rows have a null tangible
+    combination is singular (Izhakian and Rowen, "Supertropical matrix
+    algebra", Israel J. Math. 182 (2011)): one nonsingular k x k minor
+    rules out a witness in any domain.
 
-def _ties_decide(w, support, ties):
-    """Whether the tie patterns decide a support of size 3 or 4 (see
-    `_support_search`): the domain holds every tie value and, at size 4,
-    the rows have no ghost entry."""
-    if not all(d in w.positions for col in ties for _, _, d in col):
-        return False
-    return len(support) == 3 or not _has_ghost(w, support)
-
-
-def _minor_certifies(alg, w, support):
-    """Whether a support of 4 supertropical vectors of length n >= 4 with a
-    ghost entry has a nonsingular 4 x 4 minor, so no witness in any domain.
-
-    A witness's null combination of the rows is null on every column set
-    too, so each 4 x 4 submatrix of the rows has dependent rows, and a
-    square matrix whose rows have a null tangible combination is singular
-    (Izhakian and Rowen, "Supertropical matrix algebra", Israel J. Math.
-    182 (2011)).  The minors come from `_singular_minors` on the decoded
-    rows, which stops at the first nonsingular column set; under a
-    determinant cap below 4 no minor is taken and the support scans.
+    Dependence.  Otherwise, for k - 1 columns J, let c_i be the permanent
+    of the rows but i on J.  By Laplace's expansion along the last column,
+    sum_i c_i a_ij is the permanent of the rows on J and j: for j in J, of
+    a matrix with two equal columns, whose tracks pair off at equal values,
+    so null; for j outside J, of a singular k x k minor, so null.  A
+    coefficient must be tangible, so each c_i is lifted to its tangible
+    value and scaled by c_0^-1, to lead with 1 as the walk's witnesses do.
+    The lift keeps every column sum's value but can leave its maximum to
+    one term that a ghost c_i made null: the point is a witness only when
+    the walk's own column tests pass it, and J runs over the column sets in
+    order until one does.  A zero c_i gives no point.
     """
-    if len(w.zeros) < 4 or det_cap() < 4 or not _has_ghost(w, support):
-        return False
-    a = Matrix(alg, tuple(tuple(map(w.coding.decode, w.rows[i])) for i in support))
-    return any(not all(singular.values()) for _, singular in _singular_minors(a, 4))
-
-
-def _tie_solve(w, support, ties):
-    """The scan's first witness on a support of size 3 or 4 (see
-    `_support_search`), from the tie patterns: the codes of the accepted
-    point lowest in domain order, or None.  A point is accepted when its
-    coefficients after the leading 1 are members and the walk's column
-    tests pass its combination."""
-    k = len(support)
-    pos, add, mul, zero = w.positions, w.add, w.mul, w.coding.zero
-    cols = list(zip(zip(*(w.rows[i] for i in support)), w.tests))
-
-    def accepted(codes):
-        if not all(c in pos for c in codes[1:]):
-            return False
-        for col, test in cols:
-            s = zero
-            for c, x in zip(codes, col):
-                s = add(s, mul(c, x))
-            if not test[s]:
-                return False
-        return True
-
-    points = []
-    for state in _tie_states(ties, k):
-        roots = {r for r, _ in state}
-        if len(roots) == 1:
-            codes = [o for _, o in state]
-            if all(c in pos for c in codes[1:]):
-                points.append(([pos[c] for c in codes[1:]], codes))
-        elif len(roots) == 2 and k == 4:
-            codes = _line_point(w, state, cols)
-            if codes is not None:
-                points.append(([pos[c] for c in codes[1:]], codes))
-    points.sort()
-    for _, codes in points:
-        if accepted(codes):
-            return codes
-    return None
-
-
-def _line_point(w, state, cols):
-    """The codes of the first point of a two-component tie state (see
-    `_tie_solve`) in domain order of its free coefficient t, which is their
-    lexicographic order, whose coefficients after the leading 1 are members
-    and whose combination passes the walk's column tests; None when there
-    is none.
-
-    The free component's coefficients are t + o, and (t + o) x = t (o x)
-    for a tangible t, so each column folds its two components once, S0 and
-    S1, and a point's column sum is S0 + t S1: exactly the sum of its terms,
-    since the supertropical pair distributes and its sum is associative and
-    commutative on codes."""
-    add, mul, zero, pos = w.add, w.mul, w.coding.zero, w.positions
-    if not all(o in pos for r, o in state[1:] if not r):
-        return None
-    free = [o for r, o in state if r]
-    folds = []
-    for col, test in cols:
-        s0 = s1 = zero
-        for (r, o), x in zip(state, col):
-            if r:
-                s1 = add(s1, mul(o, x))
-            else:
-                s0 = add(s0, mul(o, x))
-        folds.append((s0, s1, test))
-    for t in w.members:
-        if all(t + o in pos for o in free) and all(
-            test[add(s0, mul(t, s1))] for s0, s1, test in folds
-        ):
-            return [o if r == 0 else t + o for r, o in state]
-    return None
+    k, cap, coding = len(support), det_cap(), w.coding
+    rows, full = [w.rows[i] for i in support], (1 << k) - 1
+    if k <= cap:
+        for _, per in _permanent_minors(alg, rows, k, coding):
+            if not coding.null[per[full]]:
+                return True, None
+    if k - 1 <= cap:
+        for _, per in _permanent_minors(alg, rows, k - 1, coding):
+            c = [per[full ^ 1 << i] for i in range(k)]
+            if None in c:
+                continue
+            codes = [(x & ~1) - (c[0] & ~1) for x in c]
+            sums = w.zeros
+            for u, row in zip(codes, rows):
+                sums = [w.add(s, w.mul(u, x)) for s, x in zip(sums, row)]
+            if all(test[s] for s, test in zip(sums, w.tests)):
+                return True, codes
+    return False, None
 
 
 def _search_work(m, heads, candidates):
@@ -540,10 +401,15 @@ def _search_work(m, heads, candidates):
     return sum(math.comb(m, k) * heads * candidates ** (k - 1) for k in range(1, m + 1))
 
 
-def _check_work(what, m, heads, candidates):
-    """Raise CapExceeded, before any work, when the worst case of a coded
-    search over m vectors (see `_search_work`) passes SEARCH_WORK_CAP."""
-    work = _search_work(m, heads, candidates)
+def _scan_work(m, members):
+    """Coefficient tuples in the worst case of a supertropical scan over m
+    vectors: members^(k-2) per support of k >= 3 (see `_support_search`)."""
+    return sum(math.comb(m, k) * members ** (k - 2) for k in range(3, m + 1))
+
+
+def _check_work(what, m, work):
+    """Raise CapExceeded, before any work, when `work`, the worst case of a
+    coded search over m vectors, passes SEARCH_WORK_CAP."""
     if work > SEARCH_WORK_CAP:
         raise CapExceeded(
             f"{what} cap exceeded: {m} vectors need up to {work} "
@@ -553,9 +419,10 @@ def _check_work(what, m, heads, candidates):
 
 def _dependence_search(vectors, domain, alg):
     """The per-support search of one call of `find_dependence` or a rank,
-    built once for it: `_support_search` on `_coded_walk`'s walk, after
-    `_check_work` over any pair but a max-plus one.  The vectors' lengths
-    and owners and the domain are checked first."""
+    built once for it: `_support_search` on `_coded_walk`'s walk, with
+    minors under the default domain, after `_check_work` on every other
+    domain.  The vectors' lengths and owners and the domain are checked
+    first."""
     if len(domain) == 0:
         raise DomainEmpty("empty coefficient domain")
     n = len(vectors[0])
@@ -563,10 +430,14 @@ def _dependence_search(vectors, domain, alg):
         if len(vec) != n:
             raise PairError("vectors must have equal length")
         alg.check(*vec)
+    m, d = len(vectors), len(domain)
+    minors = isinstance(domain, _DefaultDomain)
     if not alg.max_plus:
-        heads = 1 if alg.tangible_inverse is not None else len(domain)
-        _check_work("dependence search", len(vectors), heads, len(domain))
-    return _support_search(alg, _coded_walk(alg, vectors, domain))
+        heads = 1 if alg.tangible_inverse is not None else d
+        _check_work("dependence search", m, _search_work(m, heads, d))
+    elif not minors:
+        _check_work("dependence search", m, _scan_work(m, d))
+    return _support_search(alg, _coded_walk(alg, vectors, domain), minors)
 
 
 def _walk_supports(search, m, stats, stop):
@@ -624,13 +495,15 @@ def find_dependence(vectors, domain, alg, *, stats=None):
     supports of k vectors of |heads| * |domain|^(k-1) tuples (|heads| is 1
     when the leading coefficient is 1, |domain| otherwise), is checked
     against SEARCH_WORK_CAP before any work, and CapExceeded raised above
-    it.
+    it; over the supertropical pair under any domain but the default, so
+    is the sum over supports of k >= 3 vectors of |domain|^(k-2).
 
     `stats`, when given, is a dict whose "supports_tried" and
     "supports_scanned" entries are increased by the supports searched and
-    by those of them that scanned the coefficient domain (every support of
-    a finite pair; supertropical supports of 3 or more vectors that the tie
-    patterns do not decide).
+    by those of them that scanned the coefficient domain: every support of
+    a finite pair; over the supertropical pair, every support of 3 or more
+    vectors under an explicit domain, and under the default domain only
+    those that its minors leave undecided (see `_support_search`).
     """
     if not vectors:
         return None
@@ -824,7 +697,7 @@ def preceq_spans(vectors, target, domain=None, alg=None):
     if domain is None:
         domain = default_domain(alg, list(vectors) + [target])
     m = len(vectors)
-    _check_work("span search", m, len(domain), len(domain))
+    _check_work("span search", m, _search_work(m, len(domain), len(domain)))
     if not vectors:
         return None
 

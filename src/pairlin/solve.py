@@ -12,10 +12,10 @@ codes, and the balance check reads the doubled nullity of the codes
 needs it.
 
 The Jacobi iteration runs on the codes of the same pass over a max-plus
-pair: its precondition is one O(n^3) cycle test on the code values
-(_identity_dominant), not the n! tracks that dominant_structure, the
-library's report of every track, multiplies out on elements.  Only the
-iterates are decoded.
+pair: its precondition, taken before the pass's layers, is one O(n^3)
+cycle test on the code values (_identity_dominant), not the n! tracks
+that dominant_structure, the library's report of every track, multiplies
+out on elements.  Only the iterates are decoded.
 """
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ class CramerResult:
     x_verified: bool = False
 
 
-def _adj_vec(a: Matrix, v) -> tuple:
+def _adj_vec(a: Matrix, v, precondition=None) -> tuple:
     """(coding, codes of A, codes of v, w, det): adj(A) (v, 0) as its two
     base coordinate vectors w = (w+, w-) and |A| = (det+, det-), all coded
     under one coding of A and v, from one adjugate pass (see matrices),
-    which checks the sizes."""
-    coding, codes, adj, det = _adjugate(a, v)
+    which checks the sizes and then calls precondition, when given, on A's
+    codes before any layer."""
+    coding, codes, adj, det = _adjugate(a, v, precondition=precondition)
     vc = [coding.encode(e) for e in v]
     w = tuple([_dot(coding, (e[side] for e in row), vc) for row in adj] for side in (0, 1))
     return coding, codes, vc, w, det
@@ -214,13 +215,14 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     mu(x) = mu(|A|)^-1 mu(adj A v).  Stabilization is seen by comparing an
     iterate with the one before, so a max_iter below 2 is an input error.
 
-    Everything runs on the codes of one adjugate pass (matrices._adjugate),
-    which checks n - 1 and n against the determinant cap first: over a
-    max-plus pair a code holds its value and ghost bit, so the modulus is
-    the value, the lift clears the ghost bit and a tangible's inverse
-    negates its code.  The precondition is _identity_dominant's cycle test,
-    the balance check reads the codec's nullity (core._balance_codes), the
-    mu identity compares values, and only the iterates are decoded.
+    Everything runs on one coding of A and v: over a max-plus pair a code
+    holds its value and ghost bit, so the modulus is the value, the lift
+    clears the ghost bit and a tangible's inverse negates its code.  The
+    adjugate pass (matrices._adjugate) checks its caps first, then runs the
+    precondition, _identity_dominant's cycle test on A's codes, and only
+    then its minor layers, so a refusal walks no layer.  The balance check
+    reads the codec's nullity (core._balance_codes), the mu identity
+    compares values, and only the iterates are decoded.
     """
     if max_iter is not None and max_iter < 2:
         raise PairError(
@@ -239,11 +241,14 @@ def jacobi_solve(a: Matrix, v, max_iter: Optional[int] = None) -> JacobiState:
     if not alg.max_plus:
         raise PairError(f"{alg.id} is not max-plus: jacobi runs on max-plus codes")
     alg.check(*v)
-    coding, codes, vc, w, (dp, dm) = _adj_vec(a, v)
-    if not _identity_dominant(codes):
-        raise NotDominantDiagonal(
-            "jacobi needs a strictly nonsingular matrix with dominant diagonal"
-        )
+
+    def precondition(codes):
+        if not _identity_dominant(codes):
+            raise NotDominantDiagonal(
+                "jacobi needs a strictly nonsingular matrix with dominant diagonal"
+            )
+
+    coding, codes, vc, w, (dp, dm) = _adj_vec(a, v, precondition)
     n = a.rows
     if max_iter is None:
         max_iter = 2 * n + 4

@@ -34,7 +34,7 @@ from .matrices import (
 )
 from .rank import (
     check_condition,
-    entry_ratio_domain,
+    default_domain,
     exact_domain,
     find_dependence,
     row_rank,
@@ -380,10 +380,10 @@ def suite_singular_3x3_dependence(seed=DEFAULT_SEED, n_random=500):
     rng = random.Random(seed)
     for _ in range(n_random):
         a = rand_singular_supertropical(rng, 3)
-        domain = entry_ratio_domain(a.alg, list(a.entries))
+        domain = default_domain(a.alg, list(a.entries))
         w = find_dependence(list(a.entries), domain, a.alg)
         if w is None:
-            res.require(False, f"no entry-ratio witness for {a.entries}")
+            res.require(False, f"no default-domain witness for {a.entries}")
             return res
     res.note(
         f"{singular_count} singular tangible sign 3x3 + {n_random} forced "

@@ -193,7 +193,8 @@ class TestCommands:
         assert int(recs[-2]["value"]) == int(recs[-1]["value"]) > 0
 
     def test_a2p_counts_tie_solved_supports(self, tmp_path, capsys):
-        # four tangible vectors of length three: all 15 supports are tie-solved
+        # four tangible vectors of length three: the minors decide all 15
+        # supports, and none scans
         f = tmp_path / "tall.txt"
         f.write_text("pair supertropical\nrows 4\ncols 3\n"
                      "-8 -3 -10\n-3 3 -7/2\n1 -2 6\n11/2 7 -11\n")

@@ -4,9 +4,9 @@ ones in golden_transcripts.json.
 
 The files cover size-2 supertropical supports with ghost and zero entries,
 a size-4 support that scans, a full-rank 4 x 4 file with a ghost whose
-size-4 supports its minors decide, a 5 x 4 file with ghosts whose row
-search scans its 5-vector support (under --domain heuristic:1), the
-hyperpair without tangible inverses
+size-4 supports its minors decide, a 5 x 4 file with ghosts whose
+5-vector row support its minors decide, and that scans under --domain
+heuristic:1, the hyperpair without tangible inverses
 (hyper:weaksign-c2), a heuristic domain flag, and the determinant cap set
 by PAIRLIN_CAP_N.  The finite-pair files pin the dependence search's
 witnesses and its supports_tried / supports_scanned counts: 4 x 3 files
@@ -65,8 +65,8 @@ FILES = {
         "1|0,0|1,1|0",
     ),
     "st_wide_2x3": ("pair supertropical\nrows 2\ncols 3\n1 2g 0\n3 -inf 4\n", None),
-    # five rows with ghosts and zeros whose row search scans the 5-vector
-    # support; queried under --domain heuristic:1 only
+    # five rows with ghosts and zeros whose row search reaches the 5-vector
+    # support: its minors decide it, and --domain heuristic:1 scans it
     "st_ghost_5x4": (
         "pair supertropical\nrows 5\ncols 4\n"
         "-3 -inf -inf -1\n-1/2 2 -3 -inf\n2 1 1 2\n2 -inf 0g 2\n-3/2 -3 1 3\n",
@@ -99,23 +99,17 @@ FILES = {
     ),
 }
 
-# files whose default-domain searches take too long for a transcript
-HEURISTIC_ONLY = ("st_ghost_5x4",)
-
-
 def queries():
     """(name, argv with FILE for the file, PAIRLIN_CAP_N or None)."""
     out = []
     for name, (_, rhs) in FILES.items():
-        if name in HEURISTIC_ONLY:
-            continue
         out.append((name, ["det", "FILE"], None))
         out.append((name, ["rank", "FILE"], None))
         for cond in ("a1", "a2", "a2p"):
             out.append((name, ["check", cond, "FILE"], None))
         if rhs is not None:
             out.append((name, ["solve", "cramer", "FILE", "--rhs", rhs], None))
-    for name in ("st_ghost_3x2", "st_ghost_4x3", "st_4x4", *HEURISTIC_ONLY):
+    for name in ("st_ghost_3x2", "st_ghost_4x3", "st_4x4", "st_ghost_5x4"):
         out.append((name, ["rank", "FILE", "--domain", "heuristic:1"], None))
         out.append((name, ["check", "a2p", "FILE", "--domain", "heuristic:1"], None))
     out.append(("weaksign_3x3", ["rank", "FILE", "--domain", "heuristic:1"], None))

@@ -718,7 +718,7 @@ class TestKrasnerDet:
 # stay behind these entry points, which check their own sizes.
 MATRICES_INTERFACE = {
     "solve": {"_adjugate", "_dot", "_tracks"},
-    "rank": {"_singular_minors"},
+    "rank": {"_singular_minors", "_permanent_minors"},
     "cli": {"_singular_minors"},
 }
 

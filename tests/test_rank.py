@@ -35,8 +35,11 @@ from pairlin.cli import parse_matrix_text, run_command
 from pairlin.core import PairError
 from pairlin.instances import ST_ZERO, st_ghost, st_value
 import pairlin.rank as rank_mod
-from pairlin.rank import HEURISTIC_DEPTH_CAP, DomainEmpty, CoefficientDomain, DependenceWitness
+from pairlin.rank import (
+    HEURISTIC_DEPTH_CAP, CoefficientDomain, DependenceWitness, DomainEmpty, default_domain,
+)
 from pairlin.suites import (
+    DEFAULT_SEED,
     two_track_doubled_matrix,
     clipped_counting_matrix,
     symdiff_independent_vectors,
@@ -76,53 +79,6 @@ def naive_first_witness(alg, vectors, domain):
                 coeffs = (alg.one,) + tail
                 if _combo_null(alg, vectors, support, coeffs):
                     return DependenceWitness(support, coeffs)
-    return None
-
-
-def scanned_witness(rows, domain):
-    """find_dependence with the tie patterns deciding no support of size 3
-    or 4, so that every such support takes the domain scan."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rank_mod, "_ties_decide", lambda *args: False)
-        return find_dependence(rows, domain, st)
-
-
-def tie_solve_ref(w, support, ties):
-    """rank._tie_solve with every point's column sums folded term by term:
-    each point of a two-component line costs a product and a sum per entry
-    of each column."""
-    k = len(support)
-    pos, add, mul, zero = w.positions, w.add, w.mul, w.coding.zero
-    cols = list(zip(zip(*(w.rows[i] for i in support)), w.tests))
-
-    def accepted(codes):
-        if not all(c in pos for c in codes[1:]):
-            return False
-        for col, test in cols:
-            s = zero
-            for c, x in zip(codes, col):
-                s = add(s, mul(c, x))
-            if not test[s]:
-                return False
-        return True
-
-    points = []
-    for state in rank_mod._tie_states(ties, k):
-        roots = {r for r, _ in state}
-        if len(roots) == 1:
-            codes = [o for _, o in state]
-            if all(c in pos for c in codes[1:]):
-                points.append(([pos[c] for c in codes[1:]], codes))
-        elif len(roots) == 2 and k == 4:
-            for t in w.members:
-                codes = [o if r == 0 else t + o for r, o in state]
-                if accepted(codes):
-                    points.append(([pos[c] for c in codes[1:]], codes))
-                    break
-    points.sort()
-    for _, codes in points:
-        if accepted(codes):
-            return codes
     return None
 
 
@@ -210,9 +166,20 @@ class TestFindDependence:
             assert w is not None
             assert_null_witness(rows, w)
 
+    def test_singular_3x3_suite_draws_have_entry_ratio_witnesses(self):
+        # the singular-3x3-dependence suite searches its forced-singular
+        # draws over the default domain; the explicit depth-2 entry-ratio
+        # domain's scan finds a witness on them too
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(100):
+            rows = list(rand_singular_supertropical(rng, 3).entries)
+            w, _, scanned = search_stats(rows, entry_ratio_domain(st, rows))
+            assert w is not None and scanned == (len(w.support) == 3)
+            assert_null_witness(rows, w)
+
     def test_supertropical_search_equals_naive_scan(self):
-        # tangible rows: the tie solvers (k = 2, 3, 4) return exactly the
-        # naive scan's first witness, over the entry-ratio domain and over a
+        # tangible rows: the scan (k = 2, 3, 4) returns exactly the naive
+        # scan's first witness, over the entry-ratio domain and over a
         # hand-built domain in shuffled order
         rng = random.Random(17)
         reached = set()
@@ -239,64 +206,23 @@ class TestFindDependence:
                     ), rows
         assert {2, 3, 4} <= reached
 
-    def test_supertropical_tie_solvers_equal_the_scan(self):
-        # tangible-or-zero rows, some repeated, some with a zero column: the
-        # tie patterns (k = 3, 4) give the scan's first witness, or None with
-        # it, over the entry-ratio domain of depth 1 or 2, the same members
-        # in shuffled order, with the tangible 1 left out, and a domain built
-        # from other vectors
-        rng = random.Random(29)
-        size4_ties = 0
-        for t in range(80):
-            n = 2 + t % 4
-            den = 1 + t % 2
-            rows = [
-                tuple(
-                    ST_ZERO if rng.random() < 0.15
-                    else st_tan(Fraction(rng.randint(-3 * den, 3 * den), den))
-                    for _ in range(n)
-                )
-                for _ in range(4)
-            ]
-            if t % 6 == 1:
-                rows[3] = rows[rng.randrange(3)]
-            if t % 6 == 2:
-                j = rng.randrange(n)
-                rows = [r[:j] + (ST_ZERO,) + r[j + 1:] for r in rows]
-            dom = entry_ratio_domain(st, rows, 1 + t % 3 // 2)
-            shuffled = list(dom.candidates)
-            rng.shuffle(shuffled)
-            listed = CoefficientDomain(tuple(shuffled), "heuristic")
-            other = entry_ratio_domain(
-                st, [rows[0], (st_tan(Fraction(rng.randint(-9, 9), 3)),) * n], 1
-            )
-            # without the tangible 1, which the leading coefficient need not be
-            no_one = CoefficientDomain(
-                tuple(c for c in shuffled if c != st.one), "heuristic"
-            )
-            for d in (dom, listed, other, no_one):
-                w, tried, scanned = search_stats(rows, d)
-                assert w == scanned_witness(rows, d), (rows, d)
-                if tried == 15 and scanned == 0:
-                    size4_ties += 1
-        assert size4_ties >= 20
-
     def test_size4_line_witness_follows_domain_order(self):
-        # the first witness lies on a tie pattern that leaves rows {1, 2}
-        # and {3, 4} apart: a line of points, walked in domain order
+        # the first witness ties rows {1, 2} and rows {3, 4} apart: a line
+        # of points, of which an explicit domain's scan takes the first in
+        # domain order; the 4 supports of 3 vectors and the 4-vector one scan
         rows = parse_rows((("-inf", "2"), ("-3", "-inf"), ("0", "-5/2"), ("-1/2", "3")))
         dom = entry_ratio_domain(st, rows, 1)
         rev = CoefficientDomain(tuple(reversed(dom.candidates)), "heuristic")
         for d, expected in ((dom, "0,2,-1,-1"), (rev, "0,6,3,-1")):
             w, tried, scanned = search_stats(rows, d)
             assert ",".join(st.format_literal(c) for c in w.coeffs) == expected
-            assert (tried, scanned) == (15, 0)
-            assert w == scanned_witness(rows, d)
+            assert (tried, scanned) == (15, 5)
+            assert w == naive_first_witness(st, rows, d)
 
     def test_size3_ties_need_the_tie_values_in_the_domain(self):
-        # the pattern tying only rows 2 and 3 (u2 - u3 = 3) is a size-2
-        # witness only when 3 is a member; here it is not, so the size-3
-        # support takes the scan, which finds u2 = 5, u3 = 2
+        # rows 2 and 3 tie at u2 - u3 = 3, a size-2 witness only when 3 is
+        # a member; here it is not, and the scan of the size-3 support finds
+        # u2 = 5, u3 = 2
         rows = [(st_tan(-100),) * 3, (st_tan(0),) * 3, (st_tan(3),) * 3]
         dom = entry_ratio_domain(st, [(st_tan(2), st_tan(7))], 1)
         assert [st_value(c) for c in dom.candidates] == [-5, 0, 2, 5, 7]
@@ -308,13 +234,16 @@ class TestFindDependence:
 
     def test_size3_ties_accept_a_column_a_ghost_dominates(self):
         # the tie point (0, 0, 0) leaves the third column to the ghost 5g
-        # alone, which makes it null; no smaller support has a witness
+        # alone, which makes it null; no smaller support has a witness.  The
+        # explicit domain scans the 3-vector support, the default domain's
+        # cofactors give the same point
         rows = parse_rows((("0", "0", "5g"), ("0", "-inf", "-inf"), ("-inf", "0", "-inf")))
         dom = entry_ratio_domain(st, rows)
         w, tried, scanned = search_stats(rows, dom)
         assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,0,0]"
-        assert (tried, scanned) == (7, 0)
-        assert w == scanned_witness(rows, dom)
+        assert (tried, scanned) == (7, 1)
+        assert w == naive_first_witness(st, rows, dom)
+        assert search_stats(rows, default_domain(st, rows)) == (w, 7, 0)
 
     def test_leading_one_need_not_be_a_member(self):
         # the leading coefficient is normalized to 1 whether or not the
@@ -323,8 +252,8 @@ class TestFindDependence:
         dom = CoefficientDomain((st_tan(-1), st_tan(-2)), "heuristic")
         w, tried, scanned = search_stats(rows, dom)
         assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,-1,-2]"
-        assert (tried, scanned) == (7, 0)
-        assert w == scanned_witness(rows, dom) == naive_first_witness(st, rows, dom)
+        assert (tried, scanned) == (7, 1)
+        assert w == naive_first_witness(st, rows, dom)
 
     # `check a2p`'s three fixed 4x3 matrices in the cli-queries benchmark
     FIXED_A2P = [
@@ -344,62 +273,37 @@ class TestFindDependence:
 
     @pytest.mark.parametrize("rows, expected", FIXED_A2P)
     def test_fixed_a2p_witnesses_from_tie_patterns(self, rows, expected):
+        # each witness ties every column's maximum: the default domain's
+        # cofactors give it with no support scanned, and the explicit
+        # depth-2 domain's scan gives the same point first in domain order
         rows = parse_rows(rows)
-        w, tried, scanned = search_stats(rows, entry_ratio_domain(st, rows))
+        w, tried, scanned = search_stats(rows, default_domain(st, rows))
         assert w.kv(st.format_literal) == expected
         assert (tried, scanned) == (15, 0)
-
-    def test_line_folds_equal_the_per_point_fold(self):
-        # each two-component tie state's line is walked on folded column
-        # sums; tie_solve_ref sums every point's terms, as the walk does
-        rng = random.Random(31)
-        lines = 0
-        cases = [parse_rows(rows) for rows, _ in self.FIXED_A2P]
-        for t in range(150):
-            n = 2 + t % 3
-            rows = [
-                tuple(ST_ZERO if rng.random() < 0.15 else st_tan(Fraction(rng.randint(-4, 4), 1 + t % 2))
-                      for _ in range(n))
-                for _ in range(4)
-            ]
-            if t % 5 == 1:
-                rows[3] = rows[0]
-            cases.append(rows)
-        for rows in cases:
-            for depth in (1, 2):
-                dom = entry_ratio_domain(st, rows, depth)
-                shuffled = list(dom.candidates)
-                rng.shuffle(shuffled)
-                for d in (dom, CoefficientDomain(tuple(shuffled), "heuristic")):
-                    w = rank_mod._coded_walk(st, rows, d)
-                    support = (0, 1, 2, 3)
-                    ties = rank_mod._column_ties(w.rows, support)
-                    if ties is None or not rank_mod._ties_decide(w, support, ties):
-                        continue
-                    assert rank_mod._tie_solve(w, support, ties) == tie_solve_ref(w, support, ties)
-                    lines += any(len({r for r, _ in state}) == 2
-                                 for state in rank_mod._tie_states(ties, 4))
-        assert lines >= 100, lines
+        assert search_stats(rows, entry_ratio_domain(st, rows)) == (w, 15, 5)
 
     def test_size4_scan_keeps_ghost_rows(self):
-        # a ghost entry can dominate a column alone, which no tie sees
+        # the ghost 1g leaves the first column null alone, so the first
+        # witness lies on three rows: the explicit domain scans its 3-vector
+        # supports to it, and the default domain's cofactors give the same
+        # point with no scan
         rows = parse_rows(
             (("-6", "3", "4"), ("-4", "0", "4"), ("1g", "6", "5"), ("2", "-1", "2"))
         )
         w, tried, scanned = search_stats(rows, entry_ratio_domain(st, rows))
-        assert w.kv(st.format_literal) == "support=[1,2,3,4] coeffs=[0,0,-3,-4]"
-        # every smaller support is tie-solved; the size-4 support scans
-        assert (tried, scanned) == (15, 1)
+        assert w.kv(st.format_literal) == "support=[1,2,3] coeffs=[0,0,-3]"
+        assert (tried, scanned) == (11, 1)
+        assert search_stats(rows, default_domain(st, rows)) == (w, 11, 0)
 
     def test_size4_ties_solve_wide_small_domains(self):
-        # entries in {0, 1, 2}: 6^3 tie patterns against |D|^2 = 81 middle
-        # pairs, but only their distinct states are kept
+        # entries in {0, 1, 2}, a domain of 9 members: the scan walks at
+        # most |D|^2 = 81 middle pairs on the 4-vector support
         rows = parse_rows((("2", "0", "2"), ("0", "1", "1"), ("2", "0", "1"), ("0", "2", "0")))
         dom = entry_ratio_domain(st, rows)
         w, tried, scanned = search_stats(rows, dom)
         assert w.kv(st.format_literal) == "support=[1,2,3,4] coeffs=[0,1,0,0]"
-        assert (tried, scanned) == (15, 0)
-        assert w == scanned_witness(rows, dom)
+        assert (tried, scanned) == (15, 5)
+        assert w == naive_first_witness(st, rows, dom)
 
     def test_search_stats_accumulate(self):
         sign_rows = list(sign_rank_gap_matrix().entries)
@@ -407,19 +311,21 @@ class TestFindDependence:
         assert find_dependence(sign_rows, exact_domain(sign), sign, stats=stats) is None
         # a finite pair scans every support: 3 rows have 7 nonempty subsets
         assert stats == {"supports_tried": 7, "supports_scanned": 7}
+        # an explicit supertropical domain scans every support of 3 or more
+        # vectors: 4 of size 3 and 1 of size 4
         rows = parse_rows(self.FIXED_A2P[0][0])
         find_dependence(rows, entry_ratio_domain(st, rows), st, stats=stats)
-        assert stats == {"supports_tried": 22, "supports_scanned": 7}
+        assert stats == {"supports_tried": 22, "supports_scanned": 12}
 
     @pytest.mark.parametrize(
         "rows, depth, ascending, descending",
         [
             (["1/2g -3/2", "-2 -2g"], 2, "0,1/2", "0,5/2"),
             (
-                ["-3/2 -1/2 -1", "1 1/2g 3/2", "0 -1/2g -1/2", "1/2 -1/2 -3/2"],
+                ["-3/2 0 -3/2g", "-3/2g -3/2g 1/2", "3/2 1/2g -1/2", "0 -3/2 3/2"],
                 1,
-                "0,-2,0,-1/2",
-                "0,1,3,5/2",
+                "0,3/2,-1,1/2",
+                "0,3,1/2,2",
             ),
         ],
     )
@@ -453,12 +359,9 @@ class TestFindDependence:
     def test_five_vector_scan_equals_the_naive_scan(self):
         # 5 x n rows (n = 3, 4) with ghost and zero entries on {-1, 0, 1},
         # over the depth-1 entry-ratio domain of five members: on the draws
-        # whose search reaches the 5-vector support, which always scans, the
-        # search gives the naive scan's first witness and the scan's.  The
-        # references agree on every such draw; where they stop at a size-3
-        # support with a ghost row, the tie patterns missed that witness (a
-        # miss reports as no witness, never as independence), and the draw
-        # is counted apart.
+        # whose search reaches the 5-vector support, every support of 3 or
+        # more vectors scans, and the search gives the naive scan's first
+        # witness.
         rng = random.Random(61)
 
         def entry():
@@ -467,84 +370,191 @@ class TestFindDependence:
                 return ST_ZERO
             return (st_ghost if r < 0.2 else st_tan)(rng.randint(-1, 1))
 
-        reached = witnesses = ghost_misses = 0
+        reached = witnesses = 0
         for t in range(3000):
             rows = [tuple(entry() for _ in range(3 + (t % 4 > 0))) for _ in range(5)]
             dom = entry_ratio_domain(st, rows, 1)
             w, tried, scanned = search_stats(rows, dom)
             if tried != 31:
                 continue
-            assert scanned >= 1
+            assert scanned == 16
             reached += 1
-            naive = naive_first_witness(st, rows, dom)
-            assert naive == scanned_witness(rows, dom), rows
-            if naive is not None and len(naive.support) == 3:
-                support_rows = [rows[i] for i in naive.support]
-                assert any(e.payload and e.payload[0] == "g" for r in support_rows for e in r)
-                ghost_misses += 1
-                continue
-            assert w == naive, rows
+            assert w == naive_first_witness(st, rows, dom), rows
             witnesses += w is not None
-        assert reached >= 40 and witnesses >= 30, (reached, witnesses, ghost_misses)
+        assert reached >= 40 and witnesses >= 30, (reached, witnesses)
 
 
-def _small_ghost_matrix(rng, m, n):
-    """An m x n supertropical matrix on {-3, ..., 3}: 10% zeros, 20% ghosts."""
+def _small_ghost_matrix(rng, m, n, ghosts=True):
+    """An m x n supertropical matrix on {-3, ..., 3}: 10% zeros, and 20%
+    ghosts unless not ghosts."""
     def entry():
         r = rng.random()
         if r < 0.1:
             return ST_ZERO
-        return (st_ghost if r < 0.3 else st_tan)(rng.randint(-3, 3))
+        return (st_ghost if ghosts and r < 0.3 else st_tan)(rng.randint(-3, 3))
 
     return matrix(st, [[entry() for _ in range(n)] for _ in range(m)])
 
 
+def _report_facts(rep):
+    """A report's lines with its witness down to the support: the
+    coefficients are the cofactors' under the default domain and the scan's
+    first in domain order under an explicit one, which can differ where a
+    support has several witnesses."""
+    return [(k, v.split(" coeffs=")[0]) if k == "witness" else (k, v) for k, v in rep.lines()]
+
+
+def forced_scan(domain):
+    """The default domain's members as an explicit domain, on which every
+    support of 3 or more vectors scans."""
+    return rank_mod.EntryRatioDomain(domain.coding, domain.members, domain.depth)
+
+
+def naive_rank(vectors, domain, budget):
+    """The rank by `naive_first_witness`: the most vectors on which it
+    finds no witness, or None when a search over all of them could walk
+    more than budget coefficient tuples."""
+    m = len(vectors)
+    if len(domain) ** (m - 1) > budget:
+        return None
+    for k in range(m, 0, -1):
+        for subset in itertools.combinations(range(m), k):
+            if naive_first_witness(st, [vectors[i] for i in subset], domain) is None:
+                return k
+    return 0
+
+
+def st_rows_matrix(rng, m, n, tangible=False):
+    """An m x n matrix of literals on -12..12 over denominators 1, 2 and 3:
+    15% zeros and 20% ghosts unless tangible."""
+    def entry():
+        r = 1.0 if tangible else rng.random()
+        if r < 0.15:
+            return ST_ZERO
+        if r < 0.35:
+            return st_ghost(rng.randint(-12, 12))
+        return st_tan(Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3))))
+
+    return matrix(st, [[entry() for _ in range(n)] for _ in range(m)])
+
+
+def searched_support(monkeypatch):
+    """Outcomes of `_minor_search`, recorded as it runs."""
+    outcomes = []
+    inner = rank_mod._minor_search
+
+    def recorded(alg, w, support):
+        got = inner(alg, w, support)
+        outcomes.append(got)
+        return got
+
+    monkeypatch.setattr(rank_mod, "_minor_search", recorded)
+    return outcomes
+
+
 class TestMinorCertificate:
-    def test_certificate_equals_the_scan_on_ghost_supports(self):
-        # on random ghost 4 x 4 and 4 x 5 files, every report line equals
-        # the one where each support of 4 vectors scans: no tie pattern
-        # decides it and no minor certifies it.  Supports of 3 vectors keep
-        # their tie patterns on both sides: over ghost rows those can miss
-        # a witness the scan finds (ROADMAP item 1), which is not this
-        # test's subject.
+    def test_certificate_equals_the_scan_on_ghost_supports(self, monkeypatch):
+        # on random ghost 4 x 4 and 4 x 5 files, the ranks, verdicts and
+        # witness support the minors give equal those where every support
+        # of 3 or more vectors scans the same members; many supports are
+        # certified independent by a nonsingular minor
         rng = random.Random(83)
-        decide, certify = rank_mod._ties_decide, rank_mod._minor_certifies
-        certified = 0
-
-        def size3_only(w, support, ties):
-            return len(support) == 3 and decide(w, support, ties)
-
-        def counted(*args):
-            nonlocal certified
-            got = certify(*args)
-            certified += got
-            return got
-
+        outcomes = searched_support(monkeypatch)
         for t in range(60):
             a = _small_ghost_matrix(rng, 4, 4 + t % 2)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(rank_mod, "_minor_certifies", counted)
-                got = rank_report(a).lines()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(rank_mod, "_ties_decide", size3_only)
-                mp.setattr(rank_mod, "_minor_certifies", lambda *args: False)
-                assert rank_report(a).lines() == got, a
-        assert certified >= 40, certified
+            got = rank_report(a)
+            for w in got.row_witnesses:
+                assert_null_witness(list(a.entries), w)
+            scan = rank_report(a, forced_scan(default_domain(st, list(a.entries))))
+            assert _report_facts(got) == _report_facts(scan), a
+        assert all(decided for decided, _ in outcomes)
+        assert sum(codes is None for _, codes in outcomes) >= 40
 
-    def test_certificate_needs_a_ghost_and_four_columns(self, monkeypatch):
-        # tangible rows keep the tie patterns, and 4 x 3 ghost rows scan
-        calls = []
-        certify = rank_mod._minor_certifies
-        monkeypatch.setattr(
-            rank_mod, "_minor_certifies", lambda *args: calls.append(args) or certify(*args)
-        )
-        tangible = parse_rows(TestFindDependence.FIXED_A2P[0][0])
-        assert search_stats(tangible, entry_ratio_domain(st, tangible))[1:] == (15, 0)
-        ghost = parse_rows(
-            (("-6", "3", "4"), ("-4", "0", "4"), ("1g", "6", "5"), ("2", "-1", "2"))
-        )
-        assert search_stats(ghost, entry_ratio_domain(st, ghost))[1:] == (15, 1)
-        assert len(calls) == 1 and not certify(*calls[0])
+    def test_default_domain_ranks_equal_the_naive_scan(self):
+        # the naive scan over the depth-2 domain is the oracle: on random
+        # files up to 4 x 5 on {-3, ..., 3}, with ghosts and tangible only,
+        # the default domain's ranks equal its ranks wherever its search
+        # stays within 20,000 tuples, and every witness is a null tangible
+        # combination
+        rng = random.Random(89)
+        shapes = [(3, 3), (3, 4), (4, 3), (4, 4), (4, 5), (3, 5)]
+        compared = 0
+        for t in range(36):
+            m, n = shapes[t % len(shapes)]
+            a = _small_ghost_matrix(rng, m, n, ghosts=t % 3 != 2)
+            rep = rank_report(a)
+            for w in rep.row_witnesses:
+                assert all(map(st.is_tangible, w.coeffs))
+                assert_null_witness(list(a.entries), w)
+            cols = [a.col(j) for j in range(n)]
+            for vectors, got in ((list(a.entries), rep.row_rank), (cols, rep.col_rank)):
+                want = naive_rank(vectors, default_domain(st, vectors), 20_000)
+                if want is not None:
+                    assert got == want, a
+                    compared += 1
+        assert compared >= 50, compared
+
+    def test_st_rows_ranks_equal_the_submatrix_rank(self):
+        # on cli-queries-like files, with ghosts and tangible only, the row
+        # and column ranks equal the submatrix rank, and a forced scan of
+        # the same members finds no witness the minors miss: a scan rank is
+        # never below theirs (it can be above, where the cofactors' witness
+        # needs a coefficient outside the depth-2 domain)
+        rng = random.Random(5)
+        for t in range(40):
+            m, n = ((3, 3), (3, 4), (4, 3))[t % 3]
+            a = st_rows_matrix(rng, m, n, tangible=t % 4 == 3)
+            rep = rank_report(a)
+            assert rep.row_rank == rep.col_rank == rep.submatrix_rank, a
+            for w in rep.row_witnesses:
+                assert all(map(st.is_tangible, w.coeffs))
+                assert_null_witness(list(a.entries), w)
+            if t % 3 == 0:
+                rows = list(a.entries)
+                scanned = rank_mod._rank_of(st, rows, forced_scan(default_domain(st, rows)))[0]
+                assert scanned >= rep.row_rank
+
+    def test_a_tampered_cofactor_falls_back_to_the_scan(self, monkeypatch):
+        # one cofactor off by 1/S: the column tests reject the point, the
+        # 4-vector support scans, and the scan gives the same witness
+        rows = parse_rows(TestFindDependence.FIXED_A2P[0][0])
+        dom = default_domain(st, rows)
+        w, tried, scanned = search_stats(rows, dom)
+        assert (tried, scanned) == (15, 0)
+        inner = rank_mod._permanent_minors
+
+        def tampered(alg, codes, k, coding):
+            for cols, per in inner(alg, codes, k, coding):
+                if k < len(codes):
+                    s = min(per)
+                    per[s] = per[s] if per[s] is None else per[s] + 2
+                yield cols, per
+
+        monkeypatch.setattr(rank_mod, "_permanent_minors", tampered)
+        walk = rank_mod._coded_walk(st, rows, dom)
+        assert rank_mod._minor_search(st, walk, (0, 1, 2, 3)) == (False, None)
+        assert search_stats(rows, dom) == (w, 15, 1)
+
+    def test_the_baseline_hang_files_scan_no_support(self, tmp_path, capsys):
+        # supports of 5 vectors, and 4 x 12 files, once scanned |D|^3 tuples
+        # or more per support: the minors decide every support
+        path = tmp_path / "m.txt"
+        path.write_text("pair supertropical\nrows 5\ncols 4\n6 -1 -5 -7/3\n"
+                        "12 5/2 -2/3 -4\n-5/3 0 0 0\n4 -9/2 11 -1/3\n0 -2 0 3\n")
+        assert run_command(["check", "a2p", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "a2p: HOLDS" in out and out[-1] == "supports_scanned: 0"
+        rng = random.Random(5)
+        for a in (
+            parse_matrix_text(path.read_text())[1],
+            st_rows_matrix(rng, 5, 5, tangible=True),
+            st_rows_matrix(rng, 4, 12),
+            st_rows_matrix(rng, 4, 12, tangible=True),
+        ):
+            stats = {"supports_tried": 0, "supports_scanned": 0}
+            rep = rank_report(a, None, stats)
+            assert rep.row_rank == rep.col_rank == rep.submatrix_rank
+            assert stats["supports_scanned"] == 0 < stats["supports_tried"]
 
     def test_unknown_condition_is_refused_before_any_work(self, monkeypatch):
         a = matrix(st, [[st_tan(0), st_ghost(1)], [st_tan(2), st_tan(3)]])
@@ -742,6 +752,60 @@ class TestSearchWorkBound:
             "",
         )
 
+    def test_explicit_supertropical_domain_on_both_sides_of_the_bound(self, monkeypatch):
+        # an explicit domain scans each support of k >= 3 vectors at
+        # |D|^(k-2): over 4 vectors, 4 |D| + |D|^2 tuples, checked before
+        # any work
+        rows = parse_rows(TestFindDependence.FIXED_A2P[0][0])
+        dom = entry_ratio_domain(st, rows)
+        d = len(dom)
+        work = rank_mod._scan_work(4, d)
+        assert work == 4 * d + d * d
+        monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", work)
+        w = find_dependence(rows, dom, st)
+        assert w.kv(st.format_literal) == TestFindDependence.FIXED_A2P[0][1]
+        monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", work - 1)
+        monkeypatch.setattr(rank_mod, "_coded_walk", _forbidden)
+        with pytest.raises(CapExceeded, match=f"^dependence search cap exceeded: 4 vectors "
+                           f"need up to {work} coefficient tuples, more than {work - 1}$"):
+            find_dependence(rows, dom, st)
+
+    def test_explicit_domain_on_the_3x12_file_exits_3_at_once(self, tmp_path):
+        # the 12 columns over a depth-2 domain of 333 members: about 333^10
+        # tuples in the worst case, refused before the column search
+        path = tmp_path / "m.txt"
+        path.write_text(ST_3X12)
+        work = rank_mod._scan_work(12, 333)
+        assert work > 10**25
+        start = time.perf_counter()
+        proc = run_pairlin("rank", str(path), "--domain", "heuristic")
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3,
+            f"error: dependence search cap exceeded: 12 vectors need up to {work} "
+            "coefficient tuples, more than 2000000\n",
+            "",
+        )
+
+    def test_default_domain_fallback_on_both_sides_of_the_bound(self, monkeypatch):
+        # a support its minors leave undecided scans once its |D|^(k-2)
+        # tuples pass the check, each support on its own
+        rows = parse_rows(TestFindDependence.FIXED_A2P[0][0])
+        dom = default_domain(st, rows)
+        d = len(dom)
+        monkeypatch.setattr(rank_mod, "_minor_search", lambda *args: (False, None))
+        monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", d * d)
+        w, tried, scanned = search_stats(rows, dom)
+        assert w.kv(st.format_literal) == TestFindDependence.FIXED_A2P[0][1]
+        assert (tried, scanned) == (15, 5)
+        monkeypatch.setattr(rank_mod, "SEARCH_WORK_CAP", d * d - 1)
+        stats = {"supports_tried": 0, "supports_scanned": 0}
+        with pytest.raises(CapExceeded, match=f"^dependence search cap exceeded: 4 vectors "
+                           f"need up to {d * d} coefficient tuples, more than {d * d - 1}$"):
+            find_dependence(rows, dom, st, stats=stats)
+        # the four 3-vector supports scanned before the 4-vector one was refused
+        assert stats == {"supports_tried": 15, "supports_scanned": 4}
+
 
 # a random 3 x 12 supertropical file (entries -9..9 over denominators 1-3):
 # the nested rank search tried 199,573 supports on it, the walk 791
@@ -853,7 +917,7 @@ class TestRanks:
     def test_supertropical_4x4_rank_report(self):
         # no dependence among the 4 rows: the size-4 support of the depth-2
         # domain of 16 entries on denominators 1, 2 and 3 is decided by its
-        # tie patterns, where the domain scan took over a second
+        # nonsingular 4 x 4 minor, where the domain scan took over a second
         rep = rank_report(rand_supertropical_matrix(random.Random(7), 4))
         assert rep.lines() == [
             ("row_rank", "4"),

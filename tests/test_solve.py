@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+import pairlin.matrices as matrices_mod
 from pairlin import (
+    CapExceeded,
     balances,
     cramer_solve,
     dominant_structure,
@@ -18,7 +20,7 @@ from pairlin import (
     st_tan,
 )
 from pairlin.solve import NoModulus, NotDominantDiagonal
-from pairlin.suites import rand_dominant_diagonal_supertropical
+from pairlin.suites import rand_dominant_diagonal_supertropical, rand_supertropical_matrix
 
 st = make_algebra("supertropical")
 sign = make_algebra("sign")
@@ -180,6 +182,21 @@ class TestJacobi:
         a = matrix(alg, [[l("1"), l("0")], [l("0"), l("1")]])
         with pytest.raises(PairError):
             jacobi_solve(a, (l("1"), l("1")))
+
+    def test_refusal_walks_no_minor_layer(self, monkeypatch):
+        # the caps come first, then the cycle test on A's codes, and the
+        # adjugate pass's layers only after it: a non-dominant 8 x 8 matrix
+        # is refused with no layer walked
+        def no_layer(*args):
+            raise AssertionError("a minor layer was walked")
+
+        monkeypatch.setattr(matrices_mod, "_minor_layer", no_layer)
+        a = rand_supertropical_matrix(random.Random(4), 8)
+        with pytest.raises(NotDominantDiagonal):
+            jacobi_solve(a, (st_tan(0),) * 8)
+        monkeypatch.setenv("PAIRLIN_CAP_N", "7")
+        with pytest.raises(CapExceeded, match="^determinant cap exceeded at n = 8$"):
+            jacobi_solve(a, (st_tan(0),) * 8)
 
     def test_refuses_a_lift_off_max_plus_codes(self):
         from pairlin.core import PairAlgebra, PairError
