@@ -6,7 +6,10 @@ rules, Krasner data, a doubled pair's base) to the descriptor's constructor.
 Finite instances are table-driven or, for hyperpairs, atomwise over subsets
 of atoms, and hold at most CARRIER_CAP elements; the supertropical pair
 works over exact rationals with a ghost layer and never touches floating
-point.
+point.  The named table pairs are members of their families under their own
+ids and atom names: `sign` is the minimal second-kind pair over C_2,
+`superboolean` the minimal first-kind pair over C_1, and `boolean` is
+N_{1,1}.
 
 Each constructor also passes its pair's codec (see core.Codec): table pairs
 and the symmetric-difference pair code an element by its index into the
@@ -173,44 +176,8 @@ def _table_pair(
 
 
 def make_sign_pair() -> PairAlgebra:
-    """Sign semiring {0, 1, -1, inf}: 1 + (-1) = inf, inf absorbing."""
-    atoms = ("0", "1", "-1", "inf")
-    sign = {"0": 0, "1": 1, "-1": -1}
-
-    def addv(x, y):
-        if x == "0":
-            return y
-        if y == "0":
-            return x
-        if x == "inf" or y == "inf" or x != y:
-            return "inf"
-        return x
-
-    def mulv(x, y):
-        if x == "0" or y == "0":
-            return "0"
-        if x == "inf" or y == "inf":
-            return "inf"
-        return str(sign[x] * sign[y])
-
-    add_table = {(x, y): addv(x, y) for x in atoms for y in atoms}
-    mul_table = {(x, y): mulv(x, y) for x in atoms for y in atoms}
-    return _table_pair(
-        "sign",
-        atoms,
-        add_table,
-        mul_table,
-        tangible={"1", "-1"},
-        null={"0", "inf"},
-        zero="0",
-        one="1",
-        dagger_table={"1": "-1", "-1": "1"},
-        negation_table={"0": "0", "1": "-1", "-1": "1", "inf": "inf"},
-        negation_unique=True,
-        distributive=True,
-        modulus_table={"0": None, "1": Fraction(0), "-1": Fraction(0), "inf": Fraction(0)},
-        declared_kind=SECOND,
-    )
+    """Sign semiring {0, 1, -1, inf}: the minimal second-kind pair over C_2."""
+    return _minimal_pair("sign", SECOND, ("1", "-1"))
 
 
 # ---------------------------------------------------------------------------
@@ -565,51 +532,7 @@ def project_doubled(dalg: PairAlgebra, a: El) -> El:
 
 
 # ---------------------------------------------------------------------------
-# named finite specials
-
-
-def make_boolean() -> PairAlgebra:
-    atoms = ("0", "1")
-    add = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "1"}
-    mul = {("0", "0"): "0", ("0", "1"): "0", ("1", "0"): "0", ("1", "1"): "1"}
-    return _table_pair(
-        "boolean", atoms, add, mul,
-        tangible={"1"}, null={"0"}, zero="0", one="1",
-        distributive=True,
-    )
-
-
-def make_super_boolean() -> PairAlgebra:
-    atoms = ("0", "1", "e")
-
-    def addv(x, y):
-        if x == "0":
-            return y
-        if y == "0":
-            return x
-        if x == "e" or y == "e":
-            return "e"
-        return "e"  # 1 + 1 = e
-
-    def mulv(x, y):
-        if x == "0" or y == "0":
-            return "0"
-        if x == "e" or y == "e":
-            return "e"
-        return "1"
-
-    add = {(x, y): addv(x, y) for x in atoms for y in atoms}
-    mul = {(x, y): mulv(x, y) for x in atoms for y in atoms}
-    return _table_pair(
-        "superboolean", atoms, add, mul,
-        tangible={"1"}, null={"0", "e"}, zero="0", one="1",
-        dagger_table={"1": "1"},
-        negation_table={"0": "0", "1": "1", "e": "e"},
-        negation_unique=True,
-        distributive=True,
-        modulus_table={"0": None, "1": Fraction(0), "e": Fraction(0)},
-        declared_kind=FIRST,
-    )
+# finite table families
 
 
 def make_counting(q: int) -> PairAlgebra:
@@ -632,6 +555,10 @@ def make_npq(p: int, q: int) -> PairAlgebra:
     if p < 1 or q < 0 or p + q < 2:
         raise BadSpecifier("npq needs p >= 1, q >= 0, p+q >= 2")
     _check_size(f"npq:{p}:{q}", p + q)
+    return _npq_pair(f"npq:{p}:{q}", p, q)
+
+
+def _npq_pair(id, p, q):
     top = p + q - 1
 
     def red(n):
@@ -641,7 +568,7 @@ def make_npq(p: int, q: int) -> PairAlgebra:
     add = {(x, y): str(red(int(x) + int(y))) for x in atoms for y in atoms}
     mul = {(x, y): str(red(int(x) * int(y))) for x in atoms for y in atoms}
     return _table_pair(
-        f"npq:{p}:{q}", atoms, add, mul,
+        id, atoms, add, mul,
         tangible={"1"}, null={"0"}, zero="0", one="1",
         distributive=True,
     )
@@ -650,52 +577,57 @@ def make_npq(p: int, q: int) -> PairAlgebra:
 def make_minimal(kind: str, n: int) -> PairAlgebra:
     """Minimal A0-bipotent pair over a cyclic tangible group of order n.
 
-    a+a is inf (first kind) or a (second kind); distinct tangibles sum to inf.
+    a+a is inf (first kind) or a (second kind); distinct tangibles sum to
+    inf.  The named pairs are members under their own atom names: `sign` is
+    the second kind over C_2 and `superboolean` the first kind over C_1.
     """
     if kind not in (FIRST, SECOND):
         raise BadSpecifier(f"minimal pair kind must be first|second, got {kind!r}")
     if n < 1 or (kind == SECOND and n < 2):
         raise BadSpecifier("minimal second-kind pair needs n >= 2")
     _check_size(f"minimal:{kind}:{n}", n + 2)
-    ts = tuple(f"t{i}" for i in range(n))
-    atoms = ("0",) + ts + ("inf",)
+    return _minimal_pair(f"minimal:{kind}:{n}", kind, tuple(f"t{i}" for i in range(n)))
+
+
+def _minimal_pair(id, kind, ts, top="inf"):
+    """The minimal pair whose tangibles ts[i] are the powers of a generator."""
+    n = len(ts)
+    power = {t: i for i, t in enumerate(ts)}
+    atoms = ("0",) + ts + (top,)
 
     def addv(x, y):
         if x == "0":
             return y
         if y == "0":
             return x
-        if x == "inf" or y == "inf" or x != y:
-            return "inf"
-        return "inf" if kind == FIRST else x
+        return x if x == y != top and kind == SECOND else top
 
     def mulv(x, y):
         if x == "0" or y == "0":
             return "0"
-        if x == "inf" or y == "inf":
-            return "inf"
-        return f"t{(int(x[1:]) + int(y[1:])) % n}"
+        if x == top or y == top:
+            return top
+        return ts[(power[x] + power[y]) % n]
 
     add = {(x, y): addv(x, y) for x in atoms for y in atoms}
     mul = {(x, y): mulv(x, y) for x in atoms for y in atoms}
-    if kind == FIRST:
-        dag = {t: t for t in ts}
-    else:
-        dag = {f"t{i}": f"t{(i + 1) % n}" for i in range(n)}
+    # the dagger is the identity (first kind) or the generator's product
+    # (second kind); the negation is the identity, or the product by the
+    # element of order 2 where the second kind's n is even
+    dag = {t: ts[(i + (kind == SECOND)) % n] for i, t in enumerate(ts)}
     neg = None
-    unique = n == 1 and kind == FIRST
-    if kind == SECOND and n % 2 == 0:
-        half = n // 2
-        neg = {**{f"t{i}": f"t{(i + half) % n}" for i in range(n)},
-               "0": "0", "inf": "inf"}
-    elif kind == FIRST:
-        neg = {a: a for a in atoms}
+    if kind == FIRST or n % 2 == 0:
+        half = n // 2 if kind == SECOND else 0
+        neg = {"0": "0", top: top, **{t: ts[(i + half) % n] for i, t in enumerate(ts)}}
     return _table_pair(
-        f"minimal:{kind}:{n}", atoms, add, mul,
-        tangible=set(ts), null={"0", "inf"}, zero="0", one="t0",
+        id, atoms, add, mul,
+        tangible=set(ts), null={"0", top}, zero="0", one=ts[0],
         dagger_table=dag,
         negation_table=neg,
-        negation_unique=unique,
+        # each tangible has one null-sum partner: in the first kind every
+        # sum of two tangibles is top, in the second kind every sum of two
+        # distinct ones
+        negation_unique=n == (1 if kind == FIRST else 2),
         distributive=True,
         modulus_table={a: (None if a == "0" else Fraction(0)) for a in atoms},
         declared_kind=kind,
@@ -792,18 +724,23 @@ def _closure_pair(
     singles = [1 << i for i in range(k)]
     # the carrier is the submodule ⊞-spanned by the tangibles: closed under
     # hyperaddition and the tangible action, but not under arbitrary products
-    # (the power set need not be doubly distributive)
+    # (the power set need not be doubly distributive).  It grows one atom at
+    # a time: each new set S brings S ⊞ a and a·S for every atom a.  That
+    # also reaches the sum of any two members.  An atom's product
+    # distributes over a hypersum, so every member is an iterated sum of
+    # atoms; and set hyperaddition is associative, as the atoms' is, so
+    # S ⊞ (a1 ⊞ ... ⊞ ar) = (...(S ⊞ a1) ⊞ ...) ⊞ ar.  Both are hyperfield
+    # axioms (Krasner, "A class of hyperrings and hyperfields", Int. J.
+    # Math. Math. Sci. 6, 1983).  The tests keep the closure over every
+    # pair of members as the oracle.
     seen = set(singles)
     frontier = list(singles)
     while frontier:
         nxt = []
         for m1 in frontier:
             fill_sums(bits(m1))
-            for m2 in sorted(seen):
-                cand = [combine(add_atoms, m1, m2)]
-                if m2 in singles:
-                    cand.append(combine(mul_atoms, m2, m1))
-                for m in cand:
+            for a in singles:
+                for m in (combine(add_atoms, m1, a), combine(mul_atoms, a, m1)):
                     if m not in seen:
                         seen.add(m)
                         nxt.append(m)
@@ -1138,9 +1075,9 @@ def make_algebra(spec: str) -> PairAlgebra:
         if spec == "sign":
             alg = make_sign_pair()
         elif spec == "boolean":
-            alg = make_boolean()
+            alg = _npq_pair("boolean", 1, 1)
         elif spec == "superboolean":
-            alg = make_super_boolean()
+            alg = _minimal_pair("superboolean", FIRST, ("1",), top="e")
         elif spec == "supertropical":
             alg = make_supertropical()
         elif head == "counting" and len(parts) == 2:

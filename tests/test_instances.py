@@ -7,8 +7,18 @@ from fractions import Fraction
 import pytest
 
 from pairlin import axiom_audit, make_algebra, make_doubled, st_ghost, st_tan
+from pairlin.cli import run_command
 from pairlin.core import circ
-from pairlin.instances import BadSpecifier, embed_doubled, project_doubled
+from pairlin import instances
+from pairlin.instances import (
+    CARRIER_CAP,
+    BadSpecifier,
+    embed_doubled,
+    make_hex,
+    make_krasner,
+    make_weak_sign,
+    project_doubled,
+)
 
 
 class TestSignPair:
@@ -222,6 +232,276 @@ class TestAuditsAcrossRegistry:
                 assert f(sign.mul(x, y)) == db.mul(f(x), f(y))
 
 
+# The three named pairs and their doubles, pinned literal by literal as the
+# hand-written tables built them, before they became members of the minimal
+# and N_{p,q} families: carrier and tangibles; the tables as one row of
+# carrier indices (hex digits) per element; dagger and tangible inverses
+# over the tangibles; negation and modulus values over the carrier; the
+# declared and detected kinds; one bad literal and its error; and the
+# `pairlin audit` lines: the flags in order, a false one marked "-", then
+# every other line.
+NAMED_PAIRS = {
+    "sign": dict(
+        carrier='0 1 -1 inf',
+        tangibles='1 -1',
+        add=('0123', '1133', '2323', '3333'),
+        mul=('0000', '0123', '0213', '0333'),
+        dagger='-1 1',
+        negation='0 -1 1 inf',
+        modulus='None 0 0 0',
+        kinds=('second', 'second'),
+        inverses='1 -1',
+        bad=('2', "sign: unknown element literal '2'"),
+        flags=(
+            'a0_bipotent admissible almost_regular circ_reversible distributive '
+            'e_idempotent -first_kind idempotent_addition lzs metatangible n_transitive '
+            'negation_involutive property_n second_kind strict_second_kind '
+            'tangible_summand tropical_type two_final uniquely_negated '
+            'weakly_metatangible'
+        ),
+        notes=('witness_dagger_multiplicity: 1', 'sample_only: false', 'audit_elements: 4'),
+    ),
+    "boolean": dict(
+        carrier='0 1',
+        tangibles='1',
+        add=('01', '11'),
+        mul=('00', '01'),
+        dagger=None,
+        negation=None,
+        modulus=None,
+        kinds=('unknown', 'second'),
+        inverses='1',
+        bad=('2', "boolean: unknown element literal '2'"),
+        flags=(
+            '-a0_bipotent admissible -almost_regular -circ_reversible distributive '
+            '-e_idempotent -first_kind idempotent_addition lzs -metatangible n_transitive'
+            ' -property_n second_kind strict_second_kind tangible_summand -tropical_type '
+            '-two_final -uniquely_negated weakly_metatangible'
+        ),
+        notes=(
+            'witness_almost_regular: needs Property N',
+            'witness_circ_reversible: needs Property N', 'witness_dagger_multiplicity: 0',
+            'witness_e_idempotent: needs Property N',
+            'witness_property_n: no dagger registered',
+            'witness_tropical_type: needs Property N',
+            'witness_two_final: needs Property N',
+            "witness_uniquely_negated: El(boolean:'1') has 0 negation partners",
+            'sample_only: false', 'audit_elements: 2',
+        ),
+    ),
+    "superboolean": dict(
+        carrier='0 1 e',
+        tangibles='1',
+        add=('012', '122', '222'),
+        mul=('000', '012', '022'),
+        dagger='1',
+        negation='0 1 e',
+        modulus='None 0 0',
+        kinds=('first', 'first'),
+        inverses='1',
+        bad=('2', "superboolean: unknown element literal '2'"),
+        flags=(
+            'a0_bipotent admissible almost_regular circ_reversible distributive '
+            'e_idempotent first_kind -idempotent_addition lzs metatangible n_transitive '
+            'negation_involutive property_n -second_kind -strict_second_kind '
+            'tangible_summand tropical_type two_final uniquely_negated '
+            'weakly_metatangible'
+        ),
+        notes=('witness_dagger_multiplicity: 1', 'sample_only: false', 'audit_elements: 3'),
+    ),
+    "doubled:sign": dict(
+        carrier=(
+            '0|0 0|1 0|-1 0|inf 1|0 1|1 1|-1 1|inf -1|0 -1|1 -1|-1 -1|inf inf|0 inf|1 '
+            'inf|-1 inf|inf'
+        ),
+        tangibles='0|1 0|-1 1|0 -1|0',
+        add=(
+            '0123456789abcdef', '1133557799bbddff', '23236767ababefef', '33337777bbbbffff',
+            '45674567cdefcdef', '55775577ddffddff', '67676767efefefef', '77777777ffffffff',
+            '89abcdef89abcdef', '99bbddff99bbddff', 'ababefefababefef', 'bbbbffffbbbbffff',
+            'cdefcdefcdefcdef', 'ddffddffddffddff', 'efefefefefefefef', 'ffffffffffffffff',
+        ),
+        mul=(
+            '0000000000000000', '048c159d26ae37bf', '084c2a6e195d3b7f', '0ccc3fff3fff3fff',
+            '0123456789abcdef', '05af55ffafafffff', '096f6f6f99ffffff', '0def7fffbfffffff',
+            '02138a9b4657cedf', '069f9f9f66ffffff', '0a5faaff5f5fffff', '0edfbfff7fffffff',
+            '0333cfffcfffcfff', '07bfdfffefffffff', '0b7fefffdfffffff', '0fffffffffffffff',
+        ),
+        dagger='1|0 -1|0 0|1 0|-1',
+        negation=(
+            '0|0 1|0 -1|0 inf|0 0|1 1|1 -1|1 inf|1 0|-1 1|-1 -1|-1 inf|-1 0|inf 1|inf '
+            '-1|inf inf|inf'
+        ),
+        modulus='None 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0',
+        kinds=('second', 'second'),
+        inverses='0|1 0|-1 1|0 -1|0',
+        bad=('1|2', "sign: unknown element literal '2'"),
+        flags=(
+            '-a0_bipotent admissible -almost_regular -circ_reversible distributive '
+            '-e_idempotent -first_kind idempotent_addition lzs -metatangible '
+            '-n_transitive negation_involutive -property_n second_kind '
+            '-strict_second_kind tangible_summand -tropical_type -two_final '
+            '-uniquely_negated weakly_metatangible'
+        ),
+        notes=(
+            'witness_almost_regular: needs Property N',
+            'witness_circ_reversible: needs Property N', 'witness_dagger_multiplicity: 3',
+            'witness_e_idempotent: needs Property N',
+            (
+                "witness_n_transitive: El(doubled:sign:(El(sign:'0'), "
+                "El(sign:'1'))),El(doubled:sign:(El(sign:'0'), "
+                "El(sign:'-1'))),El(doubled:sign:(El(sign:'1'), "
+                "El(sign:'0'))),El(doubled:sign:(El(sign:'0'), El(sign:'1')))"
+            ),
+            (
+                "witness_property_n: null sum El(doubled:sign:(El(sign:'0'), "
+                "El(sign:'1')))+El(doubled:sign:(El(sign:'0'), El(sign:'-1'))) is not a "
+                'quasi-zero'
+            ),
+            (
+                "witness_strict_second_kind: El(doubled:sign:(El(sign:'0'), "
+                "El(sign:'1'))) nabla El(doubled:sign:(El(sign:'0'), El(sign:'-1'))) with"
+                ' null sum'
+            ),
+            'witness_tropical_type: needs Property N',
+            'witness_two_final: needs Property N',
+            (
+                "witness_uniquely_negated: El(doubled:sign:(El(sign:'0'), El(sign:'1'))) "
+                'has 3 negation partners'
+            ),
+            'sample_only: false', 'audit_elements: 16',
+        ),
+    ),
+    "doubled:boolean": dict(
+        carrier='0|0 0|1 1|0 1|1',
+        tangibles='0|1 1|0',
+        add=('0123', '1133', '2323', '3333'),
+        mul=('0000', '0213', '0123', '0333'),
+        dagger='1|0 0|1',
+        negation='0|0 1|0 0|1 1|1',
+        modulus=None,
+        kinds=('second', 'second'),
+        inverses='0|1 1|0',
+        bad=('1|2', "boolean: unknown element literal '2'"),
+        flags=(
+            'a0_bipotent admissible almost_regular circ_reversible distributive '
+            'e_idempotent -first_kind idempotent_addition lzs metatangible n_transitive '
+            'negation_involutive property_n second_kind strict_second_kind '
+            'tangible_summand tropical_type two_final uniquely_negated '
+            'weakly_metatangible'
+        ),
+        notes=('witness_dagger_multiplicity: 1', 'sample_only: false', 'audit_elements: 4'),
+    ),
+    "doubled:superboolean": dict(
+        carrier='0|0 0|1 0|e 1|0 1|1 1|e e|0 e|1 e|e',
+        tangibles='0|1 1|0',
+        add=(
+            '012345678', '122455788', '222555888', '345678678', '455788788', '555888888',
+            '678678678', '788788788', '888888888',
+        ),
+        mul=(
+            '000000000', '036147258', '066288288', '012345678', '048488888', '078588888',
+            '022688688', '058788888', '088888888',
+        ),
+        dagger='1|0 0|1',
+        negation='0|0 1|0 e|0 0|1 1|1 e|1 0|e 1|e e|e',
+        modulus='None 0 0 0 0 0 0 0 0',
+        kinds=('second', 'second'),
+        inverses='0|1 1|0',
+        bad=('1|2', "superboolean: unknown element literal '2'"),
+        flags=(
+            '-a0_bipotent admissible -almost_regular -circ_reversible distributive '
+            '-e_idempotent -first_kind -idempotent_addition lzs -metatangible '
+            'n_transitive negation_involutive -property_n second_kind -strict_second_kind'
+            ' tangible_summand -tropical_type -two_final -uniquely_negated '
+            'weakly_metatangible'
+        ),
+        notes=(
+            'witness_almost_regular: needs Property N',
+            'witness_circ_reversible: needs Property N', 'witness_dagger_multiplicity: 2',
+            'witness_e_idempotent: needs Property N',
+            (
+                'witness_property_n: null sum '
+                "El(doubled:superboolean:(El(superboolean:'0'), "
+                "El(superboolean:'1')))+El(doubled:superboolean:(El(superboolean:'0'), "
+                "El(superboolean:'1'))) is not a quasi-zero"
+            ),
+            (
+                'witness_strict_second_kind: '
+                "El(doubled:superboolean:(El(superboolean:'0'), El(superboolean:'1'))) "
+                "nabla El(doubled:superboolean:(El(superboolean:'0'), "
+                "El(superboolean:'1'))) with null sum"
+            ),
+            'witness_tropical_type: needs Property N',
+            'witness_two_final: needs Property N',
+            (
+                "witness_uniquely_negated: El(doubled:superboolean:(El(superboolean:'0'),"
+                " El(superboolean:'1'))) has 2 negation partners"
+            ),
+            "warning_0: declared kind 'second' but detected 'first'", 'sample_only: false',
+            'audit_elements: 9',
+        ),
+    ),
+}
+
+
+def index_table(alg, op):
+    index = {e: f"{i:x}" for i, e in enumerate(alg.carrier)}
+    return tuple("".join(index[op(x, y)] for y in alg.carrier) for x in alg.carrier)
+
+
+@pytest.mark.parametrize("spec", NAMED_PAIRS)
+def test_named_pairs_keep_their_descriptors(spec, capsys):
+    want = NAMED_PAIRS[spec]
+    alg = make_algebra(spec)
+    fmt, ts = alg.format_literal, alg.tangibles
+
+    def join(xs):
+        return " ".join(map(fmt, xs))
+
+    got = dict(
+        carrier=join(alg.carrier),
+        tangibles=join(ts),
+        add=index_table(alg, alg.add),
+        mul=index_table(alg, alg.mul),
+        dagger=alg.dagger and join(map(alg.dagger, ts)),
+        negation=alg.negation and join(map(alg.negation, alg.carrier)),
+        modulus=alg.modulus and " ".join(str(alg.modulus(x).value) for x in alg.carrier),
+        kinds=(alg.declared_kind, alg.kind()),
+        inverses=join(map(alg.tangible_inverse, ts)),
+    )
+    assert got == {k: want[k] for k in got}
+    for e in alg.carrier:
+        assert alg.parse_literal(fmt(e)) == e
+    bad, error = want["bad"]
+    with pytest.raises(BadSpecifier) as exc:
+        alg.parse_literal(bad)
+    assert str(exc.value) == error
+    assert run_command(["audit", spec]) == 0
+    flags = [f"{f.lstrip('-')}: {str(f[0] != '-').lower()}" for f in want["flags"].split()]
+    assert capsys.readouterr().out.splitlines() == [f"pair: {spec}", *flags, *want["notes"]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"minimal:first:{n}" for n in range(1, 7)] + [f"minimal:second:{n}" for n in range(2, 7)],
+)
+def test_minimal_pairs_declare_unique_negation_as_audited(spec):
+    # one null-sum partner per tangible: n = 1 of the first kind, n = 2 of
+    # the second
+    alg = make_algebra(spec)
+    assert alg.negation_unique == axiom_audit(alg).flags["uniquely_negated"]
+
+
+def test_declared_unique_negation_holds_on_every_registered_pair():
+    from pairlin import registered_instances
+
+    declared = [alg for alg in registered_instances() if alg.negation_unique]
+    assert {"sign", "superboolean", "doubled:boolean"} <= {alg.id for alg in declared}
+    for alg in declared:
+        assert axiom_audit(alg).flags["uniquely_negated"], alg.id
+
+
 def distributes(alg):
     """Exhaustive two-sided scan of a(b+c) = ab+ac and (b+c)a = ba+ca."""
     add, mul = alg.add, alg.mul
@@ -288,3 +568,63 @@ class TestClosurePairOperations:
                     assert alg.add(x, y).payload == sum(1 << s for s in sums)
                     prod = coset_of[min(ci) * min(cj) % p]
                     assert alg.mul(x, y).payload == 1 << prod
+
+
+def pairwise_closure(alg):
+    """The hyperpair carrier as the closure over every pair of members: each
+    new set joins every member by ⊞ and every atom by product."""
+    singles = [1 << i for i in range(len(alg.tangibles) + 1)]
+    seen = set(singles)
+    frontier = list(singles)
+    while frontier:
+        nxt = []
+        for m1 in frontier:
+            for m2 in sorted(seen):
+                cand = [alg.add(alg.el(m1), alg.el(m2)).payload]
+                if m2 in singles:
+                    cand.append(alg.mul(alg.el(m2), alg.el(m1)).payload)
+                for m in cand:
+                    if m not in seen:
+                        seen.add(m)
+                        nxt.append(m)
+        frontier = nxt
+    return sorted(seen)
+
+
+def one_generator_krasners(pmax):
+    for p in range(2, pmax + 1):
+        if all(p % d for d in range(2, p)):
+            yield from ((p, g) for g in range(1, p))
+
+
+class TestCarrierClosure:
+    # every one-generator Krasner quotient up to F_17 and the small named
+    # hyperfields, as (specifier, constructor); the carriers over the cap
+    # have few enough atoms for the oracle to close them under a raised cap
+    SWEEP = [
+        *((f"krasner:{p}:{g}", lambda p=p, g=g: make_krasner(p, [g]))
+          for p, g in one_generator_krasners(17)),
+        *((f"hyper:hex1-c{n}", lambda n=n: make_hex(1, n)) for n in range(2, 9)),
+        *((f"hyper:hex2-c{n}", lambda n=n: make_hex(2, n)) for n in range(4, 13)),
+        *((f"hyper:weaksign-c{n}", lambda n=n: make_weak_sign(n)) for n in range(1, 8)),
+    ]
+    OVER_CAP = ("krasner:17:16", "hyper:hex1-c8")
+
+    def test_atom_steps_equal_the_pairwise_closure(self):
+        checked = 0
+        for spec, build in self.SWEEP:
+            if spec not in self.OVER_CAP:
+                alg = build()
+                assert [e.payload for e in alg.carrier] == pairwise_closure(alg), spec
+                checked += 1
+        assert checked == len(self.SWEEP) - len(self.OVER_CAP)
+
+    @pytest.mark.parametrize("spec", OVER_CAP)
+    def test_refused_carriers_pass_the_cap_in_the_oracle(self, spec, monkeypatch):
+        with pytest.raises(BadSpecifier, match=f"^{spec}: more than {CARRIER_CAP} elements$"):
+            make_algebra(spec)
+        monkeypatch.setattr(instances, "CARRIER_CAP", 1 << 12)
+        alg = dict(self.SWEEP)[spec]()
+        carrier = [e.payload for e in alg.carrier]
+        assert len(carrier) > CARRIER_CAP
+        assert carrier == pairwise_closure(alg)
