@@ -237,9 +237,9 @@ class TestAuditsAcrossRegistry:
 # and N_{p,q} families: carrier and tangibles; the tables as one row of
 # carrier indices (hex digits) per element; dagger and tangible inverses
 # over the tangibles; negation and modulus values over the carrier; the
-# declared and detected kinds; one bad literal and its error; and the
-# `pairlin audit` lines: the flags in order, a false one marked "-", then
-# every other line.
+# declared kind and the one kind() settles on; one bad literal and its
+# error; and the `pairlin audit` lines: the flags in order, a false one
+# marked "-", then every other line.
 NAMED_PAIRS = {
     "sign": dict(
         carrier='0 1 -1 inf',
